@@ -1,0 +1,76 @@
+"""Golden outputs: the exact stdout of every subcommand, pinned across commits.
+
+Each input has one file under ``tests/golden/`` holding, for every
+subcommand plain and with ``--certificates``, a header line
+``### etalg <argv> -> exit <code>`` followed by the exact stdout.
+
+    PYTHONPATH=src python tests/test_golden.py    # rewrite the golden files
+
+Rewrite them only for an intended change of the reports.
+"""
+
+import os
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+GOLDEN = os.path.join(HERE, "golden")
+SAMPLES = os.path.join(ROOT, "samples")
+INPUTS = os.path.join(GOLDEN, "inputs")
+
+COMMANDS = (
+    ("classify",),
+    ("classify", "--json"),
+    ("nette",),
+    ("smooth",),
+    ("etale",),
+    ("decompose",),
+    ("differentials",),
+)
+
+
+def input_files():
+    """(name, path) of every pinned input: the samples, then the extra inputs."""
+    out = []
+    for folder in (SAMPLES, INPUTS):
+        for entry in sorted(os.listdir(folder)):
+            if entry.endswith(".alg"):
+                out.append((entry[: -len(".alg")], os.path.join(folder, entry)))
+    return out
+
+
+def render_all(path):
+    """The golden text of one input: every subcommand, plain and certified."""
+    from etalg.cli import main
+
+    blocks = []
+    for command in COMMANDS:
+        for extra in ((), ("--certificates",)):
+            argv = [command[0], path, *command[1:], *extra]
+            out = StringIO()
+            with redirect_stdout(out):
+                code = main(argv)
+            shown = " ".join([command[0], os.path.basename(path), *command[1:], *extra])
+            blocks.append(f"### etalg {shown} -> exit {code}\n{out.getvalue()}")
+    return "".join(blocks)
+
+
+def golden_path(name):
+    return os.path.join(GOLDEN, f"{name}.txt")
+
+
+@pytest.mark.parametrize("name,path", input_files(), ids=[n for n, _ in input_files()])
+def test_output_matches_golden(name, path):
+    with open(golden_path(name), encoding="utf-8", newline="") as handle:
+        expected = handle.read()
+    assert render_all(path) == expected
+
+
+if __name__ == "__main__":
+    for name, path in input_files():
+        with open(golden_path(name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(render_all(path))
+        print(f"wrote {golden_path(name)}")
