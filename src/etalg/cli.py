@@ -2,13 +2,30 @@
 
     etalg classify FILE [--certificates] [--json] [--order grevlex|lex]
                         [--budget-pairs N] [--budget-primitive N]
-    etalg nette FILE ...          one section of the full report each
+    etalg nette FILE ...          sections of the full report, see below
     etalg smooth FILE ...
     etalg etale FILE ...
     etalg differentials FILE ...
     etalg decompose FILE ...
 
-Exit codes: 0 classified, 1 input error, 2 budget exceeded.
+Every subcommand but ``differentials`` runs ``classify`` and prints sections
+of the one text report (``pipeline.render_sections``):
+
+    nette       the nette flag, then "note: trivial algebra ..." for the zero ring
+    smooth      the standard-smooth and elementary-smooth flags
+    etale       the standard-etale flag, Noether dimension, discriminant,
+                etale verdict and nilpotent witness
+    decompose   the etale verdict, then "no decomposition: ..." when there is
+                none, the decomposition, primitive element and nilpotent witness
+
+With --certificates a flag section carries its decision's evidence and the
+decomposition its idempotent certificate, as in the full report.
+``differentials`` prints the cokernel presentation of the differentials and
+their dimension instead.
+
+Exit codes: 0 classified, 1 input error, 2 budget exceeded or bounded search
+exhausted, 3 any other error of the package (an internal contradiction is a
+bug and is reported the same way, never as a traceback).
 """
 
 from __future__ import annotations
@@ -16,12 +33,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BudgetExceeded, ParseError
-from .kaehler import omega_presentation, omega_dimension
-from .groebner import buchberger, contains_one, noether_dimension
+from .errors import BudgetExceeded, EtalgError, ParseError, SearchExhausted
+from .groebner import contains_one, noether_dimension
+from .kaehler import omega_dimension, omega_presentation, relation_basis
 from .multipoly import MonomialOrder
 from .parsing import parse_file
-from .pipeline import classify, render_report, _render_decision, _render_certificate
+from .pipeline import classify, render_report, render_sections
 
 
 def _add_common(parser):
@@ -56,6 +73,15 @@ def build_parser():
     return parser
 
 
+# The report sections each subcommand prints; classify prints them all.
+SUBCOMMAND_SECTIONS = {
+    "nette": ("nette",),
+    "smooth": ("standard_smooth", "elementary_smooth"),
+    "etale": ("standard_etale", "noether_dimension", "discriminant", "etale", "nilpotent_witness"),
+    "decompose": ("etale", "decomposition", "primitive_element", "nilpotent_witness"),
+}
+
+
 def _run(args) -> str:
     presentation = parse_file(args.file)
     order = MonomialOrder.parse(args.order)
@@ -72,58 +98,16 @@ def _run(args) -> str:
         if getattr(args, "json", False):
             return report.to_json() + "\n"
         return render_report(report, certificates=args.certificates)
-    lines = []
-    flag = lambda v: "true" if v else "false"
-    if args.command == "nette":
-        lines.append(f"nette: {flag(report.nette)}")
-        if args.certificates:
-            lines.extend(_render_decision(report.decisions["nette"]))
-        if report.trivial:
-            lines.append("note: trivial algebra (the ideal contains 1)")
-    elif args.command == "smooth":
-        lines.append(f"standard-smooth: {flag(report.standard_smooth)}")
-        if args.certificates:
-            lines.extend(_render_decision(report.decisions["standard_smooth"]))
-        lines.append(f"elementary-smooth: {flag(report.elementary_smooth)}")
-        if args.certificates:
-            lines.extend(_render_decision(report.decisions["elementary_smooth"]))
-    elif args.command == "etale":
-        lines.append(f"standard-etale: {flag(report.standard_etale)}")
-        if args.certificates:
-            lines.extend(_render_decision(report.decisions["standard_etale"]))
-        dim = report.noether_dimension
-        lines.append(f"noether-dimension: {dim if dim is not None else 'undefined (zero ring)'}")
-        if report.discriminant is not None and report.algebra is not None:
-            lines.append(f"discriminant: {report.algebra.field.format(report.discriminant)}")
-        lines.append(f"etale: {flag(report.etale)}")
-        if report.nilpotent_witness is not None and report.algebra is not None:
-            lines.append(
-                f"nilpotent-witness: {report.algebra.format_element(report.nilpotent_witness)}"
-            )
-    elif args.command == "decompose":
-        lines.append(f"etale: {flag(report.etale)}")
-        if report.decomposition is None:
-            lines.append("no decomposition: the algebra is not etale"
-                         if report.noether_dimension == 0
-                         else "no decomposition: the quotient is not finite-dimensional")
-            if report.nilpotent_witness is not None and report.algebra is not None:
-                lines.append(
-                    f"nilpotent-witness: {report.algebra.format_element(report.nilpotent_witness)}"
-                )
-        else:
-            lines.append("decomposition:")
-            if not report.decomposition:
-                lines.append("  (empty product)")
-            for k, g in enumerate(report.decomposition, start=1):
-                lines.append(f"  g{k} = {g.format()}")
-            if args.certificates and report.certificate is not None:
-                lines.extend(_render_certificate(report))
-            if report.primitive_element is not None and report.algebra is not None:
-                coords, poly = report.primitive_element
-                lines.append(
-                    f"primitive-element: {report.algebra.format_element(coords)}"
-                    f"  (minimal polynomial {poly.format()})"
-                )
+    # A subcommand's own line follows the first section it prints.
+    names = SUBCOMMAND_SECTIONS[args.command]
+    lines = render_sections(report, names[:1], args.certificates)
+    if args.command == "nette" and report.trivial:
+        lines.append("note: trivial algebra (the ideal contains 1)")
+    if args.command == "decompose" and report.decomposition is None:
+        lines.append("no decomposition: the algebra is not etale"
+                     if report.noether_dimension == 0
+                     else "no decomposition: the quotient is not finite-dimensional")
+    lines += render_sections(report, names[1:], args.certificates)
     return "\n".join(lines) + "\n"
 
 
@@ -142,8 +126,7 @@ def _differentials_text(presentation, order, pair_budget) -> str:
                 continue
             terms.append(f"({entry.format(order)})*{gen}")
         lines.append(f"    r{j + 1}: " + (" + ".join(terms) if terms else "0"))
-    gens = list(presentation.relations) if presentation.relations else [presentation.ring_zero()]
-    gb = buchberger(gens, order, pair_budget)
+    gb = relation_basis(presentation, order, pair_budget)
     if contains_one(gb):
         lines.append("  omega-dimension: 0 (zero ring)")
     elif noether_dimension(gb) == 0:
@@ -160,9 +143,12 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, SearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EtalgError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

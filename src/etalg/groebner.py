@@ -62,19 +62,12 @@ def _check_ring(polys):
             raise RingMismatch("generators live in different polynomial rings")
 
 
-def _rep_zero(ring_zero, n):
-    return [ring_zero] * n
-
-def _rep_sub_scaled(rep, other, factor_poly):
-    return [a - factor_poly * b for a, b in zip(rep, other)]
-
-
 def _reduce(f, basis, order, rep=None, reps=None):
-    """Full multivariate division of f by the monic basis.
+    """Full multivariate division of f by the monic basis: (remainder, rep).
 
-    Returns the normal form; when ``rep``/``reps`` are given, ``rep`` is
-    updated functionally so the invariant  reduced = sum(rep_j * orig_j)
-    + (original f contribution)  is preserved by the caller.
+    When ``rep`` is given, each reduction step by ``basis[k]`` subtracts the
+    same multiple of ``reps[k]`` from it, so that rep keeps expressing the
+    running polynomial in the original generators; otherwise rep stays None.
     """
     K = f.field
     remainder = MultiPoly.zero(K, f.variables)
@@ -97,10 +90,18 @@ def _reduce(f, basis, order, rep=None, reps=None):
             p = p - g.mul_term(q_exps, lc)
             if rep is not None:
                 factor = MultiPoly.from_monomial(K, f.variables, q_exps, lc)
-                rep = _rep_sub_scaled(rep, reps[hit], factor)
-    if rep is not None:
-        return remainder, rep
-    return remainder
+                rep = [a - factor * b for a, b in zip(rep, reps[hit])]
+    return remainder, rep
+
+
+def _monic(poly, rep, order):
+    """poly scaled to leading coefficient 1, and rep (or None) by the same factor."""
+    K = poly.field
+    lc = poly.leading(order)[1]
+    if lc == K.one():
+        return poly, rep
+    inv = K.invert(lc)
+    return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep]
 
 
 def _s_poly(f, g, order, K, variables):
@@ -118,7 +119,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     ``pair_budget`` bounds the number of critical pairs taken off the queue;
     exceeding it raises BudgetExceeded.  With ``track=True`` the result
     carries cofactors expressing each basis element in the original
-    generators.
+    generators; without it no cofactor is built at all.
     """
     gens = list(gens)
     if not gens:
@@ -130,25 +131,20 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     n_orig = len(gens)
 
     basis = []
-    reps = []
-
-    def append(poly, rep):
-        lc = poly.leading(order)[1]
-        if lc != K.one():
-            inv = K.invert(lc)
-            poly = poly.scale(inv)
-            rep = [c.scale(inv) for c in rep]
-        basis.append(poly)
-        reps.append(rep)
+    reps = []  # cofactors of each basis element when tracking, else None
 
     for idx, g in enumerate(gens):
         if g.is_zero:
             continue
-        rep = _rep_zero(ring_zero, n_orig)
-        rep[idx] = MultiPoly.one(K, variables)
+        rep = None
+        if track:
+            rep = [ring_zero] * n_orig
+            rep[idx] = MultiPoly.one(K, variables)
         reduced, rep = _reduce(g, basis, order, rep, reps)
         if not reduced.is_zero:
-            append(reduced, rep)
+            reduced, rep = _monic(reduced, rep, order)
+            basis.append(reduced)
+            reps.append(rep)
 
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     processed = 0
@@ -171,11 +167,13 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         s, uf, ug = _s_poly(basis[i], basis[j], order, K, variables)
         if s.is_zero:
             continue
-        rep = [uf * a - ug * b for a, b in zip(reps[i], reps[j])]
+        rep = [uf * a - ug * b for a, b in zip(reps[i], reps[j])] if track else None
         reduced, rep = _reduce(s, basis, order, rep, reps)
         if reduced.is_zero:
             continue
-        append(reduced, rep)
+        reduced, rep = _monic(reduced, rep, order)
+        basis.append(reduced)
+        reps.append(rep)
         new = len(basis) - 1
         pairs.extend((k, new) for k in range(new))
 
@@ -190,21 +188,14 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
             continue
         minimal.append(k)
     final = []
-    final_reps = []
     for k in minimal:
         others = [basis[m] for m in minimal if m != k]
         other_reps = [reps[m] for m in minimal if m != k]
         reduced, rep = _reduce(basis[k], others, order, reps[k], other_reps)
-        lc = reduced.leading(order)[1]
-        if lc != K.one():
-            inv = K.invert(lc)
-            reduced = reduced.scale(inv)
-            rep = [c.scale(inv) for c in rep]
-        final.append(reduced)
-        final_reps.append(rep)
-    ordered = sorted(range(len(final)), key=lambda k: order.key(final[k].leading(order)[0]))
-    generators = [final[k] for k in ordered]
-    cofactors = tuple(tuple(final_reps[k]) for k in ordered) if track else None
+        final.append(_monic(reduced, rep, order))
+    final.sort(key=lambda pair: order.key(pair[0].leading(order)[0]))
+    generators = [poly for poly, _ in final]
+    cofactors = tuple(tuple(rep) for _, rep in final) if track else None
     return GroebnerBasis(K, variables, order, generators, gens, cofactors)
 
 
@@ -214,7 +205,7 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f on division by the basis; zero iff f is in the ideal."""
     if f.field != gb.field or f.variables != gb.variables:
         raise RingMismatch("polynomial lives in a different ring than the basis")
-    return _reduce(f, list(gb.generators), gb.order)
+    return _reduce(f, list(gb.generators), gb.order)[0]
 
 
 def contains_one(gb: GroebnerBasis) -> bool:

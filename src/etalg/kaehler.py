@@ -3,13 +3,23 @@
 A finitely presented algebra A = K[X_1..X_n] / <f_1..f_s> determines the
 transposed Jacobian Ja : A^s -> A^n, whose cokernel presents the module of
 Kahler differentials together with the universal derivation
-d(g) = sum_i (dg/dX_i) ebar_i.  Everything downstream is a determinantal
-ideal test over the quotient:
+d(g) = sum_i (dg/dX_i) ebar_i.  Every flag asks one question, whether 1 is
+in <f> + D for a determinantal ideal D of Ja:
 
-  nette (unramified):   1 in <f> + <n x n minors of Ja>
-  standard smooth:      s <= n and leading s x s minor invertible mod <f>
-  elementary smooth:    1 in <f> + <s x s minors of Ja>
-  standard etale:       s = n and det(Ja) invertible mod <f>
+  nette (unramified):   D = <n x n minors of Ja>
+  standard smooth:      s <= n, D = <leading s x s minor>
+  elementary smooth:    D = <s x s minors of Ja>
+  standard etale:       s = n, D = <det(Ja)>
+
+A single minor generates the unit ideal together with <f> exactly when it is
+invertible mod <f>.  So each flag is data (its size precondition, the minors
+it adjoins, and how its certificate prints), and one routine decides them
+all.  It checks triviality and the precondition, then runs Buchberger once
+on the relations plus the adjoined minors.  From that run it reads the
+verdict, the Bezout cofactors, and the inverse of a single minor (the
+normal form of its cofactor).  ``decide_all`` shares the run between flags
+that adjoin the same minors.  When s = n all four flags adjoin det(Ja), so
+they share one run.
 
 Minor enumeration is combinatorial; sizes stay small here.  A presentation
 whose ideal contains 1 (the zero ring) satisfies every test vacuously and is
@@ -27,8 +37,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     contains_one,
-    inverse_mod,
-    is_invertible_mod,
     noether_dimension,
     normal_form,
     one_certificate,
@@ -151,32 +159,93 @@ class Decision:
     basis: GroebnerBasis = None
 
 
-def _base_basis(P, order, pair_budget, gb=None):
-    if gb is not None:
-        return gb
-    gens = list(P.relations) if P.relations else [P.ring_zero()]
-    return buchberger(gens, order, pair_budget)
+@dataclass(frozen=True)
+class _Flag:
+    """One flag as data: its size precondition and the generators it adjoins.
+
+    ``minor_size`` ("n" or "s") adjoins every minor of that size, certified
+    by a Bezout identity over the relations and the minors.  Otherwise
+    ``single`` = (name, detail template) adjoins only the leading s x s
+    minor, certified by that minor and its inverse modulo the relations.
+    """
+
+    fits: object          # (s, n) -> bool
+    refusal: str          # detail when the precondition fails, with {s} and {n}
+    minor_size: str = ""
+    single: tuple = ()
 
 
-def _trivial_decision(gb):
-    return Decision(value=True, trivial=True, detail="the relation ideal contains 1", basis=gb)
+_FLAGS = {
+    "nette": _Flag(lambda s, n: s >= n,
+                   "s = {s} < n = {n}: no n x n minors, determinantal ideal is 0", minor_size="n"),
+    "standard_smooth": _Flag(lambda s, n: s <= n, "s = {s} > n = {n}",
+                             single=("minor", "leading minor {}")),
+    "elementary_smooth": _Flag(lambda s, n: s <= n,
+                               "s = {s} > n = {n}: no s x s minors, determinantal ideal is 0",
+                               minor_size="s"),
+    "standard_etale": _Flag(lambda s, n: s == n, "s = {s} != n = {n}",
+                            single=("det", "det(Ja) = {}")),
+}
 
 
-def _minor_ideal_decision(P, size, order, pair_budget, certificates, gb):
-    """1 in <relations> + <size x size minors of Ja>?"""
+def relation_basis(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
+    """Reduced basis of the relation ideal (the zero ideal when s = 0)."""
+    return buchberger(list(P.relations) or [P.ring_zero()], order, pair_budget)
+
+
+def _adjoined(flag: _Flag, P, order):
+    """(extra generators, certificate labels, detail) of a flag that fits."""
     ja = transposed_jacobian(P)
     zero = P.ring_zero()
+    if flag.single:
+        name, detail = flag.single
+        minor = det_poly_matrix([row[: P.s] for row in ja[: P.s]], zero)
+        return (minor,), (name, "inverse"), detail.format(minor.format(order))
+    found = minors(ja, P.n if flag.minor_size == "n" else P.s, zero)
     labels = [f"f{j + 1}" for j in range(P.s)]
-    gens = list(P.relations)
-    for rows_idx, cols_idx, m in minors(ja, size, zero):
+    for rows_idx, cols_idx, _ in found:
         rows_txt = ",".join(P.variables[i] for i in rows_idx)
         cols_txt = ",".join(f"f{j + 1}" for j in cols_idx)
         labels.append(f"minor[{rows_txt}|{cols_txt}]")
-        gens.append(m)
-    aug = buchberger(gens, order, pair_budget, track=certificates)
+    return tuple(m for _, _, m in found), tuple(labels), ""
+
+
+def _decide(name, P, order, pair_budget, certificates, gb, runs) -> Decision:
+    """Is 1 in <f> + <the minors the flag adjoins>?
+
+    ``runs`` maps each adjoined generator tuple to its Groebner basis, so
+    flags that ask the same question share one run; with ``certificates``
+    that run is the tracked one and yields both the Bezout cofactors and
+    the inverse of a single minor.
+    """
+    if gb is None:
+        gb = relation_basis(P, order, pair_budget)
+    if contains_one(gb):
+        return Decision(value=True, trivial=True, detail="the relation ideal contains 1", basis=gb)
+    flag = _FLAGS[name]
+    if not flag.fits(P.s, P.n):
+        return Decision(value=False, detail=flag.refusal.format(s=P.s, n=P.n), basis=gb)
+    extra, labels, detail = _adjoined(flag, P, order)
+    if extra not in runs:
+        runs[extra] = buchberger(list(P.relations) + list(extra), order, pair_budget,
+                                 track=certificates)
+    aug = runs[extra]
     holds = contains_one(aug)
-    cert = tuple(one_certificate(aug)) if certificates and holds else None
-    return Decision(value=holds, labels=tuple(labels), certificate=cert, basis=aug)
+    cert = None
+    if certificates and holds:
+        cofactors = one_certificate(aug)
+        cert = (extra[0], normal_form(cofactors[-1], gb)) if flag.single else tuple(cofactors)
+    return Decision(value=holds, detail=detail, labels=labels, certificate=cert,
+                    basis=gb if flag.single else aug)
+
+
+def decide_all(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
+               certificates=False, gb=None) -> dict:
+    """The four decisions by flag name, with one Groebner run per distinct ideal."""
+    if gb is None:
+        gb = relation_basis(P, order, pair_budget)
+    runs = {}
+    return {name: _decide(name, P, order, pair_budget, certificates, gb, runs) for name in _FLAGS}
 
 
 def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
@@ -186,16 +255,7 @@ def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     Tests 1 in <f> + <n x n minors of Ja>.  When s < n there are no such
     minors, so only the zero ring passes.
     """
-    gb = _base_basis(P, order, pair_budget, gb)
-    if contains_one(gb):
-        return _trivial_decision(gb)
-    if P.s < P.n:
-        return Decision(
-            value=False,
-            detail=f"s = {P.s} < n = {P.n}: no n x n minors, determinantal ideal is 0",
-            basis=gb,
-        )
-    return _minor_ideal_decision(P, P.n, order, pair_budget, certificates, gb)
+    return _decide("nette", P, order, pair_budget, certificates, gb, {})
 
 
 def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
@@ -205,66 +265,19 @@ def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     The leading minor uses rows X_1..X_s, so the declared variable order
     matters for this test (and only for this one).
     """
-    gb = _base_basis(P, order, pair_budget, gb)
-    if contains_one(gb):
-        return _trivial_decision(gb)
-    if P.s > P.n:
-        return Decision(value=False, detail=f"s = {P.s} > n = {P.n}", basis=gb)
-    ja = transposed_jacobian(P)
-    zero = P.ring_zero()
-    block = [row[: P.s] for row in ja[: P.s]]
-    minor = det_poly_matrix(block, zero)
-    holds = is_invertible_mod(minor, gb, pair_budget)
-    cert = None
-    if certificates and holds:
-        inv = inverse_mod(minor, gb, pair_budget)
-        cert = (minor, inv)
-    return Decision(
-        value=holds,
-        detail=f"leading minor {minor.format(order)}",
-        labels=("minor", "inverse"),
-        certificate=cert,
-        basis=gb,
-    )
+    return _decide("standard_smooth", P, order, pair_budget, certificates, gb, {})
 
 
 def elementary_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                                certificates=False, gb=None) -> Decision:
     """1 in <f> + <s x s minors of Ja>; false when s > n (no such minors)."""
-    gb = _base_basis(P, order, pair_budget, gb)
-    if contains_one(gb):
-        return _trivial_decision(gb)
-    if P.s > P.n:
-        return Decision(
-            value=False,
-            detail=f"s = {P.s} > n = {P.n}: no s x s minors, determinantal ideal is 0",
-            basis=gb,
-        )
-    return _minor_ideal_decision(P, P.s, order, pair_budget, certificates, gb)
+    return _decide("elementary_smooth", P, order, pair_budget, certificates, gb, {})
 
 
 def standard_etale_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                             certificates=False, gb=None) -> Decision:
     """s = n and det(Ja) invertible in the quotient."""
-    gb = _base_basis(P, order, pair_budget, gb)
-    if contains_one(gb):
-        return _trivial_decision(gb)
-    if P.s != P.n:
-        return Decision(value=False, detail=f"s = {P.s} != n = {P.n}", basis=gb)
-    ja = transposed_jacobian(P)
-    det = det_poly_matrix(ja, P.ring_zero())
-    holds = is_invertible_mod(det, gb, pair_budget)
-    cert = None
-    if certificates and holds:
-        inv = inverse_mod(det, gb, pair_budget)
-        cert = (det, inv)
-    return Decision(
-        value=holds,
-        detail=f"det(Ja) = {det.format(order)}",
-        labels=("det", "inverse"),
-        certificate=cert,
-        basis=gb,
-    )
+    return _decide("standard_etale", P, order, pair_budget, certificates, gb, {})
 
 
 def is_nette(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
@@ -292,7 +305,8 @@ def omega_dimension(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) 
     over the standard-monomial basis of A (an (m*n) x (m*s) scalar matrix)
     and return m*n minus its rank.  The zero ring reports 0.
     """
-    gb = _base_basis(P, order, pair_budget, gb)
+    if gb is None:
+        gb = relation_basis(P, order, pair_budget)
     if contains_one(gb):
         return 0
     if noether_dimension(gb) != 0:

@@ -11,9 +11,10 @@ discriminant, the etale verdict, and constructive evidence either way:
     plus a primitive element when the algebra is monogenic;
   * not etale: a verified nonzero nilpotent witness.
 
-A nette presentation with positive Noether dimension would contradict the
-theory this code implements; that situation raises InternalContradiction
-and is never reported silently.
+A nette presentation with positive Noether dimension, or a zero
+discriminant without a nilpotent witness, would contradict the theory this
+code implements; either raises InternalContradiction and is never reported
+silently.
 
 Decomposition recursion: a generator whose minimal polynomial has full
 degree makes the algebra visibly monogenic (single factor).  Otherwise an
@@ -40,21 +41,8 @@ from .errors import (
 )
 from .fields import PrimeField
 from .finalg import FiniteAlgebra, split_by_idempotent
-from .groebner import (
-    DEFAULT_PAIR_BUDGET,
-    buchberger,
-    contains_one,
-    noether_dimension,
-    quotient_algebra,
-)
-from .kaehler import (
-    AlgebraPresentation,
-    Decision,
-    elementary_smooth_decision,
-    nette_decision,
-    standard_etale_decision,
-    standard_smooth_decision,
-)
+from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
+from .kaehler import AlgebraPresentation, Decision, decide_all, relation_basis
 from .multipoly import GREVLEX
 from .unipoly import (
     UniPoly,
@@ -415,16 +403,9 @@ def classify(
     certificates=False,
 ) -> ClassificationReport:
     """Run the full decision pipeline on a presentation."""
-    gens = list(P.relations) if P.relations else [P.ring_zero()]
-    gb = buchberger(gens, order, pair_budget)
+    gb = relation_basis(P, order, pair_budget)
     trivial = contains_one(gb)
-
-    decisions = {
-        "nette": nette_decision(P, order, pair_budget, certificates, gb),
-        "standard_smooth": standard_smooth_decision(P, order, pair_budget, certificates, gb),
-        "elementary_smooth": elementary_smooth_decision(P, order, pair_budget, certificates, gb),
-        "standard_etale": standard_etale_decision(P, order, pair_budget, certificates, gb),
-    }
+    decisions = decide_all(P, order, pair_budget, certificates, gb)
 
     notes = []
     report = ClassificationReport(
@@ -483,10 +464,14 @@ def classify(
             notes.append("no primitive element reported: the decomposition has "
                          f"{len(cert.factors)} factors")
     else:
-        witness = find_nilpotent(A)
-        report.nilpotent_witness = witness
-        if witness is None:
-            notes.append("no explicit nilpotent witness found among generators and basis")
+        # Q and GF(p) are perfect, so a zero discriminant means some generator
+        # has a non-squarefree minimal polynomial, and find_nilpotent scans
+        # the generators first.
+        report.nilpotent_witness = find_nilpotent(A)
+        if report.nilpotent_witness is None:
+            raise InternalContradiction(
+                "zero discriminant but no generator or basis element yields a nilpotent"
+            )
     return report
 
 
@@ -496,58 +481,70 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def render_report(report: ClassificationReport, certificates=False) -> str:
-    lines = []
-    lines.append(f"field: {report.input_field}")
-    lines.append(f"variables: {', '.join(report.input_variables)}")
-    lines.append("relations:")
-    if report.input_relations:
-        for k, rel in enumerate(report.input_relations, start=1):
-            lines.append(f"  f{k} = {rel}")
-    else:
-        lines.append("  (none)")
-    lines.append(f"trivial: {_flag(report.trivial)}")
-    for key in ("nette", "standard_smooth", "elementary_smooth", "standard_etale"):
-        label = key.replace("_", "-")
-        lines.append(f"{label}: {_flag(getattr(report, key))}")
-        decision = report.decisions.get(key)
+FLAGS = ("nette", "standard_smooth", "elementary_smooth", "standard_etale")
+# Every section of the text report, in report order.
+SECTIONS = ("header", "trivial", *FLAGS, "noether_dimension", "vector_space_dimension", "basis",
+            "discriminant", "etale", "decomposition", "primitive_element", "nilpotent_witness",
+            "notes")
+
+
+def _section(report: ClassificationReport, name, certificates):
+    """The lines of one section of the text report; none when it does not apply."""
+    A = report.algebra
+    if name == "header":
+        rels = [f"  f{k} = {rel}" for k, rel in enumerate(report.input_relations, start=1)]
+        return [f"field: {report.input_field}",
+                f"variables: {', '.join(report.input_variables)}",
+                "relations:", *(rels or ["  (none)"])]
+    if name in ("trivial", "etale") + FLAGS:
+        lines = [f"{name.replace('_', '-')}: {_flag(getattr(report, name))}"]
+        decision = report.decisions.get(name)
         if certificates and decision is not None:
-            lines.extend(_render_decision(decision))
-    dim = report.noether_dimension
-    lines.append(f"noether-dimension: {dim if dim is not None else 'undefined (zero ring)'}")
-    if report.vector_space_dimension is not None:
-        lines.append(f"vector-space-dimension: {report.vector_space_dimension}")
-    if report.algebra is not None:
-        lines.append(f"basis: {', '.join(report.algebra.basis_labels)}")
-        if certificates:
-            lines.append("structure constants:")
-            lines.extend(f"  {row}" for row in report.algebra.format_table())
-    if report.discriminant is not None and report.algebra is not None:
-        lines.append(f"discriminant: {report.algebra.field.format(report.discriminant)}")
-    lines.append(f"etale: {_flag(report.etale)}")
-    if report.decomposition is not None:
-        lines.append("decomposition:")
-        if not report.decomposition:
-            lines.append("  (empty product)")
-        for k, g in enumerate(report.decomposition, start=1):
-            lines.append(f"  g{k} = {g.format()}")
+            lines += _render_decision(decision)
+        return lines
+    if name == "noether_dimension":
+        dim = report.noether_dimension
+        return [f"noether-dimension: {dim if dim is not None else 'undefined (zero ring)'}"]
+    if name == "vector_space_dimension":
+        dim = report.vector_space_dimension
+        return [] if dim is None else [f"vector-space-dimension: {dim}"]
+    if name == "decomposition":
+        if report.decomposition is None:
+            return []
+        lines = ["decomposition:"] + ([] if report.decomposition else ["  (empty product)"])
+        lines += [f"  g{k} = {g.format()}" for k, g in enumerate(report.decomposition, start=1)]
         if certificates and report.certificate is not None:
-            lines.extend(_render_certificate(report))
-    if report.primitive_element is not None and report.algebra is not None:
+            lines += _render_certificate(report)
+        return lines
+    if name == "notes":
+        if not report.notes:
+            return ["notes: (none)"]
+        return ["notes:"] + [f"  - {note}" for note in report.notes]
+    if A is None:  # the remaining sections describe the quotient algebra
+        return []
+    if name == "basis":
+        lines = [f"basis: {', '.join(A.basis_labels)}"]
+        if certificates:
+            lines += ["structure constants:"] + [f"  {row}" for row in A.format_table()]
+        return lines
+    if name == "discriminant" and report.discriminant is not None:
+        return [f"discriminant: {A.field.format(report.discriminant)}"]
+    if name == "primitive_element" and report.primitive_element is not None:
         coords, poly = report.primitive_element
-        lines.append(
-            f"primitive-element: {report.algebra.format_element(coords)}"
-            f"  (minimal polynomial {poly.format()})"
-        )
-    if report.nilpotent_witness is not None and report.algebra is not None:
-        lines.append(f"nilpotent-witness: {report.algebra.format_element(report.nilpotent_witness)}")
-    if report.notes:
-        lines.append("notes:")
-        for note in report.notes:
-            lines.append(f"  - {note}")
-    else:
-        lines.append("notes: (none)")
-    return "\n".join(lines) + "\n"
+        return [f"primitive-element: {A.format_element(coords)}"
+                f"  (minimal polynomial {poly.format()})"]
+    if name == "nilpotent_witness" and report.nilpotent_witness is not None:
+        return [f"nilpotent-witness: {A.format_element(report.nilpotent_witness)}"]
+    return []
+
+
+def render_sections(report: ClassificationReport, names, certificates=False) -> list:
+    """The lines of the named sections of the text report, in the order given."""
+    return [line for name in names for line in _section(report, name, certificates)]
+
+
+def render_report(report: ClassificationReport, certificates=False) -> str:
+    return "\n".join(render_sections(report, SECTIONS, certificates)) + "\n"
 
 
 def _render_decision(decision: Decision):
@@ -559,7 +556,7 @@ def _render_decision(decision: Decision):
             gens = "; ".join(g.format(decision.basis.order) for g in decision.basis.generators)
             lines.append(f"    failed ideal (reduced basis): {gens}")
         return lines
-    if decision.labels == ("minor", "inverse") or decision.labels == ("det", "inverse"):
+    if decision.labels[1:] == ("inverse",):
         what, inv = decision.certificate
         lines.append(f"    {decision.labels[0]}: {what.format()}")
         lines.append(f"    inverse mod relations: {inv.format()}")

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+import etalg.cli
+import etalg.pipeline
 from etalg.cli import main
+from etalg.errors import RingMismatch
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -86,6 +89,31 @@ def test_exit_code_budget_exceeded(capsys):
         capsys, "classify", sample("circle_cross.alg"), "--budget-pairs", "0"
     )
     assert code == 2 and "budget" in err
+
+
+def test_exit_code_search_exhausted(capsys):
+    code, out, err = run_main(
+        capsys, "classify", sample("sqrt2_sqrt3.alg"), "--budget-primitive", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exit_code_internal_contradiction(monkeypatch, capsys):
+    monkeypatch.setattr(etalg.pipeline, "find_nilpotent", lambda A: None)
+    code, out, err = run_main(capsys, "etale", sample("dual_numbers.alg"))
+    assert code == 3 and out == ""
+    assert err.startswith("error: InternalContradiction: ") and err.count("\n") == 1
+
+
+def test_exit_code_other_package_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RingMismatch("operands live in different rings")
+
+    monkeypatch.setattr(etalg.cli, "classify", broken)
+    code, out, err = run_main(capsys, "nette", sample("hyperbola.alg"))
+    assert code == 3 and out == ""
+    assert err == "error: RingMismatch: operands live in different rings\n"
 
 
 def test_order_flag(capsys):

@@ -51,6 +51,9 @@ def test_reduced_bases_agree_with_sympy(order_pair):
         if not gens:
             continue
         mine = buchberger(gens, ours_order)
+        tracked = buchberger(gens, ours_order, track=True)
+        assert mine.cofactors is None and tracked.cofactors is not None
+        assert mine.generators == tracked.generators
         theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=sympy_order)
         if contains_one(mine):
             assert list(theirs.exprs) == [sympy.Integer(1)]

@@ -1,14 +1,17 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from etalg.errors import NotEtale, SearchExhausted
+import etalg.pipeline
+from etalg import groebner
+from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
 from etalg.finalg import monogenic_from_poly, product
 from etalg.groebner import buchberger, quotient_algebra
 from etalg.kaehler import AlgebraPresentation
-from etalg.multipoly import LEX
+from etalg.multipoly import GREVLEX, LEX
 from etalg.parsing import parse_input
 from etalg.pipeline import (
     classify,
@@ -278,3 +281,49 @@ def test_classify_reports_search_exhaustion_note():
     assert len(report.decomposition) == 4
     assert any("Frobenius" in note for note in report.notes)
     assert report.primitive_element is None
+
+
+def test_missing_nilpotent_witness_is_a_contradiction(monkeypatch):
+    # over a perfect field a zero discriminant always yields a witness
+    monkeypatch.setattr(etalg.pipeline, "find_nilpotent", lambda A: None)
+    with pytest.raises(InternalContradiction):
+        classify(DUAL)
+
+
+def count_buchberger(monkeypatch):
+    """Replace buchberger wherever etalg binds it; returns the list of ``track`` flags."""
+    original = groebner.buchberger
+    calls = []
+
+    def counting(gens, order=GREVLEX, pair_budget=groebner.DEFAULT_PAIR_BUDGET, track=False):
+        calls.append(track)
+        return original(gens, order, pair_budget, track)
+
+    for name, module in list(sys.modules.items()):
+        if name == "etalg" or name.startswith("etalg."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+TOWER = "field Q\nvars X, Y, Z\nrelations:\n  X^3 - 2\n  Y^2 - X - 1\n  Z^2 - Y - 3\n"
+# s = 2 < n = 4: the leading minor and the 2 x 2 minors are different ideals
+COMPLETE_INTERSECTION = (
+    "field Q\nvars X, Y, Z, W\nrelations:\n  X^2 + Y^2 + Z^2 + W^2 - 1\n  X*Y - Z*W\n"
+)
+
+
+@pytest.mark.parametrize("certificates,tracked", [(False, 0), (True, 1)])
+def test_tower_runs_groebner_once_per_ideal(monkeypatch, certificates, tracked):
+    calls = count_buchberger(monkeypatch)
+    report = classify(parse_input(TOWER), certificates=certificates)
+    assert report.nette and report.standard_etale and report.etale
+    assert len(calls) == 2 and sum(calls) == tracked
+
+
+def test_complete_intersection_runs_groebner_three_times(monkeypatch):
+    calls = count_buchberger(monkeypatch)
+    report = classify(parse_input(COMPLETE_INTERSECTION))
+    assert report.noether_dimension == 2 and not report.nette
+    assert len(calls) == 3 and sum(calls) == 0
