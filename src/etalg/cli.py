@@ -34,21 +34,21 @@ import argparse
 import sys
 
 from .errors import BudgetExceeded, EtalgError, ParseError, SearchExhausted
-from .groebner import contains_one, noether_dimension
+from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension
 from .kaehler import omega_dimension, omega_presentation, relation_basis
 from .multipoly import MonomialOrder
 from .parsing import parse_file
-from .pipeline import classify, render_report, render_sections
+from .pipeline import DEFAULT_PRIMITIVE_BUDGET, classify, render_report, render_sections
 
 
 def _add_common(parser):
     parser.add_argument("file", help="presentation file (field / vars / relations)")
     parser.add_argument("--order", default="grevlex", choices=("grevlex", "lex"),
                         help="monomial order for the Groebner engine")
-    parser.add_argument("--budget-pairs", type=int, default=50_000, metavar="N",
+    parser.add_argument("--budget-pairs", type=int, default=DEFAULT_PAIR_BUDGET, metavar="N",
                         help="Groebner critical-pair budget")
-    parser.add_argument("--budget-primitive", type=int, default=1000, metavar="N",
-                        help="primitive-element search budget")
+    parser.add_argument("--budget-primitive", type=int, default=DEFAULT_PRIMITIVE_BUDGET,
+                        metavar="N", help="primitive-element search budget")
     parser.add_argument("--certificates", action="store_true",
                         help="print constructive certificates")
 

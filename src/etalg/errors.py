@@ -114,17 +114,6 @@ class NotEtale(EtalgError):
     """Decomposition requested for an algebra with zero discriminant."""
 
 
-class NonEtaleWitness(EtalgError):
-    """Internal contradiction: a nilpotent element surfaced during decomposition.
-
-    Carries the nilpotent ``witness`` (coordinate tuple).
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SearchExhausted(EtalgError):
     """A bounded search (primitive element, field generator) ran out."""
 

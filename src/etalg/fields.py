@@ -74,6 +74,23 @@ class FieldContext:
     def format(self, a) -> str:
         return str(a)
 
+    def format_sum(self, terms) -> str:
+        """The signed sum of (coefficient, label) pairs; the label "1" is the unit."""
+        parts = []
+        for c, label in terms:
+            if self.is_zero(c):
+                continue
+            text = self.format(c)
+            negative = text.startswith("-")
+            if negative:
+                text = text[1:]
+            body = text if label == "1" else label if text == "1" else f"{text}*{label}"
+            if parts:
+                parts.append(("- " if negative else "+ ") + body)
+            else:
+                parts.append(("-" if negative else "") + body)
+        return " ".join(parts) or "0"
+
     def __repr__(self):
         return self.name()
 

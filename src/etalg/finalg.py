@@ -84,9 +84,6 @@ class FiniteAlgebra:
     def zero_element(self):
         return (self.field.zero(),) * self.dimension
 
-    def unit_element(self):
-        return self.unit
-
     def basis_element(self, i: int):
         K = self.field
         return tuple(K.one() if j == i else K.zero() for j in range(self.dimension))
@@ -105,10 +102,6 @@ class FiniteAlgebra:
     def sub(self, x, y):
         K = self.field
         return tuple(K.sub(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        K = self.field
-        return tuple(K.neg(a) for a in x)
 
     def scalar_mul(self, c, x):
         K = self.field
@@ -274,26 +267,7 @@ class FiniteAlgebra:
         return lines
 
     def format_element(self, x) -> str:
-        K = self.field
-        parts = []
-        for c, label in zip(x, self.basis_labels):
-            if K.is_zero(c):
-                continue
-            text = K.format(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if label == "1":
-                body = text
-            elif text == "1":
-                body = label
-            else:
-                body = f"{text}*{label}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts) if parts else "0"
+        return self.field.format_sum(zip(x, self.basis_labels))
 
     def __repr__(self):
         return f"FiniteAlgebra(dim={self.dimension} over {self.field!r})"

@@ -122,9 +122,6 @@ class MultiPoly:
         n = len(self.variables)
         return self.terms.get((0,) * n, self.field.zero())
 
-    def total_degree(self):
-        return max((mono_degree(m) for m in self.terms), default=None)
-
     def leading(self, order):
         """(monomial, coefficient) of the leading term under the order."""
         lm = max(self.terms, key=order.key)
@@ -242,27 +239,8 @@ class MultiPoly:
         return "*".join(parts) if parts else "1"
 
     def format(self, order=GREVLEX) -> str:
-        if self.is_zero:
-            return "0"
-        K = self.field
-        parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            text = K.format(self.terms[m])
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            mono = self.format_monomial(m)
-            if mono == "1":
-                body = text
-            elif text == "1":
-                body = mono
-            else:
-                body = f"{text}*{mono}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        monomials = sorted(self.terms, key=order.key, reverse=True)
+        return self.field.format_sum((self.terms[m], self.format_monomial(m)) for m in monomials)
 
     def __repr__(self):
         return f"MultiPoly({self.format()})"

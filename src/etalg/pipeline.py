@@ -16,54 +16,50 @@ discriminant without a nilpotent witness, would contradict the theory this
 code implements; either raises InternalContradiction and is never reported
 silently.
 
-Decomposition recursion: a generator whose minimal polynomial has full
-degree makes the algebra visibly monogenic (single factor).  Otherwise an
-infinite base field guarantees a primitive element among deterministic
-scalar combinations of the generators.  Over GF(p) that search can run out
-of candidates; the pipeline then switches to splitting along idempotents
-read off the fixed space of the p-power (Frobenius) operator until every
-leaf is a field, and each field leaf is monogenic by finite-field theory.
+Decomposition routes: a nonzero discriminant makes the algebra reduced, and
+over the perfect fields Q and GF(p) every minimal polynomial in a reduced
+algebra is separable, so no generator ever needs a non-separable split.
+Route 1 returns a single factor: the first generator or basis element whose
+minimal polynomial has full degree, else a primitive element, which an
+infinite base field guarantees among deterministic scalar combinations of
+the generators.  Over GF(p) that bounded search can run out of candidates;
+route 2 then splits along idempotents read off the fixed space of the
+p-power (Frobenius) operator until every leaf is a field, and each field
+leaf is generated by a single element by finite-field theory.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from itertools import product as iter_product
+from itertools import chain as iter_chain, product as iter_product
 
 from . import linalg
-from .errors import (
-    InternalContradiction,
-    NonEtaleWitness,
-    NotEtale,
-    RepeatedZeroRoot,
-    SearchExhausted,
-)
+from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField
 from .finalg import FiniteAlgebra, split_by_idempotent
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
 from .kaehler import AlgebraPresentation, Decision, decide_all, relation_basis
 from .multipoly import GREVLEX
-from .unipoly import (
-    UniPoly,
-    coprime_split,
-    derivative,
-    eval_in_algebra,
-    is_separable,
-    pth_power_decompose,
-    squarefree_part,
-)
+from .unipoly import UniPoly, eval_in_algebra, is_separable, squarefree_part
 
 DEFAULT_PRIMITIVE_BUDGET = 1000
 
 
 # ------------------------------------------------------------------ primitive elements
 
-def _generator_items(A: FiniteAlgebra):
-    items = list(A.generator_refs.items())
-    if items:
-        return items
-    return [(label, A.basis_element(i)) for i, label in enumerate(A.basis_labels)]
+def _basis(A: FiniteAlgebra):
+    return [A.basis_element(i) for i in range(A.dimension)]
+
+
+def _generators(A: FiniteAlgebra):
+    """The recorded generators of A, or its basis when it records none."""
+    return list(A.generator_refs.values()) or _basis(A)
+
+
+def _candidates(A: FiniteAlgebra):
+    """Generators, then basis elements: the scan order of decomposition and witness search."""
+    return [*A.generator_refs.values(), *_basis(A)]
 
 
 def primitive_element(A: FiniteAlgebra, gens=None, budget=DEFAULT_PRIMITIVE_BUDGET):
@@ -76,8 +72,7 @@ def primitive_element(A: FiniteAlgebra, gens=None, budget=DEFAULT_PRIMITIVE_BUDG
     """
     if A.field.is_zero(A.discriminant()):
         raise NotEtale("primitive elements are only certified for etale algebras")
-    gens = _generator_items(A) if gens is None else list(gens)
-    vectors = [vec for _, vec in gens]
+    vectors = _generators(A) if gens is None else [vec for _, vec in gens]
     r = len(vectors)
     tried = 0
     tier = 0
@@ -170,106 +165,59 @@ def _all_elements(A: FiniteAlgebra):
         yield tuple(coords)
 
 
-def _field_leaf_generator(A: FiniteAlgebra):
-    """A generator of full degree in a finite-field leaf (always exists)."""
-    for _, vec in _generator_items(A):
-        if A.minimal_polynomial(vec).degree == A.dimension:
-            return vec
-    for vec in _all_elements(A):
-        if A.minimal_polynomial(vec).degree == A.dimension:
-            return vec
-    raise SearchExhausted("no generating element in a finite-field leaf")
+def _first_full_degree(A: FiniteAlgebra, candidates):
+    """(element, minimal polynomial) of the first candidate that generates A, or None."""
+    for vec in candidates:
+        g = A.minimal_polynomial(vec)
+        if g.degree == A.dimension:
+            return vec, g
+    return None
+
+
+def _frobenius_leaves(sub: FiniteAlgebra, embed, chain):
+    """The field factors of an etale GF(p)-algebra, split along Frobenius idempotents."""
+    e = frobenius_split(sub)
+    if e is None:
+        # A finite field is generated by one element, so the full scan finds one.
+        found = _first_full_degree(sub, iter_chain(_generators(sub), _all_elements(sub)))
+        if found is None:
+            raise InternalContradiction("a finite-field leaf has no generating element")
+        vec, g = found
+        return [DecompositionFactor(g, embed(vec), embed(sub.unit), chain)]
+    split = split_by_idempotent(e, sub)
+    chain = chain + (embed(e),)
+    return (_frobenius_leaves(split.first, lambda v: embed(split.embed_first(v)), chain)
+            + _frobenius_leaves(split.second, lambda v: embed(split.embed_second(v)), chain))
 
 
 def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET):
     """Decompose an etale algebra as a product of monogenic separable ones.
 
-    Raises NotEtale on zero discriminant.  A non-separable generator inside
-    a supposedly etale algebra would contradict the discriminant test; the
-    splitting machinery still handles it defensively and any nilpotent that
-    surfaces is raised as NonEtaleWitness with the witness attached.
+    Raises NotEtale on zero discriminant.  Route 1 gives a single factor: the
+    first generator or basis element of full degree, else a primitive element
+    from the bounded search.  Route 2 runs over GF(p) only, when that search
+    is exhausted: it splits along Frobenius idempotents into field leaves,
+    each generated by one element.  Over Q an exhausted search propagates.
+
+    The nonzero discriminant makes A reduced, and over the perfect fields Q
+    and GF(p) every minimal polynomial in a reduced algebra is separable, so
+    no generator can need a non-separable split.  The certificate checks
+    below still verify every factor and raise InternalContradiction if the
+    theory were broken.
     """
     if A.field.is_zero(A.discriminant()):
         raise NotEtale("decompose_etale needs a nonzero discriminant")
-    factors = []
     notes = []
-
-    def emit(poly, generator, sub, embed, chain):
-        factors.append(
-            DecompositionFactor(
-                poly=poly,
-                generator=embed(generator),
-                idempotent=embed(sub.unit),
-                chain=chain,
-            )
-        )
-
-    def recurse(sub: FiniteAlgebra, embed, chain):
-        for _, vec in _generator_items(sub):
-            g = sub.minimal_polynomial(vec)
-            if g.degree >= 1 and derivative(g).is_zero:
-                g1 = pth_power_decompose(g)
-                witness = eval_in_algebra(g1, vec, sub)
-                raise NonEtaleWitness(
-                    "generator annihilated by a p-th power; the algebra is not reduced",
-                    witness=embed(witness),
-                )
-            if g.degree >= 1 and not is_separable(g):
-                g1, _g2 = coprime_split(g)
-                try:
-                    e = sub.idempotent_of(eval_in_algebra(g1, vec, sub))
-                except RepeatedZeroRoot as exc:
-                    raise NonEtaleWitness(
-                        "splitting element is a zero divisor with nilpotent part",
-                        witness=embed(exc.witness),
-                    ) from None
-                _split_and_recurse(sub, e, embed, chain, recurse)
-                return
-        for _, vec in _generator_items(sub):
-            g = sub.minimal_polynomial(vec)
-            if g.degree == sub.dimension:
-                emit(g, vec, sub, embed, chain)
-                return
-        for i in range(sub.dimension):
-            vec = sub.basis_element(i)
-            g = sub.minimal_polynomial(vec)
-            if g.degree == sub.dimension:
-                emit(g, vec, sub, embed, chain)
-                return
-        if isinstance(sub.field, PrimeField):
-            try:
-                b, g = primitive_element(sub, budget=primitive_budget)
-                emit(g, b, sub, embed, chain)
-            except SearchExhausted as exc:
-                notes.append(f"primitive-element search over {sub.field!r}: {exc}; "
-                             "splitting along the Frobenius fixed space instead")
-                frobenius_phase(sub, embed, chain)
-        else:
-            b, g = primitive_element(sub, budget=primitive_budget)
-            emit(g, b, sub, embed, chain)
-
-    def frobenius_phase(sub: FiniteAlgebra, embed, chain):
-        e = frobenius_split(sub)
-        if e is None:
-            vec = _field_leaf_generator(sub)
-            emit(sub.minimal_polynomial(vec), vec, sub, embed, chain)
-            return
-        _split_and_recurse(sub, e, embed, chain, frobenius_phase)
-
-    def _split_and_recurse(sub, e, embed, chain, cont):
-        split = split_by_idempotent(e, sub)
-        chain = chain + (embed(e),)
-
-        def embed1(v):
-            return embed(split.embed_first(v))
-
-        def embed2(v):
-            return embed(split.embed_second(v))
-
-        cont(split.first, embed1, chain)
-        cont(split.second, embed2, chain)
-
-    recurse(A, lambda v: v, ())
+    found = _first_full_degree(A, _candidates(A))
+    try:
+        vec, g = found or primitive_element(A, budget=primitive_budget)
+        factors = [DecompositionFactor(g, vec, A.unit, ())]
+    except SearchExhausted as exc:
+        if not isinstance(A.field, PrimeField):
+            raise
+        notes.append(f"primitive-element search over {A.field!r}: {exc}; "
+                     "splitting along the Frobenius fixed space instead")
+        factors = _frobenius_leaves(A, lambda v: v, ())
 
     orthogonal = all(
         A.is_zero_element(A.mul(factors[i].idempotent, factors[j].idempotent))
@@ -303,10 +251,7 @@ def find_nilpotent(A: FiniteAlgebra):
     polynomial g properly exceeds its squarefree part r yields the nilpotent
     r(a).  When the discriminant vanishes some generator is caught this way.
     """
-    K = A.field
-    candidates = [vec for _, vec in _generator_items(A)]
-    candidates += [A.basis_element(i) for i in range(A.dimension)]
-    for a in candidates:
+    for a in _candidates(A):
         g = A.minimal_polynomial(a)
         if g.degree < 1:
             continue

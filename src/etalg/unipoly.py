@@ -118,12 +118,6 @@ class UniPoly:
         K = self.field
         return UniPoly(K, [K.mul(c, x) for x in self.coeffs])
 
-    def shift(self, k: int):
-        """Multiply by X^k."""
-        if self.is_zero:
-            return self
-        return UniPoly(self.field, (self.field.zero(),) * k + self.coeffs)
-
     def __pow__(self, n: int):
         result = UniPoly.one(self.field)
         base = self
@@ -161,11 +155,6 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def monic(self):
-        if self.is_zero or self.is_monic:
-            return self
-        return self.scale(self.field.invert(self.lc()))
-
     def __call__(self, x):
         """Evaluate at a field element (Horner)."""
         K = self.field
@@ -186,28 +175,10 @@ class UniPoly:
         return hash((self.field, self.coeffs))
 
     def format(self, var: str = "T") -> str:
-        if self.is_zero:
-            return "0"
-        K = self.field
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if K.is_zero(c):
-                continue
-            text = K.format(c)
-            negative = text.startswith("-")
-            if negative:
-                text = text[1:]
-            if k == 0:
-                body = text
-            else:
-                mono = var if k == 1 else f"{var}^{k}"
-                body = mono if text == "1" else f"{text}*{mono}"
-            if not parts:
-                parts.append(("-" if negative else "") + body)
-            else:
-                parts.append(("- " if negative else "+ ") + body)
-        return " ".join(parts)
+        return self.field.format_sum(
+            (self.coeffs[k], "1" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k in range(len(self.coeffs) - 1, -1, -1)
+        )
 
     def __repr__(self):
         return f"UniPoly({self.field!r}, {self.format()})"

@@ -262,3 +262,13 @@ def test_dimension_mismatch():
         A.trace((Fraction(1),))
     with pytest.raises(FieldMismatch):
         product(A, alg(F2, [1, 1]))
+
+
+def test_format_element_signed_terms():
+    A = alg(QQ, [-2, 0, 1])
+    assert A.basis_labels == ("1", "x")
+    assert A.format_element((Fraction(0), Fraction(0))) == "0"
+    assert A.format_element((Fraction(1), Fraction(0))) == "1"
+    assert A.format_element((Fraction(-1), Fraction(1))) == "-1 + x"
+    assert A.format_element((Fraction(2), Fraction(-3, 2))) == "2 - 3/2*x"
+    assert A.format_table() == ["1 * 1 = 1", "1 * x = x", "x * x = 2"]

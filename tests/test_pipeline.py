@@ -3,12 +3,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etalg.pipeline
 from etalg import groebner
 from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
-from etalg.finalg import monogenic_from_poly, product
+from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product
 from etalg.groebner import buchberger, quotient_algebra
 from etalg.kaehler import AlgebraPresentation
 from etalg.multipoly import GREVLEX, LEX
@@ -138,6 +139,38 @@ def test_decompose_f2_four_points():
     for f in cert.factors[1:]:
         prod = product(prod, monogenic_from_poly(f.poly))
     assert not F2.is_zero(prod.discriminant())
+
+
+# Irreducible polynomials (ascending coefficients) of degree 1 to 3.
+IRREDUCIBLE = {
+    2: ([0, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]),
+    3: ([0, 1], [1, 1], [2, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1]),
+}
+
+
+@st.composite
+def products_of_fields(draw):
+    p = draw(st.sampled_from(sorted(IRREDUCIBLE)))
+    polys = draw(st.lists(st.sampled_from(IRREDUCIBLE[p]), min_size=2, max_size=4))
+    fields = [monogenic_from_poly(upoly(GF(p), coeffs)) for coeffs in polys]
+    A = fields[0]
+    for F in fields[1:]:
+        A = product(A, F)
+    return A, sorted(len(coeffs) - 1 for coeffs in polys)
+
+
+@settings(max_examples=25)
+@given(products_of_fields())
+def test_decompose_products_of_finite_fields(case):
+    A, degrees = case
+    cert = decompose_etale(A)
+    if len(cert.factors) == 1:
+        assert cert.factors[0].poly.degree == A.dimension
+        assert not cert.notes
+    else:
+        # the Frobenius route ends at the field factors themselves
+        assert any("Frobenius" in note for note in cert.notes)
+        assert sorted(f.poly.degree for f in cert.factors) == degrees
 
 
 def test_decompose_requires_etale():
@@ -327,3 +360,22 @@ def test_complete_intersection_runs_groebner_three_times(monkeypatch):
     report = classify(parse_input(COMPLETE_INTERSECTION))
     assert report.noether_dimension == 2 and not report.nette
     assert len(calls) == 3 and sum(calls) == 0
+
+
+SHIFTED_POWER = "field GF(3)\nvars X\nrelations:\n  (X + 1)^30 + X\n"
+
+
+@pytest.mark.parametrize("text,calls", [(SHIFTED_POWER, 1), (TOWER, 3)])
+def test_classify_takes_one_minimal_polynomial_per_generator_scanned(monkeypatch, text, calls):
+    # a generator of full degree is found on the first scan, and not re-scanned
+    original = FiniteAlgebra.minimal_polynomial
+    seen = []
+
+    def counting(self, a):
+        seen.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(FiniteAlgebra, "minimal_polynomial", counting)
+    report = classify(parse_input(text))
+    assert report.etale and len(report.decomposition) == 1
+    assert len(seen) == calls

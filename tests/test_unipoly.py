@@ -273,3 +273,13 @@ def test_eval_in_algebra_examples():
     B = monogenic_from_poly(upoly(QQ, [0, -1, 1]))
     xb = B.generator_refs["x"]
     assert B.is_zero_element(eval_in_algebra(upoly(QQ, [0, -1, 1]), xb, B))
+
+
+def test_format_signed_terms():
+    assert upoly(QQ, []).format() == "0"
+    assert upoly(QQ, [5]).format() == "5"
+    assert upoly(QQ, [-5]).format() == "-5"
+    assert upoly(QQ, [-1, 0, -1]).format() == "-T^2 - 1"
+    assert upoly(QQ, [2, -1, 1]).format("X") == "X^2 - X + 2"
+    assert UniPoly(QQ, [Fraction(-1, 2), 1, Fraction(3, 4)]).format("X") == "3/4*X^2 + X - 1/2"
+    assert upoly(GF(5), [4, 0, 3]).format() == "3*T^2 + 4"
