@@ -48,7 +48,8 @@ def _add_common(parser):
     parser.add_argument("--budget-pairs", type=int, default=DEFAULT_PAIR_BUDGET, metavar="N",
                         help="Groebner critical-pair budget")
     parser.add_argument("--budget-primitive", type=int, default=DEFAULT_PRIMITIVE_BUDGET,
-                        metavar="N", help="primitive-element search budget")
+                        metavar="N",
+                        help="primitive-element search budget, also per field-leaf scan")
     parser.add_argument("--certificates", action="store_true",
                         help="print constructive certificates")
 

@@ -17,6 +17,7 @@ exhaustive sweep on small instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import linalg
 from .errors import (
@@ -147,29 +148,20 @@ class FiniteAlgebra:
         return [[cols[j][i] for j in range(self.dimension)] for i in range(self.dimension)]
 
     def trace(self, a):
-        """Trace of the multiplication-by-a operator."""
+        """Trace of b -> a*b: the sum of a_k * Tr(e_k), with the Tr(e_k) read off the table."""
         self._check_element(a)
         K = self.field
-        t = K.zero()
-        for j in range(self.dimension):
-            t = K.add(t, self.mul(a, self.basis_element(j))[j])
-        return t
+        return reduce(K.add, map(K.mul, a, self._basis_traces()), K.zero())
 
     def gram_matrix(self):
-        """Trace-form Gram table G[i][j] = Tr(e_i * e_j)."""
+        """Trace-form Gram table G[i][j] = Tr(e_i * e_j): table[i][j] paired with the Tr(e_k)."""
+        K, traces = self.field, self._basis_traces()
+        return [[reduce(K.add, map(K.mul, v, traces), K.zero()) for v in row] for row in self.table]
+
+    def _basis_traces(self):
+        """Tr(e_k) for every k: the sum over j of (e_k * e_j)_j, so no product is formed."""
         K = self.field
-        basis_traces = [self.trace(self.basis_element(k)) for k in range(self.dimension)]
-        gram = []
-        for i in range(self.dimension):
-            row = []
-            for j in range(self.dimension):
-                acc = K.zero()
-                for k, c in enumerate(self.table[i][j]):
-                    if not K.is_zero(c):
-                        acc = K.add(acc, K.mul(c, basis_traces[k]))
-                row.append(acc)
-            gram.append(row)
-        return gram
+        return [reduce(K.add, (v[j] for j, v in enumerate(row)), K.zero()) for row in self.table]
 
     def discriminant(self):
         """Determinant of the trace-form Gram matrix; nonzero iff etale."""

@@ -16,9 +16,12 @@ discriminant without a nilpotent witness, would contradict the theory this
 code implements; either raises InternalContradiction and is never reported
 silently.
 
-Decomposition routes: a nonzero discriminant makes the algebra reduced, and
-over the perfect fields Q and GF(p) every minimal polynomial in a reduced
-algebra is separable, so no generator ever needs a non-separable split.
+Decomposition routes: etaleness is decided at the entry points, by the
+discriminant in ``classify`` and ``decompose_etale``; ``primitive_element``
+and ``frobenius_split`` hold on any finite algebra.  A nonzero discriminant
+makes the algebra reduced, and over the perfect fields Q and GF(p) every
+minimal polynomial in a reduced algebra is separable, so no generator ever
+needs a non-separable split.
 Route 1 returns a single factor: the first generator or basis element whose
 minimal polynomial has full degree, else a primitive element, which an
 infinite base field guarantees among deterministic scalar combinations of
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain as iter_chain, product as iter_product
+from itertools import chain as iter_chain, islice, product as iter_product
 
 from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
@@ -62,17 +65,17 @@ def _candidates(A: FiniteAlgebra):
     return [*A.generator_refs.values(), *_basis(A)]
 
 
-def primitive_element(A: FiniteAlgebra, gens=None, budget=DEFAULT_PRIMITIVE_BUDGET):
+def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET):
     """Search b = sum lambda_i * gen_i with minimal polynomial of full degree.
 
-    Scalars come from the deterministic enumeration of the base field,
-    tuples ordered by the largest scalar index they use; the search raises
+    Holds on any finite algebra, reduced or not: a minimal polynomial g of
+    degree dim A makes A = K[b] = K[T]/<g>, so the answer proves itself.
+    Scalars come from the deterministic enumeration of the base field, tuples
+    ordered by the largest scalar index they use; the search raises
     SearchExhausted after ``budget`` candidates or when a finite field runs
     out of tuples.
     """
-    if A.field.is_zero(A.discriminant()):
-        raise NotEtale("primitive elements are only certified for etale algebras")
-    vectors = _generators(A) if gens is None else [vec for _, vec in gens]
+    vectors = _generators(A)
     r = len(vectors)
     tried = 0
     tier = 0
@@ -98,16 +101,15 @@ def primitive_element(A: FiniteAlgebra, gens=None, budget=DEFAULT_PRIMITIVE_BUDG
 
 
 def frobenius_split(A: FiniteAlgebra):
-    """A nontrivial idempotent from the fixed space of x -> x^p, if any.
+    """A nontrivial idempotent from the fixed space of x -> x^p; None when A is local.
 
-    The fixed space of the p-power operator on an etale GF(p)-algebra has
-    one dimension per field factor; when it is just the scalars the algebra
-    is a field and None is returned.
+    Holds on any finite GF(p)-algebra, reduced or not (Berlekamp): x^p = x
+    makes the minimal polynomial of x divide T^p - T, which is squarefree and
+    splits over GF(p), so the fixed space is spanned by idempotents and has
+    one dimension per local factor.
     """
     if not isinstance(A.field, PrimeField):
         raise NotEtale("frobenius_split is a GF(p) operation")
-    if A.field.is_zero(A.discriminant()):
-        raise NotEtale("frobenius_split needs a nonzero discriminant")
     K = A.field
     p = K.modulus
     m = A.dimension
@@ -174,36 +176,40 @@ def _first_full_degree(A: FiniteAlgebra, candidates):
     return None
 
 
-def _frobenius_leaves(sub: FiniteAlgebra, embed, chain):
+def _frobenius_leaves(sub: FiniteAlgebra, embed, chain, budget):
     """The field factors of an etale GF(p)-algebra, split along Frobenius idempotents."""
     e = frobenius_split(sub)
     if e is None:
-        # A finite field is generated by one element, so the full scan finds one.
-        found = _first_full_degree(sub, iter_chain(_generators(sub), _all_elements(sub)))
+        scan = _all_elements(sub)
+        found = _first_full_degree(sub, iter_chain(_generators(sub), islice(scan, budget)))
         if found is None:
+            if next(scan, None) is not None:
+                raise SearchExhausted(f"field-generator scan budget of {budget} exhausted "
+                                      f"on a leaf of dimension {sub.dimension}")
+            # A finite field is generated by one element, so the full scan finds one.
             raise InternalContradiction("a finite-field leaf has no generating element")
         vec, g = found
         return [DecompositionFactor(g, embed(vec), embed(sub.unit), chain)]
     split = split_by_idempotent(e, sub)
     chain = chain + (embed(e),)
-    return (_frobenius_leaves(split.first, lambda v: embed(split.embed_first(v)), chain)
-            + _frobenius_leaves(split.second, lambda v: embed(split.embed_second(v)), chain))
+    return (_frobenius_leaves(split.first, lambda v: embed(split.embed_first(v)), chain, budget)
+            + _frobenius_leaves(split.second, lambda v: embed(split.embed_second(v)), chain, budget))
 
 
 def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET):
     """Decompose an etale algebra as a product of monogenic separable ones.
 
-    Raises NotEtale on zero discriminant.  Route 1 gives a single factor: the
-    first generator or basis element of full degree, else a primitive element
-    from the bounded search.  Route 2 runs over GF(p) only, when that search
-    is exhausted: it splits along Frobenius idempotents into field leaves,
-    each generated by one element.  Over Q an exhausted search propagates.
+    Raises NotEtale on zero discriminant, the one etale check of the
+    decomposition.  Route 1 gives a single factor: the first generator or
+    basis element of full degree, else a primitive element from the bounded
+    search.  Route 2 runs over GF(p) only, when that search is exhausted: it
+    splits along Frobenius idempotents into field leaves, each generated by
+    one element that a scan of at most ``primitive_budget`` elements per leaf
+    finds.  Over Q an exhausted search propagates.
 
-    The nonzero discriminant makes A reduced, and over the perfect fields Q
-    and GF(p) every minimal polynomial in a reduced algebra is separable, so
-    no generator can need a non-separable split.  The certificate checks
-    below still verify every factor and raise InternalContradiction if the
-    theory were broken.
+    No generator can need a non-separable split (see the module docstring);
+    the certificate checks below still verify every factor and raise
+    InternalContradiction if the theory were broken.
     """
     if A.field.is_zero(A.discriminant()):
         raise NotEtale("decompose_etale needs a nonzero discriminant")
@@ -217,7 +223,7 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
             raise
         notes.append(f"primitive-element search over {A.field!r}: {exc}; "
                      "splitting along the Frobenius fixed space instead")
-        factors = _frobenius_leaves(A, lambda v: v, ())
+        factors = _frobenius_leaves(A, lambda v: v, (), primitive_budget)
 
     orthogonal = all(
         A.is_zero_element(A.mul(factors[i].idempotent, factors[j].idempotent))

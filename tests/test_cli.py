@@ -130,6 +130,18 @@ def test_budget_primitive_flag_surfaces_in_notes(capsys):
     assert "budget of 1 exhausted" in out and "Frobenius" in out
 
 
+GF64_LEAF = os.path.join(os.path.dirname(__file__), "golden", "inputs", "gf64_leaf.alg")
+
+
+def test_budget_primitive_bounds_the_field_leaf_scan(capsys):
+    # the GF(64) leaf is generated by the second element of its scan, not by X or Y
+    code, out, err = run_main(capsys, "decompose", GF64_LEAF, "--budget-primitive", "1")
+    assert code == 2 and out == ""
+    assert "field-generator scan budget of 1 exhausted" in err and err.count("\n") == 1
+    code, out, _ = run_main(capsys, "decompose", GF64_LEAF, "--budget-primitive", "2")
+    assert code == 0 and "g4 = T^6 + T^4 + T^2 + T + 1" in out
+
+
 @pytest.mark.parametrize("name", ["circle_cross.alg", "four_points_gf2.alg", "dual_numbers.alg"])
 def test_byte_identical_across_processes(name):
     # separate interpreters with different hash seeds must print identical bytes

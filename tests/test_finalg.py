@@ -72,6 +72,45 @@ def test_discriminant_matches_polynomial_discriminant():
             assert monogenic_from_poly(f).discriminant() == discriminant(f)
 
 
+def random_algebras(rng):
+    """Monogenic algebras, their products and two-variable quotients over Q, GF(2), GF(5)."""
+    from etalg.groebner import buchberger, quotient_algebra
+    from util import mpoly
+
+    V = ("X", "Y")
+    for K in (QQ, F2, F5):
+        for _ in range(3):
+            A = monogenic_from_poly(random_monic(rng, K, rng.randint(1, 4)))
+            yield A
+            yield product(A, monogenic_from_poly(random_monic(rng, K, rng.randint(1, 3))))
+            c = [rng.randint(-3, 3) for _ in range(4)]
+            yield quotient_algebra(buchberger([
+                mpoly(K, V, {(2, 0): 1, (1, 0): c[0], (0, 0): c[1]}),
+                mpoly(K, V, {(0, 2): 1, (1, 0): c[2], (0, 0): c[3]}),
+            ]))
+
+
+def trace_oracle(A, a):
+    """Tr(a) as the diagonal sum of the matrix of b -> a*b."""
+    K = A.field
+    op = A.mul_operator(a)
+    t = K.zero()
+    for i in range(A.dimension):
+        t = K.add(t, op[i][i])
+    return t
+
+
+def test_trace_and_gram_match_the_multiplication_operator():
+    rng = random.Random(61)
+    for A in random_algebras(rng):
+        K, m = A.field, A.dimension
+        for _ in range(3):
+            a = tuple(K.from_int(rng.randint(-4, 4)) for _ in range(m))
+            assert A.trace(a) == trace_oracle(A, a)
+        gram = A.gram_matrix()
+        assert gram == [[trace_oracle(A, A.table[i][j]) for j in range(m)] for i in range(m)]
+
+
 # ------------------------------------------------------------------ minimal polynomials
 
 def test_minimal_polynomial_examples():

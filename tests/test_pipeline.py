@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -196,6 +197,12 @@ def test_primitive_element_examples():
     assert g3.degree == 2
 
 
+def test_primitive_element_on_a_non_reduced_algebra():
+    # a full-degree minimal polynomial proves A = K[T]/<g>, reduced or not
+    A = monogenic_from_poly(upoly(QQ, [0, 0, 1]))  # Q[X]/<X^2>
+    assert primitive_element(A) == (A.generator_refs["x"], upoly(QQ, [0, 0, 1]))
+
+
 def test_primitive_element_search_exhausted_on_f2_fourth_power():
     A = quotient_of(F2, ("X", "Y"), {(2, 0): 1, (1, 0): 1}, {(0, 2): 1, (0, 1): 1})
     with pytest.raises(SearchExhausted):
@@ -230,6 +237,15 @@ def test_frobenius_split_examples():
         C.scalar_mul(two_inv, C.sub(C.unit, x)),
     }
     assert e3 in candidates
+
+
+def test_frobenius_split_on_non_reduced_algebras():
+    # x^p = x forces a squarefree split minimal polynomial, nilpotents or not
+    A = monogenic_from_poly(upoly(F3, [0, 0, -1, 1]))  # GF(3)[X]/<X^2 (X - 1)>
+    e = frobenius_split(A)
+    assert e is not None and A.mul(e, e) == e
+    assert not A.is_zero_element(e) and e != A.unit
+    assert frobenius_split(monogenic_from_poly(upoly(F3, [0, 0, 1]))) is None  # local
 
 
 def test_frobenius_split_requires_prime_field():
@@ -379,3 +395,28 @@ def test_classify_takes_one_minimal_polynomial_per_generator_scanned(monkeypatch
     report = classify(parse_input(text))
     assert report.etale and len(report.decomposition) == 1
     assert len(seen) == calls
+
+
+def read_input(*parts):
+    with open(os.path.join(os.path.dirname(__file__), *parts), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("text", [
+    SHIFTED_POWER,
+    read_input("..", "samples", "sqrt2_sqrt3.alg"),
+    read_input("golden", "inputs", "gf4_squared.alg"),
+    read_input("..", "samples", "four_points_gf2.alg"),
+], ids=["shifted_power", "sqrt2_sqrt3", "gf4_squared", "four_points_gf2"])
+def test_classify_takes_two_discriminants(monkeypatch, text):
+    # one for the report, one for the guard of decompose_etale; none per Frobenius node
+    original = FiniteAlgebra.discriminant
+    calls = []
+
+    def counting(self):
+        calls.append(self.dimension)
+        return original(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "discriminant", counting)
+    assert classify(parse_input(text)).etale
+    assert len(calls) == 2
