@@ -11,7 +11,11 @@ classification pipeline are made of.
 On top of the basis sit the staircase queries: ideal triviality,
 invertibility modulo the ideal, Noether dimension via independent variable
 subsets of the leading-term ideal, standard monomials, and the structure
-constants of a zero-dimensional quotient.
+constants of a zero-dimensional quotient.  Those take normal forms only on
+the border of the staircase (x_k * b for a standard monomial b, when the
+product is not standard) and fill every other product of standard monomials
+by multiplication-matrix products, FGLM style (Faugere, Gianni, Lazard &
+Mora, JSC 1993).
 """
 
 from __future__ import annotations
@@ -294,32 +298,57 @@ def standard_monomials(gb: GroebnerBasis):
 def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
     """Structure constants of the quotient on its standard-monomial basis.
 
+    Normal forms are taken only on the border of the staircase: for each
+    variable x_k and standard monomial b_l, the column of x_k * b_l is a unit
+    vector when the product is standard and its normal form otherwise.  The
+    table is then filled in ascending basis order.  The row of 1 is the
+    identity; any other b_i is x_k * b_i' for its first variable x_k, where
+    b_i' is standard (the staircase is closed under division) and earlier,
+    so row i is the multiplication matrix of x_k applied to row i'.
+
     The returned algebra remembers, as generator references, the coordinate
-    vector of every ambient variable.
+    vector of every ambient variable: the column of x_k * 1.
     """
     monomials = standard_monomials(gb)
-    index = {m: k for k, m in enumerate(monomials)}
-    m = len(monomials)
+    index = {mono: k for k, mono in enumerate(monomials)}
+    m, n = len(monomials), len(gb.variables)
     K = gb.field
-    sample = MultiPoly.zero(K, gb.variables)
+    steps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
-    def coords(poly):
+    def sparse(mono):
+        """mono as (basis index, coefficient) pairs: a normal form only off the staircase."""
+        if mono in index:
+            return ((index[mono], K.one()),)
+        nf = normal_form(MultiPoly.from_monomial(K, gb.variables, mono), gb)
+        return tuple((index[exps], c) for exps, c in nf.terms.items())
+
+    def dense(pairs):
         vec = [K.zero()] * m
-        for exps, c in poly.terms.items():
-            vec[index[exps]] = c
+        for r, c in pairs:
+            vec[r] = c
         return tuple(vec)
 
+    columns = [[sparse(mono_mul(step, b)) for b in monomials] for step in steps]
+
+    def times(k, vec):
+        """x_k * vec, through the columns x_k * b_l."""
+        out = [K.zero()] * m
+        for c, col in zip(vec, columns[k]):
+            if K.is_zero(c):
+                continue
+            for r, a in col:
+                out[r] = K.add(out[r], K.mul(c, a))
+        return tuple(out)
+
     table = [[None] * m for _ in range(m)]
-    for i in range(m):
+    for j, b in enumerate(monomials):
+        table[0][j] = table[j][0] = dense(sparse(b))
+    for i in range(1, m):
+        k = next(v for v, e in enumerate(monomials[i]) if e)
+        prev = table[index[mono_div(monomials[i], steps[k])]]
         for j in range(i, m):
-            prod = MultiPoly.from_monomial(K, gb.variables, mono_mul(monomials[i], monomials[j]))
-            vec = coords(normal_form(prod, gb))
-            table[i][j] = vec
-            table[j][i] = vec
-    unit = coords(normal_form(MultiPoly.one(K, gb.variables), gb))
-    refs = {}
-    for i, name in enumerate(gb.variables):
-        xi = MultiPoly.variable(K, gb.variables, i)
-        refs[name] = coords(normal_form(xi, gb))
+            table[i][j] = table[j][i] = times(k, prev[j])
+    refs = {name: dense(columns[k][0]) for k, name in enumerate(gb.variables)}
+    sample = MultiPoly.zero(K, gb.variables)
     labels = [sample.format_monomial(mono) for mono in monomials]
-    return FiniteAlgebra(K, labels, table, unit, generator_refs=refs)
+    return FiniteAlgebra(K, labels, table, table[0][0], generator_refs=refs)

@@ -225,14 +225,14 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
                      "splitting along the Frobenius fixed space instead")
         factors = _frobenius_leaves(A, lambda v: v, (), primitive_budget)
 
-    orthogonal = all(
-        A.is_zero_element(A.mul(factors[i].idempotent, factors[j].idempotent))
-        for i in range(len(factors))
-        for j in range(i + 1, len(factors))
-    )
+    # Each e_k idempotent with (e_1 + ... + e_{k-1}) * e_k = 0 makes the
+    # family pairwise orthogonal by induction, in 2r products.
+    orthogonal = True
     total = A.zero_element()
     for f in factors:
-        total = A.add(total, f.idempotent)
+        e = f.idempotent
+        orthogonal = orthogonal and A.mul(e, e) == e and A.is_zero_element(A.mul(total, e))
+        total = A.add(total, e)
     complete = total == A.unit
     separable = all(is_separable(f.poly) for f in factors)
     degrees_match = sum(f.poly.degree for f in factors) == A.dimension

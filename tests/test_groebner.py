@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -16,7 +18,7 @@ from etalg.groebner import (
     quotient_algebra,
     standard_monomials,
 )
-from etalg.multipoly import GREVLEX, LEX, MultiPoly, mono_div, mono_divides, mono_lcm
+from etalg.multipoly import GREVLEX, LEX, MultiPoly, mono_div, mono_divides, mono_lcm, mono_mul
 from util import mpoly, random_mpoly
 
 V = ("X", "Y")
@@ -201,6 +203,83 @@ def test_quotient_algebra_axioms_on_all_basis_triples():
             for k in range(m):
                 ek = B.basis_element(k)
                 assert B.mul(B.mul(ei, ej), ek) == B.mul(ei, B.mul(ej, ek))
+
+
+def all_pairs_quotient(gb):
+    """(table, unit, generator_refs) from one normal form per basis pair: the oracle."""
+    monomials = standard_monomials(gb)
+    index = {mono: k for k, mono in enumerate(monomials)}
+    K = gb.field
+
+    def coords(exps):
+        vec = [K.zero()] * len(monomials)
+        for e, c in normal_form(MultiPoly.from_monomial(K, gb.variables, exps), gb).terms.items():
+            vec[index[e]] = c
+        return tuple(vec)
+
+    table = tuple(tuple(coords(mono_mul(a, b)) for b in monomials) for a in monomials)
+    n = len(gb.variables)
+    refs = {name: coords(tuple(int(i == k) for i in range(n)))
+            for k, name in enumerate(gb.variables)}
+    return table, coords((0,) * n), refs
+
+
+def random_zero_dimensional(rng, field, variables):
+    """A univariate relation in every variable, plus up to two products of root factors.
+
+    Each univariate relation has random coefficients or random roots.  A
+    product of factors x_k - r, with r a root of x_k's relation, vanishes on
+    part of the grid of common roots only: the ideal stays proper and its
+    staircase is often not a box.
+    """
+    n = len(variables)
+
+    def power(k, d):
+        return tuple(d if i == k else 0 for i in range(n))
+
+    def linear(k, r):
+        return mpoly(field, variables, {power(k, 1): 1, power(k, 0): -r})
+
+    gens, roots = [], {}
+    for k in range(n):
+        degree = rng.randint(1, 4 - n // 2)
+        if rng.random() < 0.5:
+            spec = {power(k, d): rng.randint(-3, 3) for d in range(degree)}
+            spec[power(k, degree)] = 1
+            gens.append(mpoly(field, variables, spec))
+            continue
+        roots[k] = [rng.randint(-2, 2) for _ in range(degree)]
+        gens.append(reduce(mul, (linear(k, r) for r in roots[k])))
+    for _ in range(rng.randint(0, 2) if len(roots) > 1 else 0):
+        pair = rng.sample(sorted(roots), 2)
+        gens.append(reduce(mul, (linear(k, rng.choice(roots[k])) for k in pair)))
+    return gens
+
+
+def test_quotient_algebra_matches_all_pairs_normal_forms():
+    rng = random.Random(47)
+    names = ("X", "Y", "Z")
+    not_a_box = 0
+    for field in (QQ, GF(2), GF(5)):
+        for order in (GREVLEX, LEX):
+            for n in (1, 2, 2, 2, 3, 3, 3, 3):
+                gb = buchberger(random_zero_dimensional(rng, field, names[:n]), order)
+                A = quotient_algebra(gb)
+                staircase = standard_monomials(gb)
+                box = reduce(mul, (1 + max(e[k] for e in staircase) for k in range(n)))
+                not_a_box += box != len(staircase)
+                table, unit, refs = all_pairs_quotient(gb)
+                assert A.table == table
+                assert A.unit == unit
+                assert A.generator_refs == refs
+                m = A.dimension
+                if m <= 8:
+                    for i in range(m):
+                        for j in range(m):
+                            for k in range(m):
+                                assert (A.mul(A.table[i][j], A.basis_element(k))
+                                        == A.mul(A.basis_element(i), A.table[j][k]))
+    assert not_a_box >= 5
 
 
 def test_budget_exceeded():

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
 from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product
 from etalg.groebner import buchberger, quotient_algebra
-from etalg.kaehler import AlgebraPresentation
+from etalg.kaehler import AlgebraPresentation, relation_basis
 from etalg.multipoly import GREVLEX, LEX
 from etalg.parsing import parse_input
 from etalg.pipeline import (
@@ -172,6 +173,41 @@ def test_decompose_products_of_finite_fields(case):
         # the Frobenius route ends at the field factors themselves
         assert any("Frobenius" in note for note in cert.notes)
         assert sorted(f.poly.degree for f in cert.factors) == degrees
+
+
+def tampered_leaves(monkeypatch, tamper):
+    """Make the Frobenius route return its genuine factors with tampered idempotents."""
+    genuine = etalg.pipeline._frobenius_leaves
+
+    def leaves(sub, embed, chain, budget):
+        factors = genuine(sub, embed, chain, budget)
+        if chain:  # a recursive call on a split node
+            return factors
+        units = tamper(sub, [f.idempotent for f in factors])
+        return [replace(f, idempotent=e) for f, e in zip(factors, units)]
+
+    monkeypatch.setattr(etalg.pipeline, "_frobenius_leaves", leaves)
+
+
+def test_decompose_rejects_non_orthogonal_idempotents(monkeypatch):
+    # e1 + e2, e2 + e3, e3 + e4, e2 + e3 are idempotents summing to 1 over GF(2),
+    # not orthogonal
+    A = quotient_of(F2, ("X", "Y"), {(2, 0): 1, (1, 0): 1}, {(0, 2): 1, (0, 1): 1})
+    tampered_leaves(monkeypatch, lambda B, e: [B.add(e[0], e[1]), B.add(e[1], e[2]),
+                                               B.add(e[2], e[3]), B.add(e[1], e[2])])
+    with pytest.raises(InternalContradiction):
+        decompose_etale(A)
+
+
+def test_decompose_rejects_non_idempotent_members(monkeypatch):
+    # GF(3)^4 is not monogenic; 2*e1, e2, e3, e4 - e1 sum to 1, and 2*e1 is not idempotent
+    point = monogenic_from_poly(upoly(F3, [0, 1]))
+    A = product(product(point, point), product(point, point))
+    assert decompose_etale(A).notes
+    tampered_leaves(monkeypatch, lambda B, e: [B.scalar_mul(F3.from_int(2), e[0]), e[1], e[2],
+                                               B.sub(e[3], e[0])])
+    with pytest.raises(InternalContradiction):
+        decompose_etale(A)
 
 
 def test_decompose_requires_etale():
@@ -395,6 +431,30 @@ def test_classify_takes_one_minimal_polynomial_per_generator_scanned(monkeypatch
     report = classify(parse_input(text))
     assert report.etale and len(report.decomposition) == 1
     assert len(seen) == calls
+
+
+GF5_SQUARED_GRID = "field GF(5)\nvars X, Y\nrelations:\n  X^5 - X\n  (Y+2*X+1)^5 - (Y+2*X+1)\n"
+
+
+@pytest.mark.parametrize("text,border", [(SHIFTED_POWER, 1), (TOWER, 16), (GF5_SQUARED_GRID, 10)],
+                         ids=["shifted_power", "tower", "gf5_grid"])
+def test_structure_table_takes_normal_forms_on_the_border_only(monkeypatch, text, border):
+    # one normal form per (x_k, b) with x_k * b outside the staircase
+    gb = relation_basis(parse_input(text))
+    staircase = set(groebner.standard_monomials(gb))
+    n = len(gb.variables)
+    pairs = sum(tuple(e + (i == k) for i, e in enumerate(b)) not in staircase
+                for b in staircase for k in range(n))
+    original = groebner.normal_form
+    calls = []
+
+    def counting(f, gb):
+        calls.append(f)
+        return original(f, gb)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    quotient_algebra(gb)
+    assert len(calls) == pairs == border
 
 
 def read_input(*parts):
