@@ -1,12 +1,15 @@
 """Buchberger Groebner engine with normal forms and staircase queries.
 
 The engine computes the reduced monic Groebner basis of an ideal with the
-classical pair algorithm: normal pair selection (smallest lcm first), the
-lcm-coprimality criterion, and a pair budget that raises BudgetExceeded
-instead of hanging.  Cofactor tracking is optional; when enabled, every
-basis element carries an exact representation as a combination of the
-original generators, which is what the printable Bezout certificates of the
-classification pipeline are made of.
+classical pair algorithm: normal selection through a heap keyed (deg lcm,
+order key, i, j), the lcm-coprimality criterion, and a pair budget that
+raises BudgetExceeded instead of hanging.  The leading monomial of each
+basis element is computed once, when it joins the basis, and kept beside
+it (also on the returned GroebnerBasis); division works on a dict of terms
+in place and builds one polynomial at the end.  Cofactor tracking is
+optional; when enabled, every basis element carries an exact representation
+as a combination of the original generators, which is what the printable
+Bezout certificates of the classification pipeline are made of.
 
 On top of the basis sit the staircase queries: ideal triviality,
 invertibility modulo the ideal, Noether dimension via independent variable
@@ -20,6 +23,7 @@ Mora, JSC 1993).
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch, TrivialIdeal
@@ -39,20 +43,24 @@ DEFAULT_PAIR_BUDGET = 50_000
 
 
 class GroebnerBasis:
-    """Reduced monic basis, its order, and the originating generators."""
+    """Reduced monic basis, its order, and the originating generators.
 
-    __slots__ = ("field", "variables", "order", "generators", "original", "cofactors")
+    ``lms`` holds the leading monomial of each generator, in the same order.
+    """
 
-    def __init__(self, field, variables, order, generators, original, cofactors=None):
+    __slots__ = ("field", "variables", "order", "generators", "lms", "original", "cofactors")
+
+    def __init__(self, field, variables, order, generators, lms, original, cofactors=None):
         self.field = field
         self.variables = tuple(variables)
         self.order = order
         self.generators = tuple(generators)
+        self.lms = tuple(lms)
         self.original = tuple(original)
         self.cofactors = cofactors
 
     def leading_monomials(self):
-        return [g.leading(self.order)[0] for g in self.generators]
+        return list(self.lms)
 
     def __repr__(self):
         gens = ", ".join(g.format(self.order) for g in self.generators)
@@ -66,55 +74,52 @@ def _check_ring(polys):
             raise RingMismatch("generators live in different polynomial rings")
 
 
-def _reduce(f, basis, order, rep=None, reps=None):
+def _reduce(f, basis, lms, order, rep=None, reps=None):
     """Full multivariate division of f by the monic basis: (remainder, rep).
 
+    ``lms`` are the leading monomials of ``basis``.  The running polynomial
+    is a dict of terms, reduced in place; one MultiPoly is built at the end.
     When ``rep`` is given, each reduction step by ``basis[k]`` subtracts the
     same multiple of ``reps[k]`` from it, so that rep keeps expressing the
     running polynomial in the original generators; otherwise rep stays None.
     """
     K = f.field
-    remainder = MultiPoly.zero(K, f.variables)
-    p = f
-    while not p.is_zero:
-        lm, lc = p.leading(order)
-        hit = None
-        for idx, g in enumerate(basis):
-            glm = g.leading(order)[0]
+    sub, mul, is_zero = K.sub, K.mul, K.is_zero
+    zero = K.zero()
+    key = order.key
+    p = dict(f.terms)
+    remainder = {}
+    while p:
+        lm = max(p, key=key)
+        lc = p[lm]
+        for hit, glm in enumerate(lms):
             if mono_divides(glm, lm):
-                hit = idx
                 break
-        if hit is None:
-            t = MultiPoly.from_monomial(K, f.variables, lm, lc)
-            remainder = remainder + t
-            p = p - t
         else:
-            g = basis[hit]
-            q_exps = mono_div(lm, g.leading(order)[0])
-            p = p - g.mul_term(q_exps, lc)
-            if rep is not None:
-                factor = MultiPoly.from_monomial(K, f.variables, q_exps, lc)
-                rep = [a - factor * b for a, b in zip(rep, reps[hit])]
-    return remainder, rep
+            remainder[lm] = p.pop(lm)
+            continue
+        q_exps = mono_div(lm, glm)
+        for exps, c in basis[hit].terms.items():
+            t = mono_mul(exps, q_exps)
+            s = sub(p.get(t, zero), mul(lc, c))
+            if is_zero(s):
+                p.pop(t, None)
+            else:
+                p[t] = s
+        if rep is not None:
+            factor = MultiPoly.from_monomial(K, f.variables, q_exps, lc)
+            rep = [a - factor * b for a, b in zip(rep, reps[hit])]
+    return MultiPoly(K, f.variables, remainder), rep
 
 
 def _monic(poly, rep, order):
-    """poly scaled to leading coefficient 1, and rep (or None) by the same factor."""
+    """(poly scaled to leading coefficient 1, rep (or None) by the same factor, lm)."""
     K = poly.field
-    lc = poly.leading(order)[1]
+    lm, lc = poly.leading(order)
     if lc == K.one():
-        return poly, rep
+        return poly, rep, lm
     inv = K.invert(lc)
-    return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep]
-
-
-def _s_poly(f, g, order, K, variables):
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
-    l = mono_lcm(fm, gm)
-    uf = MultiPoly.from_monomial(K, variables, mono_div(l, fm), K.invert(fc))
-    ug = MultiPoly.from_monomial(K, variables, mono_div(l, gm), K.invert(gc))
-    return f * uf - g * ug, uf, ug
+    return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep], lm
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False):
@@ -132,10 +137,18 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     K = gens[0].field
     variables = gens[0].variables
     ring_zero = MultiPoly.zero(K, variables)
+    one = K.one()
     n_orig = len(gens)
 
     basis = []
+    lms = []   # leading monomial of each basis element
     reps = []  # cofactors of each basis element when tracking, else None
+
+    def add(poly, rep):
+        poly, rep, lm = _monic(poly, rep, order)
+        basis.append(poly)
+        lms.append(lm)
+        reps.append(rep)
 
     for idx, g in enumerate(gens):
         if g.is_zero:
@@ -144,63 +157,61 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         if track:
             rep = [ring_zero] * n_orig
             rep[idx] = MultiPoly.one(K, variables)
-        reduced, rep = _reduce(g, basis, order, rep, reps)
+        reduced, rep = _reduce(g, basis, lms, order, rep, reps)
         if not reduced.is_zero:
-            reduced, rep = _monic(reduced, rep, order)
-            basis.append(reduced)
-            reps.append(rep)
+            add(reduced, rep)
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    processed = 0
-
-    def pair_key(p):
-        i, j = p
-        l = mono_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
+    # Normal selection: the pair with the smallest (deg lcm, order key of lcm,
+    # i, j) comes first.  That key is a total order, so the heap pops pairs
+    # in one fixed sequence.
+    def pair(i, j):
+        l = mono_lcm(lms[i], lms[j])
         return (mono_degree(l), order.key(l), i, j)
 
+    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
+    processed = 0
     while pairs:
         processed += 1
         if processed > pair_budget:
             raise BudgetExceeded(f"Groebner pair budget of {pair_budget} exceeded")
-        best = min(range(len(pairs)), key=lambda k: pair_key(pairs[k]))
-        i, j = pairs.pop(best)
-        lm_i = basis[i].leading(order)[0]
-        lm_j = basis[j].leading(order)[0]
-        if mono_is_coprime(lm_i, lm_j):
+        _, _, i, j = heappop(pairs)
+        if mono_is_coprime(lms[i], lms[j]):
             continue
-        s, uf, ug = _s_poly(basis[i], basis[j], order, K, variables)
+        # basis elements are monic: S = (l / lm_i) * g_i - (l / lm_j) * g_j
+        l = mono_lcm(lms[i], lms[j])
+        ui, uj = mono_div(l, lms[i]), mono_div(l, lms[j])
+        s = basis[i].mul_term(ui, one) - basis[j].mul_term(uj, one)
         if s.is_zero:
             continue
-        rep = [uf * a - ug * b for a, b in zip(reps[i], reps[j])] if track else None
-        reduced, rep = _reduce(s, basis, order, rep, reps)
+        rep = [a.mul_term(ui, one) - b.mul_term(uj, one)
+               for a, b in zip(reps[i], reps[j])] if track else None
+        reduced, rep = _reduce(s, basis, lms, order, rep, reps)
         if reduced.is_zero:
             continue
-        reduced, rep = _monic(reduced, rep, order)
-        basis.append(reduced)
-        reps.append(rep)
+        add(reduced, rep)
         new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        for k in range(new):
+            heappush(pairs, pair(k, new))
 
     # Minimalize: keep only elements whose leading monomial no other kept
-    # element divides, then tail-reduce against the minimal set.  The result
-    # is the unique reduced basis, independent of pair scheduling.
-    idxs = sorted(range(len(basis)), key=lambda k: order.key(basis[k].leading(order)[0]))
+    # element divides, then tail-reduce against the minimal set.  Tail
+    # reduction keeps each leading term, so the result is monic and already
+    # ascending.  It is the unique reduced basis, independent of scheduling.
     minimal = []
-    for k in idxs:
-        lm = basis[k].leading(order)[0]
-        if any(mono_divides(basis[m].leading(order)[0], lm) for m in minimal):
-            continue
-        minimal.append(k)
-    final = []
+    for k in sorted(range(len(basis)), key=lambda k: order.key(lms[k])):
+        if not any(mono_divides(lms[m], lms[k]) for m in minimal):
+            minimal.append(k)
+    generators, cofactors = [], []
     for k in minimal:
-        others = [basis[m] for m in minimal if m != k]
-        other_reps = [reps[m] for m in minimal if m != k]
-        reduced, rep = _reduce(basis[k], others, order, reps[k], other_reps)
-        final.append(_monic(reduced, rep, order))
-    final.sort(key=lambda pair: order.key(pair[0].leading(order)[0]))
-    generators = [poly for poly, _ in final]
-    cofactors = tuple(tuple(rep) for _, rep in final) if track else None
-    return GroebnerBasis(K, variables, order, generators, gens, cofactors)
+        others = [m for m in minimal if m != k]
+        reduced, rep = _reduce(basis[k], [basis[m] for m in others], [lms[m] for m in others],
+                               order, reps[k], [reps[m] for m in others])
+        generators.append(reduced)
+        cofactors.append(rep)
+    cofactors = tuple(tuple(rep) for rep in cofactors) if track else None
+    return GroebnerBasis(K, variables, order, generators, [lms[k] for k in minimal], gens,
+                         cofactors)
 
 
 # ------------------------------------------------------------------ queries
@@ -209,7 +220,7 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f on division by the basis; zero iff f is in the ideal."""
     if f.field != gb.field or f.variables != gb.variables:
         raise RingMismatch("polynomial lives in a different ring than the basis")
-    return _reduce(f, list(gb.generators), gb.order)[0]
+    return _reduce(f, gb.generators, gb.lms, gb.order)[0]
 
 
 def contains_one(gb: GroebnerBasis) -> bool:
@@ -265,7 +276,7 @@ def noether_dimension(gb: GroebnerBasis) -> int:
         raise TrivialIdeal("the ideal contains 1")
     n = len(gb.variables)
     supports = []
-    for lm in gb.leading_monomials():
+    for lm in gb.lms:
         supports.append(frozenset(i for i, e in enumerate(lm) if e > 0))
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
@@ -282,7 +293,7 @@ def standard_monomials(gb: GroebnerBasis):
     if noether_dimension(gb) != 0:
         raise NotZeroDimensional("the quotient is not finite-dimensional")
     n = len(gb.variables)
-    lms = gb.leading_monomials()
+    lms = gb.lms
     bounds = []
     for i in range(n):
         pure = [lm[i] for lm in lms if all(e == 0 for k, e in enumerate(lm) if k != i) and lm[i] > 0]

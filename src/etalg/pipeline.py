@@ -16,12 +16,14 @@ discriminant without a nilpotent witness, would contradict the theory this
 code implements; either raises InternalContradiction and is never reported
 silently.
 
-Decomposition routes: etaleness is decided at the entry points, by the
-discriminant in ``classify`` and ``decompose_etale``; ``primitive_element``
-and ``frobenius_split`` hold on any finite algebra.  A nonzero discriminant
-makes the algebra reduced, and over the perfect fields Q and GF(p) every
-minimal polynomial in a reduced algebra is separable, so no generator ever
-needs a non-separable split.
+Decomposition routes: etaleness is decided once, at the entry point, by
+the discriminant: ``classify`` computes it for the report and passes a
+nonzero one straight on to the decomposition, and ``decompose_etale``
+computes it as its guard.  ``primitive_element`` and ``frobenius_split``
+hold on any finite algebra.  A nonzero discriminant makes the algebra
+reduced, and over the perfect fields Q and GF(p) every minimal polynomial in
+a reduced algebra is separable, so no generator ever needs a non-separable
+split.
 Route 1 returns a single factor: the first generator or basis element whose
 minimal polynomial has full degree, else a primitive element, which an
 infinite base field guarantees among deterministic scalar combinations of
@@ -208,11 +210,16 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
     finds.  Over Q an exhausted search propagates.
 
     No generator can need a non-separable split (see the module docstring);
-    the certificate checks below still verify every factor and raise
-    InternalContradiction if the theory were broken.
+    the certificate checks at the end of ``_decompose`` still verify every
+    factor and raise InternalContradiction if the theory were broken.
     """
     if A.field.is_zero(A.discriminant()):
         raise NotEtale("decompose_etale needs a nonzero discriminant")
+    return _decompose(A, primitive_budget)
+
+
+def _decompose(A: FiniteAlgebra, primitive_budget):
+    """decompose_etale on an algebra whose discriminant the caller found nonzero."""
     notes = []
     found = _first_full_degree(A, _candidates(A))
     try:
@@ -404,7 +411,7 @@ def classify(
     report.discriminant = disc
     report.etale = not P.field.is_zero(disc)
     if report.etale:
-        cert = decompose_etale(A, primitive_budget)
+        cert = _decompose(A, primitive_budget)
         report.certificate = cert
         report.decomposition = [f.poly for f in cert.factors]
         notes.extend(cert.notes)

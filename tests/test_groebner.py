@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import mul
 
 import pytest
@@ -18,7 +19,18 @@ from etalg.groebner import (
     quotient_algebra,
     standard_monomials,
 )
-from etalg.multipoly import GREVLEX, LEX, MultiPoly, mono_div, mono_divides, mono_lcm, mono_mul
+from etalg.kaehler import minors, transposed_jacobian
+from etalg.multipoly import (
+    GREVLEX,
+    LEX,
+    MultiPoly,
+    mono_div,
+    mono_divides,
+    mono_is_coprime,
+    mono_lcm,
+    mono_mul,
+)
+from etalg.parsing import parse_input
 from util import mpoly, random_mpoly
 
 V = ("X", "Y")
@@ -280,6 +292,139 @@ def test_quotient_algebra_matches_all_pairs_normal_forms():
                                 assert (A.mul(A.table[i][j], A.basis_element(k))
                                         == A.mul(A.basis_element(i), A.table[j][k]))
     assert not_a_box >= 5
+
+
+def linear_min_buchberger(gens, order, track):
+    """(generators, cofactors, pairs taken) from a pair loop that takes a linear
+    min over the queue and recomputes every key and leading term: the oracle."""
+    K, variables = gens[0].field, gens[0].variables
+
+    def lm(g):
+        return g.leading(order)[0]
+
+    def reduce_(f, basis, rep, reps):
+        remainder, p = MultiPoly.zero(K, variables), f
+        while not p.is_zero:
+            m, c = p.leading(order)
+            hit = next((k for k, g in enumerate(basis) if mono_divides(lm(g), m)), None)
+            if hit is None:
+                t = MultiPoly.from_monomial(K, variables, m, c)
+                remainder, p = remainder + t, p - t
+                continue
+            q = mono_div(m, lm(basis[hit]))
+            p = p - basis[hit].mul_term(q, c)
+            if rep is not None:
+                factor = MultiPoly.from_monomial(K, variables, q, c)
+                rep = [a - factor * b for a, b in zip(rep, reps[hit])]
+        return remainder, rep
+
+    def monic(poly, rep):
+        inv = K.invert(poly.leading(order)[1])
+        return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep]
+
+    basis, reps = [], []
+    for idx, g in enumerate(gens):
+        if g.is_zero:
+            continue
+        rep = None
+        if track:
+            rep = [MultiPoly.zero(K, variables)] * len(gens)
+            rep[idx] = MultiPoly.one(K, variables)
+        reduced, rep = reduce_(g, basis, rep, reps)
+        if not reduced.is_zero:
+            reduced, rep = monic(reduced, rep)
+            basis.append(reduced)
+            reps.append(rep)
+
+    def pair_key(pair):
+        i, j = pair
+        l = mono_lcm(lm(basis[i]), lm(basis[j]))
+        return (sum(l), order.key(l), i, j)
+
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    taken = 0
+    while pairs:
+        taken += 1
+        i, j = pairs.pop(min(range(len(pairs)), key=lambda k: pair_key(pairs[k])))
+        if mono_is_coprime(lm(basis[i]), lm(basis[j])):
+            continue
+        l = mono_lcm(lm(basis[i]), lm(basis[j]))
+        ui = MultiPoly.from_monomial(K, variables, mono_div(l, lm(basis[i])))
+        uj = MultiPoly.from_monomial(K, variables, mono_div(l, lm(basis[j])))
+        s = basis[i] * ui - basis[j] * uj
+        if s.is_zero:
+            continue
+        rep = [ui * a - uj * b for a, b in zip(reps[i], reps[j])] if track else None
+        reduced, rep = reduce_(s, basis, rep, reps)
+        if reduced.is_zero:
+            continue
+        reduced, rep = monic(reduced, rep)
+        basis.append(reduced)
+        reps.append(rep)
+        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+
+    minimal = []
+    for k in sorted(range(len(basis)), key=lambda k: order.key(lm(basis[k]))):
+        if not any(mono_divides(lm(basis[m]), lm(basis[k])) for m in minimal):
+            minimal.append(k)
+    final = []
+    for k in minimal:
+        others = [m for m in minimal if m != k]
+        reduced, rep = reduce_(basis[k], [basis[m] for m in others], reps[k],
+                               [reps[m] for m in others])
+        final.append(monic(reduced, rep))
+    final.sort(key=lambda pair: order.key(lm(pair[0])))
+    cofactors = tuple(tuple(rep) for _, rep in final) if track else None
+    return tuple(poly for poly, _ in final), cofactors, taken
+
+
+def random_quadric(rng, field, variables):
+    """Each monomial of degree <= 2 with probability 2/5 and a coefficient in [-3, 3]."""
+    n = len(variables)
+    spec = {e: rng.randint(-3, 3) for e in product(range(3), repeat=n)
+            if sum(e) <= 2 and rng.random() < 0.4}
+    return mpoly(field, variables, spec)
+
+
+def test_heap_pair_queue_matches_linear_min_oracle():
+    # dense quadrics queue enough pairs that a different pair order changes
+    # the tracked cofactors of several of these ideals
+    rng = random.Random(61)
+    names = ("X", "Y", "Z")
+    nontrivial = 0
+    for field in (QQ, GF(2), GF(5)):
+        for order in (GREVLEX, LEX):
+            compared = 0
+            while compared < 5:
+                gens = [random_quadric(rng, field, names) for _ in range(rng.randint(2, 3))]
+                if all(g.is_zero for g in gens):
+                    continue
+                for track in (False, True):
+                    generators, cofactors, taken = linear_min_buchberger(gens, order, track)
+                    gb = buchberger(gens, order, pair_budget=taken, track=track)
+                    assert gb.generators == generators
+                    assert gb.cofactors == cofactors
+                    assert gb.leading_monomials() == [g.leading(order)[0] for g in generators]
+                    if taken:
+                        with pytest.raises(BudgetExceeded):
+                            buchberger(gens, order, pair_budget=taken - 1, track=track)
+                nontrivial += not contains_one(gb)
+                compared += 1
+    assert nontrivial >= 10
+
+
+CI_MINOR_IDEAL = ("field Q\nvars W, X, Y, Z\nrelations:\n"
+                  "  W^2 + X^2 - Y*Z + 3*W - 1\n  X^2 - 2*Y^2 + Z^2 + W*X + Z - 2\n")
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_pair_budget_boundary_on_a_minor_ideal(track):
+    # the relations plus the 2 x 2 minors of Ja: 136 pairs leave the queue
+    P = parse_input(CI_MINOR_IDEAL)
+    gens = list(P.relations) + [m for _, _, m in minors(transposed_jacobian(P), 2, P.ring_zero())]
+    with pytest.raises(BudgetExceeded):
+        buchberger(gens, pair_budget=135, track=track)
+    assert contains_one(buchberger(gens, pair_budget=136, track=track))
 
 
 def test_budget_exceeded():

@@ -2,7 +2,9 @@
 
 Reduced Groebner bases are unique for a fixed ideal and order, so the output
 of the in-tree Buchberger engine must coincide, polynomial for polynomial,
-with sympy's on random ideals.  Skipped when sympy is not installed.
+with sympy's on random ideals, over Q and over GF(p) (sympy's
+``modulus=p``).  Normal forms are unique too and are compared the same way.
+Skipped when sympy is not installed.
 """
 
 import random
@@ -12,7 +14,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from etalg.fields import QQ
+from etalg.fields import GF, QQ
 from etalg.groebner import buchberger, contains_one, normal_form
 from etalg.multipoly import GREVLEX, LEX, MultiPoly
 from util import random_mpoly
@@ -31,13 +33,18 @@ def to_sympy(p):
     return expr
 
 
-def from_sympy(expr):
+def from_sympy(expr, field=QQ):
+    """A sympy expression as a MultiPoly; over GF(p) its integer coefficients are read mod p."""
     poly = sympy.Poly(expr, *SYMS, domain="QQ")
     terms = {}
     for exps, c in poly.terms():
-        q = Fraction(int(c.numerator), int(c.denominator))
+        if field == QQ:
+            q = Fraction(int(c.numerator), int(c.denominator))
+        else:
+            assert c.denominator == 1
+            q = field.from_int(int(c.numerator))
         terms[tuple(int(e) for e in exps)] = q
-    return MultiPoly(QQ, V, terms)
+    return MultiPoly(field, V, terms)
 
 
 @pytest.mark.parametrize("order_pair", [(GREVLEX, "grevlex"), (LEX, "lex")])
@@ -79,4 +86,53 @@ def test_normal_forms_agree_with_sympy():
         f = random_mpoly(rng, QQ, V, max_degree=3, terms=4)
         _, remainder = theirs.reduce(to_sympy(f))
         assert normal_form(f, mine) == from_sympy(remainder)
+        checked += 1
+
+
+PRIMES = (2, 5, 7)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("order_pair", [(GREVLEX, "grevlex"), (LEX, "lex")])
+def test_reduced_bases_agree_with_sympy_mod_p(order_pair, p):
+    ours_order, sympy_order = order_pair
+    K = GF(p)
+    rng = random.Random(1000 * p + len(sympy_order))
+    compared = nontrivial = 0
+    while compared < 12:
+        gens = [random_mpoly(rng, K, V, max_degree=2, terms=4) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        mine = buchberger(gens, ours_order)
+        tracked = buchberger(gens, ours_order, track=True)
+        assert mine.generators == tracked.generators
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=sympy_order, modulus=p)
+        if contains_one(mine):
+            assert list(theirs.exprs) == [sympy.Integer(1)]
+        else:
+            theirs_monic = {from_sympy(e, K).monic(ours_order) for e in theirs.exprs}
+            assert set(mine.generators) == theirs_monic
+            nontrivial += 1
+        compared += 1
+    assert nontrivial >= 4
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_normal_forms_agree_with_sympy_mod_p(p):
+    K = GF(p)
+    rng = random.Random(2000 + p)
+    checked = 0
+    while checked < 12:
+        gens = [random_mpoly(rng, K, V, max_degree=2, terms=4) for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        mine = buchberger(gens, GREVLEX)
+        if contains_one(mine):
+            continue
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="grevlex", modulus=p)
+        f = random_mpoly(rng, K, V, max_degree=3, terms=5)
+        _, remainder = theirs.reduce(to_sympy(f))
+        assert normal_form(f, mine) == from_sympy(remainder, K)
         checked += 1

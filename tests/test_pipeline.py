@@ -468,8 +468,8 @@ def read_input(*parts):
     read_input("golden", "inputs", "gf4_squared.alg"),
     read_input("..", "samples", "four_points_gf2.alg"),
 ], ids=["shifted_power", "sqrt2_sqrt3", "gf4_squared", "four_points_gf2"])
-def test_classify_takes_two_discriminants(monkeypatch, text):
-    # one for the report, one for the guard of decompose_etale; none per Frobenius node
+def test_classify_takes_one_discriminant(monkeypatch, text):
+    # one for the report, which the decomposition trusts; none per Frobenius node
     original = FiniteAlgebra.discriminant
     calls = []
 
@@ -479,4 +479,4 @@ def test_classify_takes_two_discriminants(monkeypatch, text):
 
     monkeypatch.setattr(FiniteAlgebra, "discriminant", counting)
     assert classify(parse_input(text)).etale
-    assert len(calls) == 2
+    assert len(calls) == 1
