@@ -8,18 +8,20 @@
     etalg differentials FILE ...
     etalg decompose FILE ...
 
-Every subcommand but ``differentials`` runs ``classify`` and prints sections
-of the one text report (``pipeline.render_sections``):
+Every subcommand but ``differentials`` runs ``classify`` and prints the
+sections of its one text report that ``SUBCOMMAND_SECTIONS`` names:
 
-    nette       the nette flag, then "note: trivial algebra ..." for the zero ring
+    classify    every section (``pipeline.SECTIONS``), or --json
+    nette       the nette flag, then a note section for the zero ring
     smooth      the standard-smooth and elementary-smooth flags
     etale       the standard-etale flag, Noether dimension, discriminant,
                 etale verdict and nilpotent witness
-    decompose   the etale verdict, then "no decomposition: ..." when there is
-                none, the decomposition, primitive element and nilpotent witness
+    decompose   the etale verdict, a section saying why there is no
+                decomposition, the decomposition, primitive element and
+                nilpotent witness
 
-With --certificates a flag section carries its decision's evidence and the
-decomposition its idempotent certificate, as in the full report.
+With --certificates, which the report records, a flag section carries its
+decision's evidence and the decomposition its idempotent certificate.
 ``differentials`` prints the cokernel presentation of the differentials and
 their dimension instead.
 
@@ -38,7 +40,7 @@ from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension
 from .kaehler import omega_dimension, omega_presentation, relation_basis
 from .multipoly import MonomialOrder
 from .parsing import parse_file
-from .pipeline import DEFAULT_PRIMITIVE_BUDGET, classify, render_report, render_sections
+from .pipeline import DEFAULT_PRIMITIVE_BUDGET, SECTIONS, classify, render_sections
 
 
 def _add_common(parser):
@@ -74,12 +76,14 @@ def build_parser():
     return parser
 
 
-# The report sections each subcommand prints; classify prints them all.
+# The report sections each subcommand prints.
 SUBCOMMAND_SECTIONS = {
-    "nette": ("nette",),
+    "classify": SECTIONS,
+    "nette": ("nette", "trivial_note"),
     "smooth": ("standard_smooth", "elementary_smooth"),
     "etale": ("standard_etale", "noether_dimension", "discriminant", "etale", "nilpotent_witness"),
-    "decompose": ("etale", "decomposition", "primitive_element", "nilpotent_witness"),
+    "decompose": ("etale", "no_decomposition", "decomposition", "primitive_element",
+                  "nilpotent_witness"),
 }
 
 
@@ -95,21 +99,9 @@ def _run(args) -> str:
         primitive_budget=args.budget_primitive,
         certificates=args.certificates,
     )
-    if args.command == "classify":
-        if getattr(args, "json", False):
-            return report.to_json() + "\n"
-        return render_report(report, certificates=args.certificates)
-    # A subcommand's own line follows the first section it prints.
-    names = SUBCOMMAND_SECTIONS[args.command]
-    lines = render_sections(report, names[:1], args.certificates)
-    if args.command == "nette" and report.trivial:
-        lines.append("note: trivial algebra (the ideal contains 1)")
-    if args.command == "decompose" and report.decomposition is None:
-        lines.append("no decomposition: the algebra is not etale"
-                     if report.noether_dimension == 0
-                     else "no decomposition: the quotient is not finite-dimensional")
-    lines += render_sections(report, names[1:], args.certificates)
-    return "\n".join(lines) + "\n"
+    if getattr(args, "json", False):
+        return report.to_json() + "\n"
+    return "\n".join(render_sections(report, SUBCOMMAND_SECTIONS[args.command])) + "\n"
 
 
 def _differentials_text(presentation, order, pair_budget) -> str:

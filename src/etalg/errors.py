@@ -16,7 +16,7 @@ class CharacteristicZero(EtalgError):
 
 
 class CompositeModulus(EtalgError):
-    """The modulus of a prime field failed the primality check."""
+    """The modulus of a prime field is not prime, or too large to decide exactly."""
 
 
 # ---------------------------------------------------------------- univariate polynomials

@@ -13,7 +13,6 @@ the p-th-power decomposition of univariate polynomials needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import index as _as_int
 
 from .errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
@@ -156,13 +155,32 @@ class Rationals(FieldContext):
         return hash("Q")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIMALITY_BOUND, the least strong pseudoprime to all of them
+# (Sorenson & Webster, Math. Comp. 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < PRIMALITY_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -173,6 +191,9 @@ class PrimeField(FieldContext):
     kind = "PrimeField"
 
     def __init__(self, p: int):
+        if p >= PRIMALITY_BOUND:
+            raise CompositeModulus(f"{p} is not below {PRIMALITY_BOUND}, "
+                                   "the bound up to which primality is decided exactly")
         if not _is_prime(p):
             raise CompositeModulus(f"{p} is not prime")
         self.modulus = p

@@ -39,7 +39,7 @@ ASSOCIATIVITY_SAMPLE = 96
 class FiniteAlgebra:
     __slots__ = ("field", "dimension", "basis_labels", "table", "unit", "generator_refs")
 
-    def __init__(self, field, basis_labels, table, unit, generator_refs=None, check=True):
+    def __init__(self, field, basis_labels, table, unit, generator_refs=None):
         self.field = field
         self.basis_labels = tuple(basis_labels)
         self.dimension = len(self.basis_labels)
@@ -48,8 +48,7 @@ class FiniteAlgebra:
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.unit = tuple(unit)
         self.generator_refs = dict(generator_refs) if generator_refs else {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         m = self.dimension

@@ -31,6 +31,11 @@ the generators.  Over GF(p) that bounded search can run out of candidates;
 route 2 then splits along idempotents read off the fixed space of the
 p-power (Frobenius) operator until every leaf is a field, and each field
 leaf is generated by a single element by finite-field theory.
+
+Rendering: the report is the one source of its text, named sections that
+``render_sections`` prints in any selection (the CLI subcommands' too).  It
+records whether ``classify`` tracked certificates; evidence lines appear
+exactly then, each polynomial in the order of the run that produced it.
 """
 
 from __future__ import annotations
@@ -153,12 +158,10 @@ class DecompositionFactor:
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
+    """Factors that passed the checks at the end of ``_decompose``."""
+
     factors: tuple
     notes: tuple
-    orthogonal: bool
-    complete: bool
-    separable: bool
-    degrees_match: bool
 
 
 def _all_elements(A: FiniteAlgebra):
@@ -240,19 +243,11 @@ def _decompose(A: FiniteAlgebra, primitive_budget):
         e = f.idempotent
         orthogonal = orthogonal and A.mul(e, e) == e and A.is_zero_element(A.mul(total, e))
         total = A.add(total, e)
-    complete = total == A.unit
-    separable = all(is_separable(f.poly) for f in factors)
-    degrees_match = sum(f.poly.degree for f in factors) == A.dimension
-    if not (orthogonal and complete and separable and degrees_match):
+    if not (orthogonal and total == A.unit
+            and all(is_separable(f.poly) for f in factors)
+            and sum(f.poly.degree for f in factors) == A.dimension):
         raise InternalContradiction("decomposition certificate failed its own checks")
-    return DecompositionCertificate(
-        factors=tuple(factors),
-        notes=tuple(notes),
-        orthogonal=orthogonal,
-        complete=complete,
-        separable=separable,
-        degrees_match=degrees_match,
-    )
+    return DecompositionCertificate(factors=tuple(factors), notes=tuple(notes))
 
 
 # ------------------------------------------------------------------ nilpotent witness
@@ -306,6 +301,7 @@ class ClassificationReport:
     algebra: object = None
     certificate: object = None
     decisions: dict = dataclass_field(default_factory=dict)
+    certified: bool = False         # whether classify tracked the evidence the text prints
 
     def to_json_dict(self):
         def poly_str(g):
@@ -384,6 +380,7 @@ def classify(
         nilpotent_witness=None,
         notes=notes,
         decisions=decisions,
+        certified=certificates,
     )
 
     if trivial:
@@ -440,13 +437,14 @@ def _flag(value: bool) -> str:
 
 
 FLAGS = ("nette", "standard_smooth", "elementary_smooth", "standard_etale")
-# Every section of the text report, in report order.
+# Every section of the full text report, in report order.  Two more sections,
+# "trivial_note" and "no_decomposition", appear only in subcommand selections.
 SECTIONS = ("header", "trivial", *FLAGS, "noether_dimension", "vector_space_dimension", "basis",
             "discriminant", "etale", "decomposition", "primitive_element", "nilpotent_witness",
             "notes")
 
 
-def _section(report: ClassificationReport, name, certificates):
+def _section(report: ClassificationReport, name):
     """The lines of one section of the text report; none when it does not apply."""
     A = report.algebra
     if name == "header":
@@ -457,21 +455,26 @@ def _section(report: ClassificationReport, name, certificates):
     if name in ("trivial", "etale") + FLAGS:
         lines = [f"{name.replace('_', '-')}: {_flag(getattr(report, name))}"]
         decision = report.decisions.get(name)
-        if certificates and decision is not None:
+        if report.certified and decision is not None:
             lines += _render_decision(decision)
         return lines
+    if name == "trivial_note" and report.trivial:
+        return ["note: trivial algebra (the ideal contains 1)"]
     if name == "noether_dimension":
         dim = report.noether_dimension
         return [f"noether-dimension: {dim if dim is not None else 'undefined (zero ring)'}"]
     if name == "vector_space_dimension":
         dim = report.vector_space_dimension
         return [] if dim is None else [f"vector-space-dimension: {dim}"]
+    if name == "no_decomposition" and report.decomposition is None:
+        return ["no decomposition: the algebra is not etale" if report.noether_dimension == 0
+                else "no decomposition: the quotient is not finite-dimensional"]
     if name == "decomposition":
         if report.decomposition is None:
             return []
         lines = ["decomposition:"] + ([] if report.decomposition else ["  (empty product)"])
         lines += [f"  g{k} = {g.format()}" for k, g in enumerate(report.decomposition, start=1)]
-        if certificates and report.certificate is not None:
+        if report.certified and report.certificate is not None:
             lines += _render_certificate(report)
         return lines
     if name == "notes":
@@ -482,7 +485,7 @@ def _section(report: ClassificationReport, name, certificates):
         return []
     if name == "basis":
         lines = [f"basis: {', '.join(A.basis_labels)}"]
-        if certificates:
+        if report.certified:
             lines += ["structure constants:"] + [f"  {row}" for row in A.format_table()]
         return lines
     if name == "discriminant" and report.discriminant is not None:
@@ -496,31 +499,33 @@ def _section(report: ClassificationReport, name, certificates):
     return []
 
 
-def render_sections(report: ClassificationReport, names, certificates=False) -> list:
+def render_sections(report: ClassificationReport, names) -> list:
     """The lines of the named sections of the text report, in the order given."""
-    return [line for name in names for line in _section(report, name, certificates)]
+    return [line for name in names for line in _section(report, name)]
 
 
-def render_report(report: ClassificationReport, certificates=False) -> str:
-    return "\n".join(render_sections(report, SECTIONS, certificates)) + "\n"
+def render_report(report: ClassificationReport) -> str:
+    """The full text report: every section of ``SECTIONS``."""
+    return "\n".join(render_sections(report, SECTIONS)) + "\n"
 
 
 def _render_decision(decision: Decision):
     lines = []
     if decision.detail:
         lines.append(f"    [{decision.detail}]")
+    order = decision.basis.order
     if decision.certificate is None:
-        if not decision.value and decision.basis is not None and not decision.trivial:
-            gens = "; ".join(g.format(decision.basis.order) for g in decision.basis.generators)
+        if not decision.value:
+            gens = "; ".join(g.format(order) for g in decision.basis.generators)
             lines.append(f"    failed ideal (reduced basis): {gens}")
         return lines
     if decision.labels[1:] == ("inverse",):
         what, inv = decision.certificate
-        lines.append(f"    {decision.labels[0]}: {what.format()}")
-        lines.append(f"    inverse mod relations: {inv.format()}")
+        lines.append(f"    {decision.labels[0]}: {what.format(order)}")
+        lines.append(f"    inverse mod relations: {inv.format(order)}")
         return lines
     lines.append("    1 = " + " + ".join(
-        f"({c.format()})*{label}"
+        f"({c.format(order)})*{label}"
         for c, label in zip(decision.certificate, decision.labels)
         if not c.is_zero
     ))

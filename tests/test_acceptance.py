@@ -309,12 +309,15 @@ ALL_INPUTS = [
 
 
 def test_criterion_9_reports_byte_identical():
+    texts = []
     for text in ALL_INPUTS:
         runs = []
         for _ in range(2):
-            report = classify(parse_input(text))
-            runs.append(
-                (render_report(report, certificates=True), report.to_json())
-            )
+            report = classify(parse_input(text), certificates=True)
+            runs.append((render_report(report), report.to_json()))
         assert runs[0] == runs[1]
+        texts.append(runs[0][0])
+    # the certified text carries the Bezout identities and the inverses of the minors
+    assert any("    1 = (" in text for text in texts)
+    assert any("inverse mod relations: " in text for text in texts)
     ok(9, f"text and JSON reports byte-identical across two runs on {len(ALL_INPUTS)} inputs")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,9 @@ import etalg.cli
 import etalg.pipeline
 from etalg.cli import main
 from etalg.errors import RingMismatch
+from etalg.fields import PRIMALITY_BOUND
+from etalg.multipoly import LEX
+from etalg.parsing import parse_input
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -84,6 +88,14 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_modulus_at_the_primality_bound_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.alg"
+    path.write_text(f"field GF({PRIMALITY_BOUND})\nvars X\nrelations:\n  X\n")
+    code, out, err = run_main(capsys, "classify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(PRIMALITY_BOUND) in err
+
+
 def test_exit_code_budget_exceeded(capsys):
     code, _, err = run_main(
         capsys, "classify", sample("circle_cross.alg"), "--budget-pairs", "0"
@@ -119,6 +131,23 @@ def test_exit_code_other_package_error(monkeypatch, capsys):
 def test_order_flag(capsys):
     code, out, _ = run_main(capsys, "classify", sample("circle_cross.alg"), "--order", "lex")
     assert code == 0 and "etale: true" in out
+
+
+def test_certificates_print_in_the_order_of_the_run(tmp_path, capsys):
+    path = tmp_path / "lex.alg"
+    path.write_text("field Q\nvars X, Y\nrelations:\n  X^2 + Y^3 - 1\n  X*Y + Y^2 - 2\n")
+    code, out, _ = run_main(capsys, "smooth", str(path), "--order", "lex", "--certificates")
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    assert "[leading minor 2*X^2 + 4*X*Y - 3*Y^3]" in lines
+    assert "minor: 2*X^2 + 4*X*Y - 3*Y^3" in lines
+    inverse = next(line for line in lines if line.startswith("inverse mod relations: "))
+    bezout = next(line for line in lines if line.startswith("1 = "))
+    printed = [inverse.split(": ", 1)[1], *re.findall(r"\(([^()]*)\)\*", bezout)]
+    assert len(printed) == 4
+    for text in printed:
+        poly = parse_input(f"field Q\nvars X, Y\nrelations:\n  {text}\n").relations[0]
+        assert text == poly.format(LEX)
 
 
 def test_budget_primitive_flag_surfaces_in_notes(capsys):

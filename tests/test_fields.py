@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from etalg.errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
-from etalg.fields import GF, QQ, PrimeField, Rationals
+from etalg.fields import GF, PRIMALITY_BOUND, QQ, PrimeField, Rationals, _is_prime
+from etalg.parsing import parse_input
 
 
 def test_invert_examples():
@@ -53,6 +56,43 @@ def test_composite_modulus_rejected():
     for bad in (0, 1, 4, 9, 15, 91):
         with pytest.raises(CompositeModulus):
             PrimeField(bad)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def test_primality_matches_trial_division_below_100000():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 3825123056546413051,
+                               (10**9 + 7) * (10**9 + 9)])
+def test_pseudoprimes_and_semiprimes_rejected(n):
+    with pytest.raises(CompositeModulus, match="not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+def test_large_primes_accepted_quickly(p):
+    start = perf_counter()
+    assert parse_input(f"field GF({p})\nvars X\nrelations:\n  X^2 - 2\n").field == GF(p)
+    assert perf_counter() - start < 1.0
+
+
+def test_primality_bound_rejected():
+    # the bound is composite yet a strong pseudoprime to all 13 witnesses,
+    # so only the explicit bound check keeps it out
+    assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(PRIMALITY_BOUND)
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2):
+        with pytest.raises(CompositeModulus, match=str(PRIMALITY_BOUND)):
+            PrimeField(n)
 
 
 def test_context_equality():
