@@ -195,15 +195,6 @@ class FiniteAlgebra:
             powers.append(current)
         raise AssertionError("no linear dependence among m+1 powers; table is inconsistent")
 
-    def _split_zero_root(self, a):
-        """Minimal polynomial of a written T^k * h with h(0) != 0."""
-        g = self.minimal_polynomial(a)
-        k = 0
-        while self.field.is_zero(g.coeff(k)):
-            k += 1
-        h = UniPoly(self.field, g.coeffs[k:])
-        return g, k, h
-
     def idempotent_of(self, a, return_witness=False):
         """The unique idempotent e in K[a] with <a> = <e>.
 
@@ -215,7 +206,11 @@ class FiniteAlgebra:
         """
         self._check_element(a)
         K = self.field
-        g, k, h = self._split_zero_root(a)
+        g = self.minimal_polynomial(a)
+        k = 0
+        while K.is_zero(g.coeff(k)):
+            k += 1
+        h = UniPoly(K, g.coeffs[k:])
         if k >= 2:
             witness = self.mul(self.power(a, k - 1), eval_in_algebra(h, a, self))
             raise RepeatedZeroRoot(

@@ -5,11 +5,13 @@ classical pair algorithm: normal selection through a heap keyed (deg lcm,
 order key, i, j), the lcm-coprimality criterion, and a pair budget that
 raises BudgetExceeded instead of hanging.  The leading monomial of each
 basis element is computed once, when it joins the basis, and kept beside
-it (also on the returned GroebnerBasis); division works on a dict of terms
-in place and builds one polynomial at the end.  Cofactor tracking is
-optional; when enabled, every basis element carries an exact representation
-as a combination of the original generators, which is what the printable
-Bezout certificates of the classification pipeline are made of.
+it (also on the returned GroebnerBasis).  Each element is a list of rows,
+term dicts that one kernel updates in place (row -= c * x^q * g, dropping
+zeros): its polynomial and, in a tracked run, its cofactors over the
+original generators, which the printable Bezout certificates of the
+classification pipeline are made of.  Division, S-polynomials and monic
+scaling treat every row alike, and an untracked run has one row per
+element.  Rows become polynomials once, in the returned basis.
 
 On top of the basis sit the staircase queries: ideal triviality,
 invertibility modulo the ideal, Noether dimension via independent variable
@@ -24,7 +26,7 @@ Mora, JSC 1993).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch, TrivialIdeal
 from .finalg import FiniteAlgebra
@@ -74,52 +76,42 @@ def _check_ring(polys):
             raise RingMismatch("generators live in different polynomial rings")
 
 
-def _reduce(f, basis, lms, order, rep=None, reps=None):
-    """Full multivariate division of f by the monic basis: (remainder, rep).
-
-    ``lms`` are the leading monomials of ``basis``.  The running polynomial
-    is a dict of terms, reduced in place; one MultiPoly is built at the end.
-    When ``rep`` is given, each reduction step by ``basis[k]`` subtracts the
-    same multiple of ``reps[k]`` from it, so that rep keeps expressing the
-    running polynomial in the original generators; otherwise rep stays None.
-    """
-    K = f.field
+def _subtract(row, c, q, g, K):
+    """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients."""
     sub, mul, is_zero = K.sub, K.mul, K.is_zero
     zero = K.zero()
+    for exps, a in g.items():
+        t = mono_mul(exps, q)
+        s = sub(row.get(t, zero), mul(c, a))
+        if is_zero(s):
+            row.pop(t, None)
+        else:
+            row[t] = s
+
+
+def _reduce(rows, basis, lms, order, K):
+    """Divide rows[0] by the monic basis in place; rows[0] ends as the remainder.
+
+    ``rows`` are term dicts: the polynomial, then its cofactors over the
+    original generators in a tracked run.  Each basis element has the same
+    rows, and ``lms`` holds their leading monomials.  A step by basis[k]
+    subtracts one multiple of each of its rows from the matching row.
+    """
     key = order.key
-    p = dict(f.terms)
+    p = rows[0]
     remainder = {}
     while p:
         lm = max(p, key=key)
-        lc = p[lm]
         for hit, glm in enumerate(lms):
             if mono_divides(glm, lm):
                 break
         else:
             remainder[lm] = p.pop(lm)
             continue
-        q_exps = mono_div(lm, glm)
-        for exps, c in basis[hit].terms.items():
-            t = mono_mul(exps, q_exps)
-            s = sub(p.get(t, zero), mul(lc, c))
-            if is_zero(s):
-                p.pop(t, None)
-            else:
-                p[t] = s
-        if rep is not None:
-            factor = MultiPoly.from_monomial(K, f.variables, q_exps, lc)
-            rep = [a - factor * b for a, b in zip(rep, reps[hit])]
-    return MultiPoly(K, f.variables, remainder), rep
-
-
-def _monic(poly, rep, order):
-    """(poly scaled to leading coefficient 1, rep (or None) by the same factor, lm)."""
-    K = poly.field
-    lm, lc = poly.leading(order)
-    if lc == K.one():
-        return poly, rep, lm
-    inv = K.invert(lc)
-    return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep], lm
+        c, q = p[lm], mono_div(lm, glm)
+        for row, g in zip(rows, basis[hit]):
+            _subtract(row, c, q, g, K)
+    rows[0] = remainder
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False):
@@ -136,30 +128,28 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     _check_ring(gens)
     K = gens[0].field
     variables = gens[0].variables
-    ring_zero = MultiPoly.zero(K, variables)
-    one = K.one()
-    n_orig = len(gens)
+    one, minus_one = K.one(), K.neg(K.one())
+    unit = (0,) * len(variables)
 
-    basis = []
-    lms = []   # leading monomial of each basis element
-    reps = []  # cofactors of each basis element when tracking, else None
+    basis = []  # rows of each basis element: its terms, then its cofactors when tracking
+    lms = []    # leading monomial of each basis element
 
-    def add(poly, rep):
-        poly, rep, lm = _monic(poly, rep, order)
-        basis.append(poly)
+    def add(rows):
+        """Append rows, scaled so that the polynomial is monic."""
+        lm = max(rows[0], key=order.key)
+        if rows[0][lm] != one:
+            inv = K.invert(rows[0][lm])
+            rows = [{exps: K.mul(inv, a) for exps, a in row.items()} for row in rows]
+        basis.append(rows)
         lms.append(lm)
-        reps.append(rep)
 
     for idx, g in enumerate(gens):
-        if g.is_zero:
-            continue
-        rep = None
+        rows = [dict(g.terms)]
         if track:
-            rep = [ring_zero] * n_orig
-            rep[idx] = MultiPoly.one(K, variables)
-        reduced, rep = _reduce(g, basis, lms, order, rep, reps)
-        if not reduced.is_zero:
-            add(reduced, rep)
+            rows += [{unit: one} if k == idx else {} for k in range(len(gens))]
+        _reduce(rows, basis, lms, order, K)
+        if rows[0]:
+            add(rows)
 
     # Normal selection: the pair with the smallest (deg lcm, order key of lcm,
     # i, j) comes first.  That key is a total order, so the heap pops pairs
@@ -181,23 +171,23 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         # basis elements are monic: S = (l / lm_i) * g_i - (l / lm_j) * g_j
         l = mono_lcm(lms[i], lms[j])
         ui, uj = mono_div(l, lms[i]), mono_div(l, lms[j])
-        s = basis[i].mul_term(ui, one) - basis[j].mul_term(uj, one)
-        if s.is_zero:
+        rows = [{} for _ in basis[i]]
+        for row, gi, gj in zip(rows, basis[i], basis[j]):
+            _subtract(row, minus_one, ui, gi, K)
+            _subtract(row, one, uj, gj, K)
+        _reduce(rows, basis, lms, order, K)
+        if not rows[0]:
             continue
-        rep = [a.mul_term(ui, one) - b.mul_term(uj, one)
-               for a, b in zip(reps[i], reps[j])] if track else None
-        reduced, rep = _reduce(s, basis, lms, order, rep, reps)
-        if reduced.is_zero:
-            continue
-        add(reduced, rep)
+        add(rows)
         new = len(basis) - 1
         for k in range(new):
             heappush(pairs, pair(k, new))
 
     # Minimalize: keep only elements whose leading monomial no other kept
-    # element divides, then tail-reduce against the minimal set.  Tail
-    # reduction keeps each leading term, so the result is monic and already
-    # ascending.  It is the unique reduced basis, independent of scheduling.
+    # element divides, then tail-reduce each (a copy of its rows) against the
+    # minimal set.  Tail reduction keeps each leading term, so the result is
+    # monic and already ascending.  It is the unique reduced basis,
+    # independent of scheduling.
     minimal = []
     for k in sorted(range(len(basis)), key=lambda k: order.key(lms[k])):
         if not any(mono_divides(lms[m], lms[k]) for m in minimal):
@@ -205,13 +195,12 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     generators, cofactors = [], []
     for k in minimal:
         others = [m for m in minimal if m != k]
-        reduced, rep = _reduce(basis[k], [basis[m] for m in others], [lms[m] for m in others],
-                               order, reps[k], [reps[m] for m in others])
-        generators.append(reduced)
-        cofactors.append(rep)
-    cofactors = tuple(tuple(rep) for rep in cofactors) if track else None
+        rows = [dict(row) for row in basis[k]]
+        _reduce(rows, [basis[m] for m in others], [lms[m] for m in others], order, K)
+        generators.append(MultiPoly(K, variables, rows[0]))
+        cofactors.append(tuple(MultiPoly(K, variables, row) for row in rows[1:]))
     return GroebnerBasis(K, variables, order, generators, [lms[k] for k in minimal], gens,
-                         cofactors)
+                         tuple(cofactors) if track else None)
 
 
 # ------------------------------------------------------------------ queries
@@ -220,7 +209,9 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f on division by the basis; zero iff f is in the ideal."""
     if f.field != gb.field or f.variables != gb.variables:
         raise RingMismatch("polynomial lives in a different ring than the basis")
-    return _reduce(f, gb.generators, gb.lms, gb.order)[0]
+    rows = [dict(f.terms)]
+    _reduce(rows, [(g.terms,) for g in gb.generators], gb.lms, gb.order, gb.field)
+    return MultiPoly(gb.field, gb.variables, rows[0])
 
 
 def contains_one(gb: GroebnerBasis) -> bool:
@@ -292,16 +283,18 @@ def standard_monomials(gb: GroebnerBasis):
         raise TrivialIdeal("the ideal contains 1")
     if noether_dimension(gb) != 0:
         raise NotZeroDimensional("the quotient is not finite-dimensional")
+    # Walk the staircase up from 1: it is closed under division, so each
+    # standard monomial is x_k times an earlier one.
     n = len(gb.variables)
-    lms = gb.lms
-    bounds = []
-    for i in range(n):
-        pure = [lm[i] for lm in lms if all(e == 0 for k, e in enumerate(lm) if k != i) and lm[i] > 0]
-        bounds.append(min(pure))
-    out = []
-    for exps in product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, exps) for lm in lms):
-            out.append(exps)
+    out = [(0,) * n]
+    seen = set(out)
+    for b in out:
+        for k in range(n):
+            t = b[:k] + (b[k] + 1,) + b[k + 1:]
+            if t not in seen:
+                seen.add(t)
+                if not any(mono_divides(lm, t) for lm in gb.lms):
+                    out.append(t)
     out.sort(key=gb.order.key)
     return out
 

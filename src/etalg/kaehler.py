@@ -17,9 +17,9 @@ it adjoins, and how its certificate prints), and one routine decides them
 all.  It checks triviality and the precondition, then runs Buchberger once
 on the relations plus the adjoined minors.  From that run it reads the
 verdict, the Bezout cofactors, and the inverse of a single minor (the
-normal form of its cofactor).  ``decide_all`` shares the run between flags
-that adjoin the same minors.  When s = n all four flags adjoin det(Ja), so
-they share one run.
+normal form of its cofactor).  ``decide_all`` enumerates the minors of each
+size once and shares the run between flags that adjoin the same minors.
+When s = n all four flags adjoin det(Ja), so they share one run.
 
 Minor enumeration is combinatorial; sizes stay small here.  A presentation
 whose ideal contains 1 (the zero ring) satisfies every test vacuously and is
@@ -193,26 +193,31 @@ def relation_basis(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET) -> Groebne
     return buchberger(list(P.relations) or [P.ring_zero()], order, pair_budget)
 
 
-def _adjoined(flag: _Flag, P, order):
-    """(extra generators, certificate labels, detail) of a flag that fits."""
-    ja = transposed_jacobian(P)
-    zero = P.ring_zero()
+def _adjoined(flag: _Flag, P, order, found):
+    """(extra generators, certificate labels, detail) of a flag that fits.
+
+    ``found`` keeps the minors of each size once enumerated.  The leading
+    s x s minor is the first one: ``combinations`` yields 0..s-1 first.
+    """
+    size = P.n if flag.minor_size == "n" else P.s
+    if size not in found:
+        found[size] = minors(transposed_jacobian(P), size, P.ring_zero())
     if flag.single:
         name, detail = flag.single
-        minor = det_poly_matrix([row[: P.s] for row in ja[: P.s]], zero)
+        minor = found[size][0][2]
         return (minor,), (name, "inverse"), detail.format(minor.format(order))
-    found = minors(ja, P.n if flag.minor_size == "n" else P.s, zero)
     labels = [f"f{j + 1}" for j in range(P.s)]
-    for rows_idx, cols_idx, _ in found:
+    for rows_idx, cols_idx, _ in found[size]:
         rows_txt = ",".join(P.variables[i] for i in rows_idx)
         cols_txt = ",".join(f"f{j + 1}" for j in cols_idx)
         labels.append(f"minor[{rows_txt}|{cols_txt}]")
-    return tuple(m for _, _, m in found), tuple(labels), ""
+    return tuple(m for _, _, m in found[size]), tuple(labels), ""
 
 
-def _decide(name, P, order, pair_budget, certificates, gb, runs) -> Decision:
+def _decide(name, P, order, pair_budget, certificates, gb, runs, found) -> Decision:
     """Is 1 in <f> + <the minors the flag adjoins>?
 
+    ``found`` shares the enumerated minors between flags (see ``_adjoined``).
     ``runs`` maps each adjoined generator tuple to its Groebner basis, so
     flags that ask the same question share one run; with ``certificates``
     that run is the tracked one and yields both the Bezout cofactors and
@@ -225,7 +230,7 @@ def _decide(name, P, order, pair_budget, certificates, gb, runs) -> Decision:
     flag = _FLAGS[name]
     if not flag.fits(P.s, P.n):
         return Decision(value=False, detail=flag.refusal.format(s=P.s, n=P.n), basis=gb)
-    extra, labels, detail = _adjoined(flag, P, order)
+    extra, labels, detail = _adjoined(flag, P, order, found)
     if extra not in runs:
         runs[extra] = buchberger(list(P.relations) + list(extra), order, pair_budget,
                                  track=certificates)
@@ -241,11 +246,12 @@ def _decide(name, P, order, pair_budget, certificates, gb, runs) -> Decision:
 
 def decide_all(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                certificates=False, gb=None) -> dict:
-    """The four decisions by flag name, with one Groebner run per distinct ideal."""
+    """The four decisions by flag name: minors enumerated once, one run per distinct ideal."""
     if gb is None:
         gb = relation_basis(P, order, pair_budget)
-    runs = {}
-    return {name: _decide(name, P, order, pair_budget, certificates, gb, runs) for name in _FLAGS}
+    runs, found = {}, {}
+    return {name: _decide(name, P, order, pair_budget, certificates, gb, runs, found)
+            for name in _FLAGS}
 
 
 def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
@@ -255,7 +261,7 @@ def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     Tests 1 in <f> + <n x n minors of Ja>.  When s < n there are no such
     minors, so only the zero ring passes.
     """
-    return _decide("nette", P, order, pair_budget, certificates, gb, {})
+    return _decide("nette", P, order, pair_budget, certificates, gb, {}, {})
 
 
 def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
@@ -265,19 +271,19 @@ def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     The leading minor uses rows X_1..X_s, so the declared variable order
     matters for this test (and only for this one).
     """
-    return _decide("standard_smooth", P, order, pair_budget, certificates, gb, {})
+    return _decide("standard_smooth", P, order, pair_budget, certificates, gb, {}, {})
 
 
 def elementary_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                                certificates=False, gb=None) -> Decision:
     """1 in <f> + <s x s minors of Ja>; false when s > n (no such minors)."""
-    return _decide("elementary_smooth", P, order, pair_budget, certificates, gb, {})
+    return _decide("elementary_smooth", P, order, pair_budget, certificates, gb, {}, {})
 
 
 def standard_etale_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                             certificates=False, gb=None) -> Decision:
     """s = n and det(Ja) invertible in the quotient."""
-    return _decide("standard_etale", P, order, pair_budget, certificates, gb, {})
+    return _decide("standard_etale", P, order, pair_budget, certificates, gb, {}, {})
 
 
 def is_nette(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:

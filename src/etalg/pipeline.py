@@ -134,14 +134,15 @@ def frobenius_split(A: FiniteAlgebra):
             break
     else:
         raise InternalContradiction("fixed space of dimension >= 2 inside the scalars")
+    # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p).
+    # For its first root c and h = g / (T - c), e = 1 - h(v)/h(c) is the
+    # idempotent that generates <v - c>, and it is neither 0 nor 1.
     g = A.minimal_polynomial(v)
-    for c in range(p):
-        if K.is_zero(g(K.from_int(c))):
-            shifted = A.sub(v, A.from_scalar(K.from_int(c)))
-            e = A.idempotent_of(shifted)
-            if not A.is_zero_element(e) and e != A.unit:
-                return e
-    raise InternalContradiction("p-power-fixed element with no root in the prime field")
+    c = next((c for c in map(K.from_int, range(p)) if K.is_zero(g(c))), None)
+    if c is None:
+        raise InternalContradiction("p-power-fixed element with no root in the prime field")
+    h = g // UniPoly(K, [K.neg(c), K.one()])
+    return A.sub(A.unit, A.scalar_mul(K.invert(h(c)), eval_in_algebra(h, v, A)))
 
 
 # ------------------------------------------------------------------ decomposition

@@ -280,6 +280,11 @@ def test_quotient_algebra_matches_all_pairs_normal_forms():
                 staircase = standard_monomials(gb)
                 box = reduce(mul, (1 + max(e[k] for e in staircase) for k in range(n)))
                 not_a_box += box != len(staircase)
+                # the scan of the bounding box of the pure powers: the oracle
+                bounds = [min(lm[k] for lm in gb.lms if lm[k] == sum(lm)) for k in range(n)]
+                scan = [e for e in product(*map(range, bounds))
+                        if not any(mono_divides(lm, e) for lm in gb.lms)]
+                assert staircase == sorted(scan, key=order.key)
                 table, unit, refs = all_pairs_quotient(gb)
                 assert A.table == table
                 assert A.unit == unit
@@ -417,14 +422,42 @@ CI_MINOR_IDEAL = ("field Q\nvars W, X, Y, Z\nrelations:\n"
                   "  W^2 + X^2 - Y*Z + 3*W - 1\n  X^2 - 2*Y^2 + Z^2 + W*X + Z - 2\n")
 
 
+def ci_minor_generators():
+    P = parse_input(CI_MINOR_IDEAL)
+    return list(P.relations) + [m for _, _, m in minors(transposed_jacobian(P), 2, P.ring_zero())]
+
+
 @pytest.mark.parametrize("track", [False, True])
 def test_pair_budget_boundary_on_a_minor_ideal(track):
     # the relations plus the 2 x 2 minors of Ja: 136 pairs leave the queue
-    P = parse_input(CI_MINOR_IDEAL)
-    gens = list(P.relations) + [m for _, _, m in minors(transposed_jacobian(P), 2, P.ring_zero())]
+    gens = ci_minor_generators()
     with pytest.raises(BudgetExceeded):
         buchberger(gens, pair_budget=135, track=track)
     assert contains_one(buchberger(gens, pair_budget=136, track=track))
+
+
+def test_row_kernel_cofactors_match_multipoly_arithmetic_on_a_minor_ideal():
+    # the oracle updates each cofactor with MultiPoly products and differences
+    gens = ci_minor_generators()
+    generators, cofactors, taken = linear_min_buchberger(gens, GREVLEX, True)
+    gb = buchberger(gens, track=True)
+    assert taken == 136
+    assert gb.generators == generators
+    assert gb.cofactors == cofactors
+
+
+def test_tracked_run_makes_no_multipoly_product_or_difference(monkeypatch):
+    gens = ci_minor_generators()
+    calls = []
+    for name in ("__mul__", "__sub__"):
+        def counting(self, other, name=name, original=getattr(MultiPoly, name)):
+            calls.append(name)
+            return original(self, other)
+        monkeypatch.setattr(MultiPoly, name, counting)
+    gb = buchberger(gens, track=True)
+    assert calls == []
+    # one_certificate re-verifies 1 = sum c_j * f_j with MultiPoly arithmetic
+    assert one_certificate(gb) is not None and "__mul__" in calls
 
 
 def test_budget_exceeded():

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from etalg import kaehler
 from etalg.errors import NotZeroDimensional, RingMismatch
 from etalg.fields import GF, QQ
 from etalg.kaehler import (
     AlgebraPresentation,
+    decide_all,
     elementary_smooth_decision,
     is_elementary_smooth,
     is_nette,
@@ -19,6 +21,7 @@ from etalg.kaehler import (
     universal_derivation,
 )
 from etalg.multipoly import MultiPoly
+from etalg.parsing import parse_input
 from etalg.unipoly import UniPoly, is_separable
 from util import mpoly, random_mpoly, random_monic
 
@@ -176,3 +179,20 @@ def test_monogenic_bridge_nette_iff_separable():
         for _ in range(25):
             f = random_monic(rng, K, rng.randint(1, 4))
             assert is_nette(monogenic_presentation(f)) == is_separable(f)
+
+
+def test_decide_all_expands_det_ja_once_on_the_tower(monkeypatch):
+    # s = n = 3: all four flags adjoin the one 3 x 3 minor, det(Ja)
+    P = parse_input("field Q\nvars X, Y, Z\nrelations:\n  X^3 - 2\n  Y^2 - X - 1\n  Z^2 - Y - 3\n")
+    original = kaehler.det_poly_matrix
+    top = []
+
+    def counting(rows, ring_zero):
+        top.append(len(rows) == 3)
+        return original(rows, ring_zero)
+
+    monkeypatch.setattr(kaehler, "det_poly_matrix", counting)
+    decisions = decide_all(P, certificates=True)
+    assert all(d.value for d in decisions.values())
+    assert decisions["standard_etale"].certificate[0] == decisions["nette"].basis.original[-1]
+    assert sum(top) == 1

@@ -461,6 +461,27 @@ def read_input(*parts):
         return handle.read()
 
 
+@pytest.mark.parametrize("text,calls", [
+    (read_input("golden", "inputs", "gf4_squared.alg"), 15),
+    (read_input("golden", "inputs", "gf64_leaf.alg"), 31),
+    (GF5_SQUARED_GRID, 101),
+], ids=["gf4_squared", "gf64_leaf", "gf5_grid"])
+def test_frobenius_split_reuses_the_minimal_polynomial_of_its_fixed_element(monkeypatch, text,
+                                                                           calls):
+    # each Frobenius split takes one minimal polynomial and reads its idempotent off it
+    original = FiniteAlgebra.minimal_polynomial
+    seen = []
+
+    def counting(self, a):
+        seen.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(FiniteAlgebra, "minimal_polynomial", counting)
+    report = classify(parse_input(text))
+    assert report.etale
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("text", [
     SHIFTED_POWER,
     read_input("..", "samples", "sqrt2_sqrt3.alg"),
