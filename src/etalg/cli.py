@@ -2,32 +2,35 @@
 
     etalg classify FILE [--certificates] [--json] [--order grevlex|lex]
                         [--budget-pairs N] [--budget-primitive N]
-    etalg nette FILE ...          sections of the full report, see below
+    etalg nette FILE ...          sections of one report, see below
     etalg smooth FILE ...
     etalg etale FILE ...
     etalg differentials FILE ...
     etalg decompose FILE ...
 
-Every subcommand but ``differentials`` runs ``classify`` and prints the
-sections of its one text report that ``SUBCOMMAND_SECTIONS`` names:
+Every subcommand runs ``classify`` on the sections of the text report that
+``SUBCOMMAND_SECTIONS`` names, which computes only the stages those
+sections read, and prints them:
 
-    classify    every section (``pipeline.SECTIONS``), or --json
-    nette       the nette flag, then a note section for the zero ring
-    smooth      the standard-smooth and elementary-smooth flags
-    etale       the standard-etale flag, Noether dimension, discriminant,
-                etale verdict and nilpotent witness
-    decompose   the etale verdict, a section saying why there is no
-                decomposition, the decomposition, primitive element and
-                nilpotent witness
+    classify       every section of the full report (``pipeline.SECTIONS``),
+                   or --json
+    nette          the nette flag, then a note section for the zero ring
+    smooth         the standard-smooth and elementary-smooth flags
+    etale          the standard-etale flag, Noether dimension, discriminant,
+                   etale verdict and nilpotent witness
+    differentials  the cokernel presentation of the differentials and their
+                   dimension
+    decompose      the etale verdict, a section saying why there is no
+                   decomposition, the decomposition, primitive element and
+                   nilpotent witness
 
 With --certificates, which the report records, a flag section carries its
 decision's evidence and the decomposition its idempotent certificate.
-``differentials`` prints the cokernel presentation of the differentials and
-their dimension instead.
 
-Exit codes: 0 classified, 1 input error, 2 budget exceeded or bounded search
-exhausted, 3 any other error of the package (an internal contradiction is a
-bug and is reported the same way, never as a traceback).
+Exit codes: 0 classified, 1 input error (a command line that does not parse,
+an unreadable file or a rejected presentation), 2 budget exceeded or bounded
+search exhausted, 3 any other error of the package (an internal
+contradiction is a bug and is reported the same way, never as a traceback).
 """
 
 from __future__ import annotations
@@ -36,20 +39,38 @@ import argparse
 import sys
 
 from .errors import BudgetExceeded, EtalgError, ParseError, SearchExhausted
-from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension
-from .kaehler import omega_dimension, omega_presentation, relation_basis
+from .groebner import DEFAULT_PAIR_BUDGET
 from .multipoly import MonomialOrder
 from .parsing import parse_file
-from .pipeline import DEFAULT_PRIMITIVE_BUDGET, SECTIONS, classify, render_sections
+from .pipeline import DEFAULT_PRIMITIVE_BUDGET, SECTIONS, classify, render_report
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on exit code 1, the input-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text):
+    """A budget on the command line: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _add_common(parser):
     parser.add_argument("file", help="presentation file (field / vars / relations)")
     parser.add_argument("--order", default="grevlex", choices=("grevlex", "lex"),
                         help="monomial order for the Groebner engine")
-    parser.add_argument("--budget-pairs", type=int, default=DEFAULT_PAIR_BUDGET, metavar="N",
-                        help="Groebner critical-pair budget")
-    parser.add_argument("--budget-primitive", type=int, default=DEFAULT_PRIMITIVE_BUDGET,
+    parser.add_argument("--budget-pairs", type=_budget, default=DEFAULT_PAIR_BUDGET,
+                        metavar="N", help="Groebner critical-pair budget")
+    parser.add_argument("--budget-primitive", type=_budget, default=DEFAULT_PRIMITIVE_BUDGET,
                         metavar="N",
                         help="primitive-element search budget, also per field-leaf scan")
     parser.add_argument("--certificates", action="store_true",
@@ -57,7 +78,7 @@ def _add_common(parser):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etalg",
         description="Classify finitely presented algebras over Q or GF(p).",
     )
@@ -76,57 +97,30 @@ def build_parser():
     return parser
 
 
-# The report sections each subcommand prints.
+# The report sections each subcommand computes and prints.
 SUBCOMMAND_SECTIONS = {
     "classify": SECTIONS,
     "nette": ("nette", "trivial_note"),
     "smooth": ("standard_smooth", "elementary_smooth"),
     "etale": ("standard_etale", "noether_dimension", "discriminant", "etale", "nilpotent_witness"),
+    "differentials": ("differentials", "omega_dimension"),
     "decompose": ("etale", "no_decomposition", "decomposition", "primitive_element",
                   "nilpotent_witness"),
 }
 
 
 def _run(args) -> str:
-    presentation = parse_file(args.file)
-    order = MonomialOrder.parse(args.order)
-    if args.command == "differentials":
-        return _differentials_text(presentation, order, args.budget_pairs)
     report = classify(
-        presentation,
-        order=order,
+        parse_file(args.file),
+        order=MonomialOrder.parse(args.order),
         pair_budget=args.budget_pairs,
         primitive_budget=args.budget_primitive,
         certificates=args.certificates,
+        sections=SUBCOMMAND_SECTIONS[args.command],
     )
     if getattr(args, "json", False):
         return report.to_json() + "\n"
-    return "\n".join(render_sections(report, SUBCOMMAND_SECTIONS[args.command])) + "\n"
-
-
-def _differentials_text(presentation, order, pair_budget) -> str:
-    D = omega_presentation(presentation)
-    lines = ["differential-module presentation:"]
-    lines.append(f"  generators: {', '.join(D.generators)}")
-    lines.append("  relations (columns of the transposed Jacobian):")
-    if presentation.s == 0:
-        lines.append("    (none)")
-    for j in range(presentation.s):
-        terms = []
-        for i, gen in enumerate(D.generators):
-            entry = D.relation_table[i][j]
-            if entry.is_zero:
-                continue
-            terms.append(f"({entry.format(order)})*{gen}")
-        lines.append(f"    r{j + 1}: " + (" + ".join(terms) if terms else "0"))
-    gb = relation_basis(presentation, order, pair_budget)
-    if contains_one(gb):
-        lines.append("  omega-dimension: 0 (zero ring)")
-    elif noether_dimension(gb) == 0:
-        lines.append(f"  omega-dimension: {omega_dimension(presentation, order, pair_budget, gb=gb)}")
-    else:
-        lines.append("  omega-dimension: undefined (quotient not finite-dimensional)")
-    return "\n".join(lines) + "\n"
+    return render_report(report)
 
 
 def main(argv=None) -> int:

@@ -88,9 +88,6 @@ class FiniteAlgebra:
         K = self.field
         return tuple(K.one() if j == i else K.zero() for j in range(self.dimension))
 
-    def from_scalar(self, c):
-        return self.scalar_mul(c, self.unit)
-
     def _check_element(self, x):
         if len(x) != self.dimension:
             raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(x)}")

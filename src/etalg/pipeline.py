@@ -32,10 +32,16 @@ route 2 then splits along idempotents read off the fixed space of the
 p-power (Frobenius) operator until every leaf is a field, and each field
 leaf is generated by a single element by finite-field theory.
 
-Rendering: the report is the one source of its text, named sections that
-``render_sections`` prints in any selection (the CLI subcommands' too).  It
-records whether ``classify`` tracked certificates; evidence lines appear
-exactly then, each polynomial in the order of the run that produced it.
+Stages and sections: ``classify`` takes the names of the report sections
+to compute and runs only the stages they read (``STAGES``): the base basis,
+the decisions, the Noether dimension, the table, the discriminant, then the
+decomposition or the nilpotent witness, and the dimension of the
+differentials.  The report records those sections, and ``render_report``
+prints exactly them, so a report cannot print what its run never computed;
+the CLI subcommands differ only in the sections they ask for.  The report
+also records whether ``classify`` tracked certificates; evidence lines
+appear exactly then, each polynomial in the order of the run that produced
+it.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField
 from .finalg import FiniteAlgebra, split_by_idempotent
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
-from .kaehler import AlgebraPresentation, Decision, decide_all, relation_basis
+from .kaehler import (AlgebraPresentation, Decision, decide_all, omega_dimension,
+                      omega_presentation, relation_basis)
 from .multipoly import GREVLEX
 from .unipoly import UniPoly, eval_in_algebra, is_separable, squarefree_part
 
@@ -280,71 +287,77 @@ def find_nilpotent(A: FiniteAlgebra):
 
 # ------------------------------------------------------------------ the report
 
+FLAGS = ("nette", "standard_smooth", "elementary_smooth", "standard_etale")
+# The full text report, in report order: what ``classify`` runs by default.
+SECTIONS = ("header", "trivial", *FLAGS, "noether_dimension", "vector_space_dimension", "basis",
+            "discriminant", "etale", "decomposition", "primitive_element", "nilpotent_witness",
+            "notes")
+# (stage, the stage it builds on, the sections that read it), each stage after
+# the one it builds on.  The header reads only the input.  The nette section
+# also reads the Noether dimension, which guards its verdict (see ``classify``).
+STAGES = (
+    ("jacobian", None, ("differentials",)),
+    ("basis", None, ("trivial", "trivial_note")),
+    ("decisions", "basis", FLAGS),
+    ("noether", "basis", ("nette", "noether_dimension")),
+    ("table", "noether", ("vector_space_dimension", "basis")),
+    ("discriminant", "table", ("discriminant", "etale", "no_decomposition")),
+    ("decomposition", "discriminant", ("decomposition", "primitive_element", "notes")),
+    ("witness", "discriminant", ("nilpotent_witness",)),
+    ("omega", "noether", ("omega_dimension",)),
+)
+
+
 @dataclass
 class ClassificationReport:
+    """What one ``classify`` run computed; a field no recorded section reads stays None."""
+
     input_field: str
     input_variables: tuple
     input_relations: tuple          # canonical strings
-    trivial: bool
-    nette: bool
-    standard_smooth: bool
-    elementary_smooth: bool
-    standard_etale: bool
-    noether_dimension: object       # int, or None for the zero ring
-    vector_space_dimension: object  # int when zero-dimensional, else None
-    discriminant: object            # field element when strictly finite, else None
-    etale: bool
-    decomposition: object           # list of UniPoly when etale, else None
-    primitive_element: object       # (coords, UniPoly) or None
-    nilpotent_witness: object       # coords or None
-    notes: list
+    sections: tuple = SECTIONS      # what ``render_report`` prints, in order
+    certified: bool = False         # whether classify tracked the evidence the text prints
+    trivial: object = None
+    nette: object = None
+    standard_smooth: object = None
+    elementary_smooth: object = None
+    standard_etale: object = None
+    noether_dimension: object = None       # int, or None for the zero ring
+    vector_space_dimension: object = None  # int when zero-dimensional, else None
+    discriminant: object = None     # field element when strictly finite, else None
+    etale: object = None
+    decomposition: object = None    # list of UniPoly when etale, else None
+    primitive_element: object = None  # (coords, UniPoly) or None
+    nilpotent_witness: object = None  # coords or None
+    notes: list = dataclass_field(default_factory=list)
+    differentials: object = None    # (generators dX_i, one canonical string per relation)
+    omega_dimension: object = None  # int when zero-dimensional, else None
     # non-schema extras used by the text renderer
     algebra: object = None
     certificate: object = None
     decisions: dict = dataclass_field(default_factory=dict)
-    certified: bool = False         # whether classify tracked the evidence the text prints
 
     def to_json_dict(self):
-        def poly_str(g):
-            return g.format()
+        K = self.algebra.field if self.algebra else None
 
-        def element_str_list(vec):
-            K = self.algebra.field if self.algebra else None
-            return [K.format(c) for c in vec]
+        def coordinates(vec):
+            return None if vec is None else [K.format(c) for c in vec]
 
-        data = {
-            "input": {
-                "field": self.input_field,
-                "vars": list(self.input_variables),
-                "relations": list(self.input_relations),
-            },
-            "trivial": self.trivial,
-            "nette": self.nette,
-            "standard_smooth": self.standard_smooth,
-            "elementary_smooth": self.elementary_smooth,
-            "standard_etale": self.standard_etale,
-            "noether_dimension": self.noether_dimension,
-            "vector_space_dimension": self.vector_space_dimension,
-            "discriminant": None,
+        prim = self.primitive_element
+        return {
+            "input": {"field": self.input_field, "vars": list(self.input_variables),
+                      "relations": list(self.input_relations)},
+            **{name: getattr(self, name) for name in
+               ("trivial", *FLAGS, "noether_dimension", "vector_space_dimension")},
+            "discriminant": None if self.discriminant is None else K.format(self.discriminant),
             "etale": self.etale,
-            "decomposition": None,
-            "primitive_element": None,
-            "nilpotent_witness": None,
+            "decomposition": (None if self.decomposition is None
+                              else [g.format() for g in self.decomposition]),
+            "primitive_element": prim and {"coordinates": coordinates(prim[0]),
+                                           "minimal_polynomial": prim[1].format()},
+            "nilpotent_witness": coordinates(self.nilpotent_witness),
             "notes": list(self.notes),
         }
-        if self.discriminant is not None and self.algebra is not None:
-            data["discriminant"] = self.algebra.field.format(self.discriminant)
-        if self.decomposition is not None:
-            data["decomposition"] = [poly_str(g) for g in self.decomposition]
-        if self.primitive_element is not None:
-            coords, poly = self.primitive_element
-            data["primitive_element"] = {
-                "coordinates": element_str_list(coords),
-                "minimal_polynomial": poly_str(poly),
-            }
-        if self.nilpotent_witness is not None:
-            data["nilpotent_witness"] = element_str_list(self.nilpotent_witness)
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
@@ -356,42 +369,49 @@ def classify(
     pair_budget=DEFAULT_PAIR_BUDGET,
     primitive_budget=DEFAULT_PRIMITIVE_BUDGET,
     certificates=False,
+    sections=SECTIONS,
 ) -> ClassificationReport:
-    """Run the full decision pipeline on a presentation."""
-    gb = relation_basis(P, order, pair_budget)
-    trivial = contains_one(gb)
-    decisions = decide_all(P, order, pair_budget, certificates, gb)
+    """Run the stages of the decision pipeline that the named sections read.
 
-    notes = []
+    The report records ``sections`` and ``render_report`` prints exactly
+    those; ``STAGES`` says which stages they read.  The default is the full
+    text report.
+    """
+    stages = set()  # the stages the sections read, with every stage those build on
+    for stage, base, readers in reversed(STAGES):
+        if stage in stages or not set(readers).isdisjoint(sections):
+            stages |= {stage, base}
     report = ClassificationReport(
         input_field=P.field.name(),
         input_variables=P.variables,
         input_relations=tuple(f.format(order) for f in P.relations),
-        trivial=trivial,
-        nette=decisions["nette"].value,
-        standard_smooth=decisions["standard_smooth"].value,
-        elementary_smooth=decisions["elementary_smooth"].value,
-        standard_etale=decisions["standard_etale"].value,
-        noether_dimension=None,
-        vector_space_dimension=None,
-        discriminant=None,
-        etale=False,
-        decomposition=None,
-        primitive_element=None,
-        nilpotent_witness=None,
-        notes=notes,
-        decisions=decisions,
+        sections=tuple(sections),
         certified=certificates,
     )
-
-    if trivial:
-        report.etale = True
-        report.vector_space_dimension = 0
-        report.decomposition = []
-        notes.append("TrivialAlgebra: the relation ideal contains 1; "
-                     "every flag holds vacuously for the zero ring")
+    if "jacobian" in stages:
+        D = omega_presentation(P)
+        report.differentials = (D.generators, tuple(
+            " + ".join(f"({row[j].format(order)})*{gen}"
+                       for gen, row in zip(D.generators, D.relation_table) if not row[j].is_zero)
+            or "0" for j in range(P.s)))
+    if "basis" not in stages:
         return report
+    gb = relation_basis(P, order, pair_budget)
+    report.trivial = contains_one(gb)
+    if "decisions" in stages:
+        report.decisions = decide_all(P, order, pair_budget, certificates, gb)
+        for name in FLAGS:
+            setattr(report, name, report.decisions[name].value)
 
+    if report.trivial:
+        report.etale = True
+        report.vector_space_dimension = report.omega_dimension = 0
+        report.decomposition = []
+        report.notes.append("TrivialAlgebra: the relation ideal contains 1; "
+                            "every flag holds vacuously for the zero ring")
+        return report
+    if "noether" not in stages:
+        return report
     dim = noether_dimension(gb)
     report.noether_dimension = dim
     if report.nette and dim > 0:
@@ -400,26 +420,33 @@ def classify(
             "the decisive theorem and means the implementation is wrong"
         )
     if dim != 0:
+        report.etale = False
+        return report
+    if "omega" in stages:
+        report.omega_dimension = omega_dimension(P, order, pair_budget, gb=gb)
+    if "table" not in stages:
         return report
 
     A = quotient_algebra(gb)
     report.algebra = A
     report.vector_space_dimension = A.dimension
+    if "discriminant" not in stages:
+        return report
     disc = A.discriminant()
     report.discriminant = disc
     report.etale = not P.field.is_zero(disc)
-    if report.etale:
+    if report.etale and "decomposition" in stages:
         cert = _decompose(A, primitive_budget)
         report.certificate = cert
         report.decomposition = [f.poly for f in cert.factors]
-        notes.extend(cert.notes)
+        report.notes.extend(cert.notes)
         if len(cert.factors) == 1:
             leaf = cert.factors[0]
             report.primitive_element = (leaf.generator, leaf.poly)
         else:
-            notes.append("no primitive element reported: the decomposition has "
-                         f"{len(cert.factors)} factors")
-    else:
+            report.notes.append("no primitive element reported: the decomposition has "
+                                f"{len(cert.factors)} factors")
+    elif not report.etale and "witness" in stages:
         # Q and GF(p) are perfect, so a zero discriminant means some generator
         # has a non-squarefree minimal polynomial, and find_nilpotent scans
         # the generators first.
@@ -435,14 +462,6 @@ def classify(
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
-
-
-FLAGS = ("nette", "standard_smooth", "elementary_smooth", "standard_etale")
-# Every section of the full text report, in report order.  Two more sections,
-# "trivial_note" and "no_decomposition", appear only in subcommand selections.
-SECTIONS = ("header", "trivial", *FLAGS, "noether_dimension", "vector_space_dimension", "basis",
-            "discriminant", "etale", "decomposition", "primitive_element", "nilpotent_witness",
-            "notes")
 
 
 def _section(report: ClassificationReport, name):
@@ -467,7 +486,7 @@ def _section(report: ClassificationReport, name):
     if name == "vector_space_dimension":
         dim = report.vector_space_dimension
         return [] if dim is None else [f"vector-space-dimension: {dim}"]
-    if name == "no_decomposition" and report.decomposition is None:
+    if name == "no_decomposition" and not report.etale:
         return ["no decomposition: the algebra is not etale" if report.noether_dimension == 0
                 else "no decomposition: the quotient is not finite-dimensional"]
     if name == "decomposition":
@@ -482,6 +501,16 @@ def _section(report: ClassificationReport, name):
         if not report.notes:
             return ["notes: (none)"]
         return ["notes:"] + [f"  - {note}" for note in report.notes]
+    if name == "differentials":
+        generators, relations = report.differentials
+        rels = [f"    r{j}: {rel}" for j, rel in enumerate(relations, start=1)]
+        return ["differential-module presentation:", f"  generators: {', '.join(generators)}",
+                "  relations (columns of the transposed Jacobian):", *(rels or ["    (none)"])]
+    if name == "omega_dimension":
+        dim = report.omega_dimension
+        text = ("undefined (quotient not finite-dimensional)" if dim is None
+                else f"{dim} (zero ring)" if report.trivial else dim)
+        return [f"  omega-dimension: {text}"]
     if A is None:  # the remaining sections describe the quotient algebra
         return []
     if name == "basis":
@@ -500,14 +529,9 @@ def _section(report: ClassificationReport, name):
     return []
 
 
-def render_sections(report: ClassificationReport, names) -> list:
-    """The lines of the named sections of the text report, in the order given."""
-    return [line for name in names for line in _section(report, name)]
-
-
 def render_report(report: ClassificationReport) -> str:
-    """The full text report: every section of ``SECTIONS``."""
-    return "\n".join(render_sections(report, SECTIONS)) + "\n"
+    """The text report: the sections its run was asked for, in that order."""
+    return "\n".join(line for name in report.sections for line in _section(report, name)) + "\n"
 
 
 def _render_decision(decision: Decision):

@@ -21,7 +21,8 @@ from etalg.multipoly import MultiPoly
 from etalg.parsing import parse_input
 from etalg.pipeline import classify, render_report
 from etalg.unipoly import UniPoly, discriminant, is_separable, is_squarefree
-from util import has_nonzero_nilpotent, mpoly, random_mpoly, random_monic, upoly
+from util import (has_nonzero_nilpotent, mpoly, random_monic, random_mpoly,
+                  random_presentations, upoly)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -138,29 +139,16 @@ def test_criterion_3_etale_equivalences_on_triangular_families():
 # ---------------------------------------------------------------- criterion 4
 
 def test_criterion_4_pipeline_never_contradicts():
-    rng = random.Random(404)
     ran = 0
     etale_presentations = 0
-    for _ in range(100):
-        field = QQ if rng.random() < 0.5 else F3
-        n = rng.randint(1, 3)
-        names = ("X", "Y", "Z")[:n]
-        s = rng.randint(0, 3)
-        rels = []
-        for _ in range(s):
-            f = random_mpoly(rng, field, names, max_degree=3, terms=3,
-                             lo=-2 if field is QQ else 0,
-                             hi=2 if field is QQ else 2)
-            if not f.is_zero:
-                rels.append(f)
-        P = AlgebraPresentation(field, names, tuple(rels))
+    for P in random_presentations(random.Random(404), 100):
         report = classify(P)  # InternalContradiction would propagate and fail the test
         ran += 1
         if report.trivial:
             continue
         if report.nette:
             assert report.noether_dimension == 0
-            assert not field.is_zero(report.discriminant)
+            assert not P.field.is_zero(report.discriminant)
         if report.standard_etale:
             etale_presentations += 1
             assert report.nette

@@ -185,3 +185,59 @@ def test_byte_identical_across_processes(name):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["nette", "smooth"])
+def test_flag_subcommands_run_no_decomposition(capsys, command):
+    # circle_cross has no generator of full degree, so a decomposition would search
+    plain = run_main(capsys, command, sample("circle_cross.alg"))
+    code, out, err = run_main(capsys, command, sample("circle_cross.alg"), "--budget-primitive", "0")
+    assert plain[0] == code == 0 and err == ""
+    assert out == plain[1]
+
+
+def test_etale_runs_no_decomposition(capsys):
+    code, out, err = run_main(capsys, "etale", sample("sqrt2_sqrt3.alg"), "--budget-primitive", "0")
+    assert code == 0 and err == "" and "etale: true" in out
+
+
+CI_RELATIONS = ("field Q\nvars W, X, Y, Z\nrelations:\n"
+                "  W^2 + X^2 - Y*Z + 3*W - 1\n  X^2 - 2*Y^2 + Z^2 + W*X + Z - 2\n")
+
+
+def test_decompose_runs_no_decision(tmp_path, capsys):
+    # the base basis fits in 20 pairs; the ideal of the relations and 2 x 2 minors does not
+    path = tmp_path / "ci.alg"
+    path.write_text(CI_RELATIONS)
+    code, out, err = run_main(capsys, "decompose", str(path), "--budget-pairs", "20")
+    assert code == 0 and err == ""
+    assert out == "etale: false\nno decomposition: the quotient is not finite-dimensional\n"
+    code, out, err = run_main(capsys, "nette", str(path), "--budget-pairs", "20")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def usage_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return raised.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("classify", "f.alg", "--order", "foo"), "invalid choice: 'foo'"),
+    (("frobnicate", "x"), "invalid choice: 'frobnicate'"),
+    (("classify",), "the following arguments are required: file"),
+    (("nette", "f.alg", "--budget-pairs", "-1"), "expected an integer >= 0, got '-1'"),
+    (("etale", "f.alg", "--budget-primitive", "-3"), "expected an integer >= 0, got '-3'"),
+    (("smooth", "f.alg", "--budget-pairs", "many"), "expected an integer >= 0, got 'many'"),
+], ids=["order", "command", "file", "pairs", "primitive", "not_a_number"])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = usage_exit(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: etalg") and message in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = usage_exit(capsys, "classify", "--help")
+    assert code == 0 and out.startswith("usage: etalg classify") and err == ""
+

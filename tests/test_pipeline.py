@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import etalg.pipeline
 from etalg import groebner
+from etalg.cli import SUBCOMMAND_SECTIONS
 from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
 from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product
@@ -17,6 +19,7 @@ from etalg.kaehler import AlgebraPresentation, relation_basis
 from etalg.multipoly import GREVLEX, LEX
 from etalg.parsing import parse_input
 from etalg.pipeline import (
+    STAGES,
     classify,
     decompose_etale,
     find_nilpotent,
@@ -25,7 +28,7 @@ from etalg.pipeline import (
     render_report,
 )
 from etalg.unipoly import is_separable
-from util import mpoly, upoly
+from util import mpoly, random_presentations, upoly
 
 F2 = GF(2)
 F3 = GF(3)
@@ -500,3 +503,84 @@ def test_classify_takes_one_discriminant(monkeypatch, text):
     monkeypatch.setattr(FiniteAlgebra, "discriminant", counting)
     assert classify(parse_input(text)).etale
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------------ stages per subcommand
+
+def count_stages(monkeypatch):
+    """Count Groebner runs, tables, discriminants, decompositions and nilpotent witnesses."""
+    counts = {"groebner": count_buchberger(monkeypatch)}
+    for key, owner, name in (("tables", etalg.pipeline, "quotient_algebra"),
+                             ("discriminants", FiniteAlgebra, "discriminant"),
+                             ("decompositions", etalg.pipeline, "_decompose"),
+                             ("witnesses", etalg.pipeline, "find_nilpotent")):
+        calls = counts[key] = []
+
+        def counting(*args, _original=getattr(owner, name), _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+# (Groebner runs, tables, discriminants, decompositions, nilpotent witnesses) per subcommand
+STAGE_WORK = {
+    "tower": (TOWER, {
+        "classify": (2, 1, 1, 1, 0), "nette": (2, 0, 0, 0, 0), "smooth": (2, 0, 0, 0, 0),
+        "etale": (2, 1, 1, 0, 0), "differentials": (1, 0, 0, 0, 0), "decompose": (1, 1, 1, 1, 0),
+    }),
+    "dual_numbers": (read_input("..", "samples", "dual_numbers.alg"), {
+        "classify": (2, 1, 1, 0, 1), "nette": (2, 0, 0, 0, 0), "smooth": (2, 0, 0, 0, 0),
+        "etale": (2, 1, 1, 0, 1), "differentials": (1, 0, 0, 0, 0), "decompose": (1, 1, 1, 0, 1),
+    }),
+    "shifted_power": (SHIFTED_POWER, {
+        "classify": (2, 1, 1, 1, 0), "nette": (2, 0, 0, 0, 0), "smooth": (2, 0, 0, 0, 0),
+        "etale": (2, 1, 1, 0, 0), "differentials": (1, 0, 0, 0, 0), "decompose": (1, 1, 1, 1, 0),
+    }),
+}
+
+
+@pytest.mark.parametrize("name,command", [(name, command) for name in STAGE_WORK
+                                          for command in SUBCOMMAND_SECTIONS])
+def test_each_subcommand_runs_only_the_stages_its_sections_read(monkeypatch, name, command):
+    text, work = STAGE_WORK[name]
+    counts = count_stages(monkeypatch)
+    classify(parse_input(text), sections=SUBCOMMAND_SECTIONS[command])
+    assert tuple(len(calls) for calls in counts.values()) == work[command]
+
+
+def test_the_etale_verdict_alone_runs_neither_decomposition_nor_witness(monkeypatch):
+    for text in (TOWER, read_input("..", "samples", "dual_numbers.alg")):
+        counts = count_stages(monkeypatch)
+        classify(parse_input(text), sections=("etale",))
+        assert len(counts["discriminants"]) == 1
+        assert counts["decompositions"] == counts["witnesses"] == []
+        monkeypatch.undo()
+
+
+def pinned_inputs():
+    """The golden inputs (samples and extra inputs) and 100 seeded random presentations."""
+    folders = (os.path.join("..", "samples"), os.path.join("golden", "inputs"))
+    texts = [read_input(folder, entry) for folder in folders
+             for entry in sorted(os.listdir(os.path.join(os.path.dirname(__file__), folder)))
+             if entry.endswith(".alg")]
+    return [parse_input(text) for text in texts] + random_presentations(random.Random(404), 100)
+
+
+EVERY_SECTION = tuple(dict.fromkeys(name for names in SUBCOMMAND_SECTIONS.values() for name in names))
+
+
+def test_every_section_but_the_header_reads_a_stage():
+    read = {name for _, _, readers in STAGES for name in readers}
+    assert set(EVERY_SECTION) - read == {"header"}
+
+
+@pytest.mark.parametrize("certificates", [False, True], ids=["plain", "certified"])
+def test_a_run_of_some_sections_renders_them_as_the_full_run_does(certificates):
+    for P in pinned_inputs():
+        full = classify(P, certificates=certificates, sections=EVERY_SECTION)
+        for sections in [*SUBCOMMAND_SECTIONS.values(), *((name,) for name in EVERY_SECTION)]:
+            sliced = classify(P, certificates=certificates, sections=sections)
+            assert sliced.sections == sections
+            assert render_report(sliced) == render_report(replace(full, sections=sections))

@@ -7,6 +7,8 @@ genuine cross-checks.
 
 from itertools import permutations
 
+from etalg.fields import GF, QQ
+from etalg.kaehler import AlgebraPresentation
 from etalg.multipoly import MultiPoly
 from etalg.unipoly import UniPoly
 
@@ -105,3 +107,22 @@ def has_nonzero_nilpotent(A):
             if A.is_zero_element(power):
                 return True
     return False
+
+
+def random_presentations(rng, count):
+    """Small random presentations over Q and GF(3): 1 to 3 variables, 0 to 3 relations."""
+    out = []
+    for _ in range(count):
+        field = QQ if rng.random() < 0.5 else GF(3)
+        n = rng.randint(1, 3)
+        names = ("X", "Y", "Z")[:n]
+        s = rng.randint(0, 3)
+        rels = []
+        for _ in range(s):
+            f = random_mpoly(rng, field, names, max_degree=3, terms=3,
+                             lo=-2 if field is QQ else 0,
+                             hi=2 if field is QQ else 2)
+            if not f.is_zero:
+                rels.append(f)
+        out.append(AlgebraPresentation(field, names, tuple(rels)))
+    return out
