@@ -97,6 +97,8 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # built once per process; parse_args keeps no state between calls
+
 # The report sections each subcommand computes and prints.
 SUBCOMMAND_SECTIONS = {
     "classify": SECTIONS,
@@ -124,7 +126,7 @@ def _run(args) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         sys.stdout.write(_run(args))
     except (ParseError, OSError) as exc:

@@ -5,17 +5,17 @@ dimension m over a discrete field, stored as the table of coordinate vectors
 e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
 algebra object carries the operations.
 
-Construction validates the unit law and commutativity on the full table.
-Associativity is checked on every basis triple for dimensions up to
-FULL_ASSOCIATIVITY_DIM and on a fixed deterministic sample of triples above
-that (the m^3 sweep costs m^5 field operations, which pure Python cannot
-afford for every throwaway algebra; all constructors in this package build
-tables that are associative by construction, and the test suite runs the
-exhaustive sweep on small instances).
+Construction validates the unit law and commutativity on the full table,
+and associativity on every basis triple when m^3 <= ASSOCIATIVITY_SAMPLE,
+else on that many distinct triples fixed by m alone (all constructors here
+build associative tables; the full sweep would cost m^5 field operations).
+On a commutative table x * e_k is row k weighted by x, so both sides of a
+triple, and the unit law, are read off table rows without a product.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,8 +32,27 @@ from .errors import (
 )
 from .unipoly import UniPoly, eval_in_algebra
 
-FULL_ASSOCIATIVITY_DIM = 4
 ASSOCIATIVITY_SAMPLE = 96
+
+
+def _combine(K, m, pairs):
+    """The sum of c * v over the (scalar, vector) pairs, skipping zero scalars and coordinates."""
+    out = [K.zero()] * m
+    for c, v in pairs:
+        if K.is_zero(c):
+            continue
+        for k, a in enumerate(v):
+            if not K.is_zero(a):
+                out[k] = K.add(out[k], K.mul(c, a))
+    return tuple(out)
+
+
+def _associativity_triples(m):
+    """All m^3 triples (i, j, k) up to ASSOCIATIVITY_SAMPLE, else that many, drawn by Random(m)."""
+    cube = m ** 3
+    indices = (range(cube) if cube <= ASSOCIATIVITY_SAMPLE
+               else random.Random(m).sample(range(cube), ASSOCIATIVITY_SAMPLE))
+    return [(t // (m * m), t // m % m, t % m) for t in indices]
 
 
 class FiniteAlgebra:
@@ -63,21 +82,10 @@ class FiniteAlgebra:
                 if self.table[i][j] != self.table[j][i]:
                     raise AssertionError(f"multiplication not commutative at ({i}, {j})")
         for i in range(m):
-            if self.mul(self.unit, self.basis_element(i)) != self.basis_element(i):
+            if self._times_basis(self.unit, i) != self.basis_element(i):
                 raise AssertionError(f"unit law fails on basis element {i}")
-        if m <= FULL_ASSOCIATIVITY_DIM:
-            triples = (
-                (i, j, k) for i in range(m) for j in range(m) for k in range(m)
-            )
-        else:
-            triples = (
-                ((t * 7) % m, (t * 13 + 1) % m, (t * 29 + 2) % m)
-                for t in range(ASSOCIATIVITY_SAMPLE)
-            )
-        for i, j, k in triples:
-            left = self.mul(self.table[i][j], self.basis_element(k))
-            right = self.mul(self.basis_element(i), self.table[j][k])
-            if left != right:
+        for i, j, k in _associativity_triples(m):
+            if self._times_basis(self.table[i][j], k) != self._times_basis(self.table[j][k], i):
                 raise AssertionError(f"multiplication not associative at ({i}, {j}, {k})")
 
     # -- elements --------------------------------------------------------
@@ -108,19 +116,14 @@ class FiniteAlgebra:
         self._check_element(x)
         self._check_element(y)
         K = self.field
-        out = [K.zero()] * self.dimension
-        for i, a in enumerate(x):
-            if K.is_zero(a):
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if K.is_zero(b):
-                    continue
-                ab = K.mul(a, b)
-                for k, c in enumerate(row[j]):
-                    if not K.is_zero(c):
-                        out[k] = K.add(out[k], K.mul(ab, c))
-        return tuple(out)
+        support = [(j, b) for j, b in enumerate(y) if not K.is_zero(b)]
+        return _combine(K, self.dimension, ((K.mul(a, b), self.table[i][j])
+                                            for i, a in enumerate(x) if not K.is_zero(a)
+                                            for j, b in support))
+
+    def _times_basis(self, x, k):
+        """x * e_k: row k of the (commutative) table weighted by x."""
+        return _combine(self.field, self.dimension, zip(x, self.table[k]))
 
     def power(self, x, n: int):
         result = self.unit
@@ -140,7 +143,7 @@ class FiniteAlgebra:
     def mul_operator(self, a):
         """Matrix of b -> a*b in the basis; entry (i, j) is (a*e_j)_i."""
         self._check_element(a)
-        cols = [self.mul(a, self.basis_element(j)) for j in range(self.dimension)]
+        cols = [self._times_basis(a, j) for j in range(self.dimension)]
         return [[cols[j][i] for j in range(self.dimension)] for i in range(self.dimension)]
 
     def trace(self, a):
@@ -294,10 +297,7 @@ class AlgebraSplit:
 
 
 def _embed(parent, basis_vectors, v):
-    acc = parent.zero_element()
-    for c, vec in zip(v, basis_vectors):
-        acc = parent.add(acc, parent.scalar_mul(c, vec))
-    return acc
+    return _combine(parent.field, parent.dimension, zip(v, basis_vectors))
 
 
 def _project(parent, basis_vectors, pivots, unit_vec, w):
@@ -310,7 +310,7 @@ def _project(parent, basis_vectors, pivots, unit_vec, w):
 def _ideal_subalgebra(A, unit_vec, labels_prefix):
     """The ideal u*A as an algebra with unit u, on an echelonized basis."""
     K = A.field
-    images = [A.mul(unit_vec, A.basis_element(i)) for i in range(A.dimension)]
+    images = [A._times_basis(unit_vec, i) for i in range(A.dimension)]
     reduced, pivots = linalg.rref(images, K)
     basis = [tuple(row) for row in reduced[: len(pivots)]]
     dim = len(basis)
@@ -361,24 +361,9 @@ def product(A1: FiniteAlgebra, A2: FiniteAlgebra) -> FiniteAlgebra:
         raise FieldMismatch("factors live over different fields")
     K = A1.field
     m1, m2 = A1.dimension, A2.dimension
-    m = m1 + m2
-    zero = K.zero()
-
-    def pad_left(v):
-        return tuple(v) + (zero,) * m2
-
-    def pad_right(v):
-        return (zero,) * m1 + tuple(v)
-
-    table = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i < m1 and j < m1:
-                table[i][j] = pad_left(A1.table[i][j])
-            elif i >= m1 and j >= m1:
-                table[i][j] = pad_right(A2.table[i - m1][j - m1])
-            else:
-                table[i][j] = (zero,) * m
+    zeros1, zeros2 = (K.zero(),) * m1, (K.zero(),) * m2
+    table = ([[v + zeros2 for v in row] + [zeros1 + zeros2] * m2 for row in A1.table]
+             + [[zeros1 + zeros2] * m1 + [zeros1 + v for v in row] for row in A2.table])
     unit = tuple(A1.unit) + tuple(A2.unit)
     labels = [f"{l}@1" for l in A1.basis_labels] + [f"{l}@2" for l in A2.basis_labels]
     return FiniteAlgebra(K, labels, table, unit)

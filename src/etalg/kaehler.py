@@ -163,26 +163,26 @@ class Decision:
 class _Flag:
     """One flag as data: its size precondition and the generators it adjoins.
 
-    ``minor_size`` ("n" or "s") adjoins every minor of that size, certified
-    by a Bezout identity over the relations and the minors.  Otherwise
-    ``single`` = (name, detail template) adjoins only the leading s x s
-    minor, certified by that minor and its inverse modulo the relations.
+    A flag that fits adjoins minors of size min(s, n): nette fits when
+    s >= n, the other three when s <= n.  Without ``single`` it adjoins every
+    minor of that size, certified by a Bezout identity over the relations
+    and the minors; ``single`` = (name, detail template) adjoins only the
+    leading minor, certified by that minor and its inverse modulo the
+    relations.
     """
 
     fits: object          # (s, n) -> bool
     refusal: str          # detail when the precondition fails, with {s} and {n}
-    minor_size: str = ""
     single: tuple = ()
 
 
 _FLAGS = {
     "nette": _Flag(lambda s, n: s >= n,
-                   "s = {s} < n = {n}: no n x n minors, determinantal ideal is 0", minor_size="n"),
+                   "s = {s} < n = {n}: no n x n minors, determinantal ideal is 0"),
     "standard_smooth": _Flag(lambda s, n: s <= n, "s = {s} > n = {n}",
                              single=("minor", "leading minor {}")),
     "elementary_smooth": _Flag(lambda s, n: s <= n,
-                               "s = {s} > n = {n}: no s x s minors, determinantal ideal is 0",
-                               minor_size="s"),
+                               "s = {s} > n = {n}: no s x s minors, determinantal ideal is 0"),
     "standard_etale": _Flag(lambda s, n: s == n, "s = {s} != n = {n}",
                             single=("det", "det(Ja) = {}")),
 }
@@ -196,10 +196,11 @@ def relation_basis(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET) -> Groebne
 def _adjoined(flag: _Flag, P, order, found):
     """(extra generators, certificate labels, detail) of a flag that fits.
 
-    ``found`` keeps the minors of each size once enumerated.  The leading
-    s x s minor is the first one: ``combinations`` yields 0..s-1 first.
+    Every flag that fits uses size min(s, n); ``found`` keeps the minors of
+    that size once enumerated.  The leading s x s minor is the first one:
+    ``combinations`` yields 0..s-1 first.
     """
-    size = P.n if flag.minor_size == "n" else P.s
+    size = min(P.s, P.n)
     if size not in found:
         found[size] = minors(transposed_jacobian(P), size, P.ring_zero())
     if flag.single:

@@ -338,13 +338,14 @@ class ClassificationReport:
     decisions: dict = dataclass_field(default_factory=dict)
 
     def to_json_dict(self):
+        """The keys of the recorded sections: ``input`` is the header, any other its section."""
         K = self.algebra.field if self.algebra else None
 
         def coordinates(vec):
             return None if vec is None else [K.format(c) for c in vec]
 
         prim = self.primitive_element
-        return {
+        keys = {
             "input": {"field": self.input_field, "vars": list(self.input_variables),
                       "relations": list(self.input_relations)},
             **{name: getattr(self, name) for name in
@@ -358,6 +359,8 @@ class ClassificationReport:
             "nilpotent_witness": coordinates(self.nilpotent_witness),
             "notes": list(self.notes),
         }
+        return {key: value for key, value in keys.items()
+                if ("header" if key == "input" else key) in self.sections}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
@@ -375,8 +378,13 @@ def classify(
 
     The report records ``sections`` and ``render_report`` prints exactly
     those; ``STAGES`` says which stages they read.  The default is the full
-    text report.
+    text report.  A name that is neither ``"header"`` nor read by a stage
+    raises ValueError before any stage runs.
     """
+    known = {"header"}.union(*(readers for _, _, readers in STAGES))
+    unknown = [name for name in sections if name not in known]
+    if unknown:
+        raise ValueError(f"unknown report section {unknown[0]!r}")
     stages = set()  # the stages the sections read, with every stage those build on
     for stage, base, readers in reversed(STAGES):
         if stage in stages or not set(readers).isdisjoint(sections):

@@ -15,6 +15,7 @@ from etalg.multipoly import LEX
 from etalg.parsing import parse_input
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def sample(name):
@@ -128,6 +129,16 @@ def test_exit_code_other_package_error(monkeypatch, capsys):
     assert err == "error: RingMismatch: operands live in different rings\n"
 
 
+def test_main_parses_with_one_parser(monkeypatch, capsys):
+    def rebuilt():
+        raise AssertionError("main built a parser of its own")
+
+    monkeypatch.setattr(etalg.cli, "build_parser", rebuilt)
+    for command in ("nette", "smooth"):
+        code, out, err = run_main(capsys, command, sample("hyperbola.alg"))
+        assert code == 0 and out and err == ""
+
+
 def test_order_flag(capsys):
     code, out, _ = run_main(capsys, "classify", sample("circle_cross.alg"), "--order", "lex")
     assert code == 0 and "etale: true" in out
@@ -176,7 +187,8 @@ def test_byte_identical_across_processes(name):
     # separate interpreters with different hash seeds must print identical bytes
     outputs = []
     for seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "etalg", "classify", sample(name), "--certificates"],
             capture_output=True,

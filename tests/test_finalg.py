@@ -12,7 +12,13 @@ from etalg.errors import (
     TrivialIdempotent,
 )
 from etalg.fields import GF, QQ
-from etalg.finalg import monogenic_from_poly, product, split_by_idempotent
+from etalg.finalg import (
+    FiniteAlgebra,
+    _associativity_triples,
+    monogenic_from_poly,
+    product,
+    split_by_idempotent,
+)
 from etalg.unipoly import UniPoly, discriminant, is_squarefree
 from util import brute_det, has_nonzero_nilpotent, random_monic, upoly
 
@@ -109,6 +115,68 @@ def test_trace_and_gram_match_the_multiplication_operator():
             assert A.trace(a) == trace_oracle(A, a)
         gram = A.gram_matrix()
         assert gram == [[trace_oracle(A, A.table[i][j]) for j in range(m)] for i in range(m)]
+
+
+def every_constructor(rng):
+    """random_algebras, and the two factors of each one's product with a quadratic, split apart."""
+    for A in random_algebras(rng):
+        yield A
+        B = product(A, monogenic_from_poly(random_monic(rng, A.field, 2)))
+        split = split_by_idempotent((A.field.zero(),) * A.dimension + B.unit[A.dimension:], B)
+        yield split.first
+        yield split.second
+
+
+def test_mul_matches_the_triple_loop():
+    rng = random.Random(67)
+    for A in every_constructor(rng):
+        K, m = A.field, A.dimension
+        for _ in range(3):
+            x, y = (tuple(K.from_int(rng.choice([0, 0, -3, -1, 1, 2, 4])) for _ in range(m))
+                    for _ in range(2))
+            want = [K.zero()] * m
+            for i in range(m):
+                for j in range(m):
+                    for k in range(m):
+                        want[k] = K.add(want[k], K.mul(K.mul(x[i], y[j]), A.table[i][j][k]))
+            assert A.mul(x, y) == tuple(want)
+
+
+def sympy_poly(sympy, K, coeffs, T):
+    """Descending coefficients as a sympy Poly in T over Q, or over GF(p) from their integer lift."""
+    coeffs = [sympy.Rational(c) for c in coeffs]
+    return sympy.Poly(coeffs, T, domain="QQ") if K == QQ else sympy.Poly(coeffs, T, modulus=K.modulus)
+
+
+def test_monogenic_discriminant_matches_sympy():
+    # the discriminant of a monic f is an integer polynomial in its coefficients: reduce it mod p
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    rng = random.Random(71)
+    for K in (QQ, F2, F5):
+        for _ in range(15):
+            f = random_monic(rng, K, rng.randint(1, 6))
+            want = sympy.discriminant(sympy_poly(sympy, QQ, reversed(f.coeffs), T))
+            got = monogenic_from_poly(f).discriminant()
+            assert sympy.Rational(got) == want if K == QQ else got == int(want) % K.modulus
+
+
+def test_minimal_polynomial_between_charpoly_and_its_squarefree_part():
+    # g | chi (Cayley-Hamilton) and sqf(chi) | g (both have the eigenvalues as roots)
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    rng = random.Random(73)
+    cases = 0
+    for A in random_algebras(rng):
+        K, m = A.field, A.dimension
+        for _ in range(2):
+            a = tuple(K.from_int(rng.randint(-4, 4)) for _ in range(m))
+            op = sympy.Matrix([[sympy.Rational(c) for c in row] for row in A.mul_operator(a)])
+            chi = sympy_poly(sympy, K, op.charpoly(T).all_coeffs(), T)
+            g = sympy_poly(sympy, K, reversed(A.minimal_polynomial(a).coeffs), T)
+            assert chi.rem(g).is_zero and g.rem(chi.sqf_part()).is_zero
+            cases += 1
+    assert cases == 54
 
 
 # ------------------------------------------------------------------ minimal polynomials
@@ -293,6 +361,42 @@ def test_full_associativity_sweep_small():
                 for k in range(m):
                     ei, ej, ek = A.basis_element(i), A.basis_element(j), A.basis_element(k)
                     assert A.mul(A.mul(ei, ej), ek) == A.mul(ei, A.mul(ej, ek))
+
+
+@pytest.mark.parametrize("m", [1, 4, 5, 7, 14, 25, 49, 160])
+def test_associativity_triples_are_distinct_and_fixed_by_m(m):
+    triples = _associativity_triples(m)
+    assert len(set(triples)) == len(triples) == min(m ** 3, 96)
+    assert all(0 <= t < m for triple in triples for t in triple)
+    assert _associativity_triples(m) == triples
+
+
+def test_construction_rejects_a_non_commutative_table():
+    K = QQ
+    one, zero = K.one(), K.zero()
+    table = [[(one, zero), (zero, one)], [(one, zero), (one, zero)]]
+    with pytest.raises(AssertionError, match="not commutative"):
+        FiniteAlgebra(K, ("1", "x"), table, (one, zero))
+
+
+def test_construction_rejects_a_unit_law_break():
+    A = alg(QQ, [-1, 0, 1])
+    with pytest.raises(AssertionError, match="unit law"):
+        FiniteAlgebra(QQ, A.basis_labels, A.table, A.generator_refs["x"])
+
+
+def test_construction_rejects_every_single_entry_corruption_at_dimension_7():
+    # K[X]/<X^7 - X - 1> over GF(5): add 1 to one coordinate of e_i * e_j = e_j * e_i, 1 <= i <= j
+    A = alg(F5, [-1, -1, 0, 0, 0, 0, 0, 1])
+    m = A.dimension
+    for i in range(1, m):
+        for j in range(i, m):
+            table = [list(row) for row in A.table]
+            v = list(table[i][j])
+            v[(i + j) % m] = F5.add(v[(i + j) % m], F5.one())
+            table[i][j] = table[j][i] = tuple(v)
+            with pytest.raises(AssertionError, match="not associative"):
+                FiniteAlgebra(F5, A.basis_labels, table, A.unit)
 
 
 def test_dimension_mismatch():

@@ -322,6 +322,13 @@ def test_report_json_schema():
     assert set(data["primitive_element"]) == {"coordinates", "minimal_polynomial"}
 
 
+def test_report_json_holds_exactly_the_recorded_sections():
+    assert list(json.loads(classify(CIRCLE_CROSS, sections=("nette",)).to_json())) == ["nette"]
+    report = classify(CIRCLE_CROSS, sections=("etale", "header", "discriminant", "differentials"))
+    assert list(json.loads(report.to_json())) == ["input", "discriminant", "etale"]
+    assert json.loads(classify(CIRCLE_CROSS, sections=()).to_json()) == {}
+
+
 def test_report_rendering_deterministic():
     for text in (
         "field Q\nvars X, Y\nrelations:\n  X^2 + Y^2 - 1\n  X*Y\n",
@@ -557,6 +564,13 @@ def test_the_etale_verdict_alone_runs_neither_decomposition_nor_witness(monkeypa
         assert len(counts["discriminants"]) == 1
         assert counts["decompositions"] == counts["witnesses"] == []
         monkeypatch.undo()
+
+
+def test_an_unknown_section_raises_before_any_stage_runs(monkeypatch):
+    counts = count_stages(monkeypatch)
+    with pytest.raises(ValueError, match="unknown report section 'nete'"):
+        classify(parse_input(TOWER), sections=("nette", "nete"))
+    assert all(calls == [] for calls in counts.values())
 
 
 def pinned_inputs():
