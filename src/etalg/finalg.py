@@ -11,18 +11,29 @@ else on that many distinct triples fixed by m alone (all constructors here
 build associative tables; the full sweep would cost m^5 field operations).
 On a commutative table x * e_k is row k weighted by x, so both sides of a
 triple, and the unit law, are read off table rows without a product.
+
+A quotient by a zero-dimensional ideal also records its ``border``, set by
+``groebner.quotient_algebra`` (None elsewhere): columns[k][l] holds x_k * e_l
+as (index, scalar) pairs, and steps[i] = (k, i') says e_i = x_k * e_i' with
+i' < i (steps[0] is None).  The Gram matrix follows that recursion row by row
+(Rouillier's traces of monomials); any other algebra pairs the table with
+the basis traces.  Minimal polynomials come from one echelon form over the
+powers 1, a, a^2, ..., extended power by power (Krylov).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 
 from . import linalg
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    InternalContradiction,
     NotIdempotent,
     NotInvertible,
     NotMonic,
@@ -56,7 +67,8 @@ def _associativity_triples(m):
 
 
 class FiniteAlgebra:
-    __slots__ = ("field", "dimension", "basis_labels", "table", "unit", "generator_refs")
+    __slots__ = ("field", "dimension", "basis_labels", "table", "unit", "generator_refs",
+                 "border")
 
     def __init__(self, field, basis_labels, table, unit, generator_refs=None):
         self.field = field
@@ -67,6 +79,7 @@ class FiniteAlgebra:
         self.table = tuple(tuple(tuple(v) for v in row) for row in table)
         self.unit = tuple(unit)
         self.generator_refs = dict(generator_refs) if generator_refs else {}
+        self.border = None
         self._validate()
 
     def _validate(self):
@@ -153,9 +166,31 @@ class FiniteAlgebra:
         return reduce(K.add, map(K.mul, a, self._basis_traces()), K.zero())
 
     def gram_matrix(self):
-        """Trace-form Gram table G[i][j] = Tr(e_i * e_j): table[i][j] paired with the Tr(e_k)."""
-        K, traces = self.field, self._basis_traces()
-        return [[reduce(K.add, map(K.mul, v, traces), K.zero()) for v in row] for row in self.table]
+        """Trace-form Gram table G[i][j] = Tr(e_i * e_j), filled row by row in basis order.
+
+        Row 0, and every row of an algebra without a border, is table[i][j]
+        paired with the basis traces Tr(e_l).  Along a border step
+        e_i = x_k * e_i', row i is row i' read through column k:
+        G[i][j] = sum_l (x_k * e_j)_l * G[i'][l], one lookup where x_k * e_j is
+        a basis element.  Each row fills from its diagonal on, and its mirror
+        completes the earlier rows, so row i' is whole before row i reads it.
+        """
+        K, m, traces = self.field, self.dimension, self._basis_traces()
+        one, zero = K.one(), K.zero()
+        gram = [[None] * m for _ in range(m)]
+        for i in range(m):
+            if i == 0 or self.border is None:
+                row = (reduce(K.add, map(K.mul, v, traces), zero) for v in self.table[i][i:])
+            else:
+                columns, steps = self.border
+                k, prev = steps[i]
+                earlier = gram[prev]
+                row = (earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
+                       else reduce(K.add, (K.mul(c, earlier[l]) for l, c in col), zero)
+                       for col in columns[k][i:])
+            for j, g in enumerate(row, i):
+                gram[i][j] = gram[j][i] = g
+        return gram
 
     def _basis_traces(self):
         """Tr(e_k) for every k: the sum over j of (e_k * e_j)_j, so no product is formed."""
@@ -179,21 +214,34 @@ class FiniteAlgebra:
     def minimal_polynomial(self, a) -> UniPoly:
         """Monic generator of the annihilator of a.
 
-        Found as the first linear dependence among 1, a, a^2, ...
+        Found as the first linear dependence among 1, a, a^2, ... by one
+        echelon form over the powers, extended power by power (Krylov;
+        Keller-Gehrig 1985).  Each power is reduced by the rows before it,
+        carrying its combination of 1, a, ..., a^k; a nonzero remainder
+        becomes a row pivoted at its first nonzero coordinate, and the first
+        power that reduces to zero (a^m at the latest) gives the polynomial,
+        monic in that power.
         """
         self._check_element(a)
         K = self.field
-        powers = [self.unit]
-        current = self.unit
-        for k in range(1, self.dimension + 1):
-            current = self.mul(current, a)
-            matrix = [[powers[j][i] for j in range(k)] for i in range(self.dimension)]
-            sol = linalg.solve(matrix, list(current), K)
-            if sol is not None:
-                coeffs = [K.neg(c) for c in sol] + [K.one()]
-                return UniPoly(K, coeffs)
-            powers.append(current)
-        raise AssertionError("no linear dependence among m+1 powers; table is inconsistent")
+        rows, pivots = {}, []  # pivot -> (row scaled to 1 at the pivot, its combination)
+        power = self.unit
+        for k in count():
+            vec, comb = power, (K.zero(),) * k + (K.one(),)
+            for p in pivots:  # a row reaches only past its pivot, so one ascending pass
+                c = vec[p]
+                if not K.is_zero(c):
+                    row, row_comb = rows[p]  # row_comb is the shorter: an earlier power
+                    vec = tuple(K.sub(x, K.mul(c, y)) for x, y in zip(vec, row))
+                    comb = (tuple(K.sub(x, K.mul(c, y)) for x, y in zip(comb, row_comb))
+                            + comb[len(row_comb):])
+            p = next((i for i, c in enumerate(vec) if not K.is_zero(c)), None)
+            if p is None:
+                return UniPoly(K, comb)
+            inv = K.invert(vec[p])
+            rows[p] = (tuple(K.mul(inv, c) for c in vec), tuple(K.mul(inv, c) for c in comb))
+            insort(pivots, p)
+            power = self.mul(power, a)
 
     def idempotent_of(self, a, return_witness=False):
         """The unique idempotent e in K[a] with <a> = <e>.
@@ -341,7 +389,7 @@ def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
     first, basis1, pivots1 = _ideal_subalgebra(A, complement, "u")
     second, basis2, pivots2 = _ideal_subalgebra(A, e, "v")
     if first.dimension + second.dimension != A.dimension:
-        raise AssertionError("split dimensions do not add up")
+        raise InternalContradiction("split dimensions do not add up")
     return AlgebraSplit(
         parent=A,
         first=first,

@@ -28,7 +28,13 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch, TrivialIdeal
+from .errors import (
+    BudgetExceeded,
+    InternalContradiction,
+    NotZeroDimensional,
+    RingMismatch,
+    TrivialIdeal,
+)
 from .finalg import FiniteAlgebra
 from .multipoly import (
     GREVLEX,
@@ -235,7 +241,8 @@ def one_certificate(gb: GroebnerBasis):
     for factor, orig in zip(cof, gb.original):
         total = total + factor * orig
     if total != MultiPoly.one(gb.field, gb.variables):
-        raise AssertionError("cofactor bookkeeping broke; certificate does not multiply out to 1")
+        raise InternalContradiction(
+            "cofactor bookkeeping broke; certificate does not multiply out to 1")
     return cof
 
 
@@ -308,16 +315,19 @@ def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
     table is then filled in ascending basis order.  The row of 1 is the
     identity; any other b_i is x_k * b_i' for its first variable x_k, where
     b_i' is standard (the staircase is closed under division) and earlier,
-    so row i is the multiplication matrix of x_k applied to row i'.
+    so b_i * b_j = b_i' * (x_k * b_j).  Where the column x_k * b_j is one basis
+    element b_l, that is entry (i', l), the same vector; elsewhere it is the
+    multiplication matrix of x_k applied to entry (i', j).
 
     The returned algebra remembers, as generator references, the coordinate
-    vector of every ambient variable: the column of x_k * 1.
+    vector of every ambient variable: the column of x_k * 1.  Its ``border``
+    holds the columns and the steps (k, i'), for its Gram matrix to follow.
     """
     monomials = standard_monomials(gb)
     index = {mono: k for k, mono in enumerate(monomials)}
     m, n = len(monomials), len(gb.variables)
     K = gb.field
-    steps = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    x_monomials = [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
     def sparse(mono):
         """mono as (basis index, coefficient) pairs: a normal form only off the staircase."""
@@ -332,7 +342,7 @@ def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
             vec[r] = c
         return tuple(vec)
 
-    columns = [[sparse(mono_mul(step, b)) for b in monomials] for step in steps]
+    columns = [[sparse(mono_mul(x, b)) for b in monomials] for x in x_monomials]
 
     def times(k, vec):
         """x_k * vec, through the columns x_k * b_l."""
@@ -344,15 +354,23 @@ def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
                 out[r] = K.add(out[r], K.mul(c, a))
         return tuple(out)
 
+    one = K.one()
+    steps = [None]
+    for b in monomials[1:]:
+        k = next(v for v, e in enumerate(b) if e)
+        steps.append((k, index[mono_div(b, x_monomials[k])]))
     table = [[None] * m for _ in range(m)]
     for j, b in enumerate(monomials):
         table[0][j] = table[j][0] = dense(sparse(b))
     for i in range(1, m):
-        k = next(v for v, e in enumerate(monomials[i]) if e)
-        prev = table[index[mono_div(monomials[i], steps[k])]]
-        for j in range(i, m):
-            table[i][j] = table[j][i] = times(k, prev[j])
+        k, prev = steps[i]
+        earlier = table[prev]
+        for j, col in enumerate(columns[k][i:], i):
+            table[i][j] = table[j][i] = (earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
+                                         else times(k, earlier[j]))
     refs = {name: dense(columns[k][0]) for k, name in enumerate(gb.variables)}
     sample = MultiPoly.zero(K, gb.variables)
     labels = [sample.format_monomial(mono) for mono in monomials]
-    return FiniteAlgebra(K, labels, table, table[0][0], generator_refs=refs)
+    algebra = FiniteAlgebra(K, labels, table, table[0][0], generator_refs=refs)
+    algebra.border = (columns, tuple(steps))
+    return algebra

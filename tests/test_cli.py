@@ -7,12 +7,14 @@ import sys
 import pytest
 
 import etalg.cli
+import etalg.finalg
 import etalg.pipeline
 from etalg.cli import main
 from etalg.errors import RingMismatch
 from etalg.fields import PRIMALITY_BOUND
 from etalg.multipoly import LEX
 from etalg.parsing import parse_input
+from etalg.unipoly import UniPoly
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -117,6 +119,25 @@ def test_exit_code_internal_contradiction(monkeypatch, capsys):
     code, out, err = run_main(capsys, "etale", sample("dual_numbers.alg"))
     assert code == 3 and out == ""
     assert err.startswith("error: InternalContradiction: ") and err.count("\n") == 1
+
+
+def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys, tmp_path):
+    # GF(3)^9 has no primitive element, so classify splits along Frobenius idempotents
+    original = etalg.finalg._ideal_subalgebra
+
+    def one_short(A, unit_vec, labels_prefix):
+        sub, basis, pivots = original(A, unit_vec, labels_prefix)
+        if sub.dimension == 1:
+            return sub, basis, pivots
+        power = UniPoly.variable(A.field) ** (sub.dimension - 1)
+        return etalg.finalg.monogenic_from_poly(power), basis[:-1], pivots[:-1]
+
+    monkeypatch.setattr(etalg.finalg, "_ideal_subalgebra", one_short)
+    grid = tmp_path / "grid.alg"
+    grid.write_text("field GF(3)\nvars X, Y\nrelations:\n  X^3 - X\n  Y^3 - Y\n")
+    code, out, err = run_main(capsys, "classify", str(grid))
+    assert code == 3 and out == ""
+    assert err == "error: InternalContradiction: split dimensions do not add up\n"
 
 
 def test_exit_code_other_package_error(monkeypatch, capsys):

@@ -1,5 +1,8 @@
+import os
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import chain as iter_chain
 
 import pytest
 
@@ -106,15 +109,58 @@ def trace_oracle(A, a):
     return t
 
 
+def quotient(text):
+    from etalg.groebner import quotient_algebra
+    from etalg.kaehler import relation_basis
+    from etalg.parsing import parse_input
+
+    return quotient_algebra(relation_basis(parse_input(text)))
+
+
+def golden_input(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden", "inputs", name),
+              encoding="utf-8") as handle:
+        return handle.read()
+
+
+def richer_algebras():
+    """Quotients past random_algebras' m = 4, and both factors of one split (no border)."""
+    for name in ("cyclic3.alg", "gf4_squared.alg", "gf64_leaf.alg"):
+        yield quotient(golden_input(name))
+    yield quotient("field Q\nvars X, Y\nrelations:\n  X^3 - 2\n  Y^2 - X - 1\n")
+    yield quotient("field GF(7)\nvars X, Y\nrelations:\n  X^7 - X\n  Y^7 - Y\n")
+    yield quotient("field GF(3)\nvars X\nrelations:\n  (X+1)^30 + X\n")
+    # every basis element past 1 steps from an earlier one by X, Y or Z, and the
+    # border columns X*X, Y*Y, Z*Z, ... are normal forms of several terms
+    three = quotient("field GF(5)\nvars X, Y, Z\nrelations:\n"
+                     "  X^2 - Y - 2*Z\n  Y^2 + X*Z - 1\n  Z^2 - X + 3\n")
+    assert {k for k, _ in three.border[1][1:]} == {0, 1, 2}
+    yield three
+    A = quotient("field GF(5)\nvars X, Y\nrelations:\n  X^2 - X\n  Y^3 - Y - 1\n")
+    split = split_by_idempotent(A.generator_refs["X"], A)
+    assert split.first.border is None and split.second.border is None
+    yield split.first
+    yield split.second
+
+
+def gram_oracle(A):
+    """Tr(e_i * e_j) as the trace of the product of the matrices of b -> e_i*b and b -> e_j*b."""
+    K, m = A.field, A.dimension
+    ops = [A.mul_operator(A.basis_element(i)) for i in range(m)]
+    entries = [[(r, s, c) for r, row in enumerate(op) for s, c in enumerate(row) if not K.is_zero(c)]
+               for op in ops]
+    return [[reduce(K.add, (K.mul(c, ops[j][s][r]) for r, s, c in entries[i]), K.zero())
+             for j in range(m)] for i in range(m)]
+
+
 def test_trace_and_gram_match_the_multiplication_operator():
     rng = random.Random(61)
-    for A in random_algebras(rng):
+    for A in iter_chain(random_algebras(rng), richer_algebras()):
         K, m = A.field, A.dimension
         for _ in range(3):
             a = tuple(K.from_int(rng.randint(-4, 4)) for _ in range(m))
             assert A.trace(a) == trace_oracle(A, a)
-        gram = A.gram_matrix()
-        assert gram == [[trace_oracle(A, A.table[i][j]) for j in range(m)] for i in range(m)]
+        assert A.gram_matrix() == gram_oracle(A)
 
 
 def every_constructor(rng):
@@ -161,22 +207,92 @@ def test_monogenic_discriminant_matches_sympy():
             assert sympy.Rational(got) == want if K == QQ else got == int(want) % K.modulus
 
 
+def random_quotient(rng, K):
+    """K[X, Y]/<X^a + lower terms, Y^b + lower terms> for 1 <= a, b <= 3: zero-dimensional."""
+    from etalg.groebner import buchberger, quotient_algebra
+    from util import mpoly
+
+    relations = []
+    for top in ((rng.randint(1, 3), 0), (0, rng.randint(1, 3))):
+        lower = [(i, j) for i in range(3) for j in range(3) if i + j < sum(top)]
+        spec = {mono: rng.randint(-3, 3) for mono in rng.sample(lower, min(2, len(lower)))}
+        relations.append(mpoly(K, ("X", "Y"), {**spec, top: 1}))
+    return quotient_algebra(buchberger(relations))
+
+
+def test_quotient_discriminant_matches_sympy():
+    # over GF(p) the determinant of the integer lift, reduced mod p
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(79)
+    for K in (QQ, F2, F5):
+        for _ in range(6):
+            A = random_quotient(rng, K)
+            m = A.dimension
+            gram = [[trace_oracle(A, A.mul(A.basis_element(i), A.basis_element(j)))
+                     for j in range(m)] for i in range(m)]
+            want = sympy.Matrix([[sympy.Rational(c) for c in row] for row in gram]).det()
+            got = A.discriminant()
+            assert sympy.Rational(got) == want if K == QQ else got == int(want) % K.modulus
+
+
+def sympy_operator(sympy, A, a):
+    return sympy.Matrix([[sympy.Rational(c) for c in row] for row in A.mul_operator(a)])
+
+
+def at_operator(sympy, K, poly, M):
+    """poly(M) by Horner on the descending coefficients of a sympy Poly; mod p over GF(p)."""
+    value = sympy.zeros(*M.shape)
+    for c in poly.all_coeffs():
+        value = value * M + sympy.Rational(c) * sympy.eye(M.rows)
+        if K != QQ:
+            value = value.applyfunc(lambda x: x % K.modulus)
+    return value
+
+
+def minimal_polynomial_cases(rng):
+    """Elements of split factors, nilpotents (g = T^k, (T - 1)^3, ...) and 0."""
+    for K in (QQ, F2, F5):
+        B = product(monogenic_from_poly(random_monic(rng, K, 3)),
+                    monogenic_from_poly(upoly(K, [1, 0, 0, 1])))
+        split = split_by_idempotent((K.zero(),) * 3 + B.unit[3:], B)
+        for sub in (split.first, split.second):
+            yield sub, tuple(K.from_int(rng.randint(-4, 4)) for _ in range(sub.dimension))
+        cube = alg(K, [0, 0, 0, 1])  # K[X]/<X^3>
+        x = cube.generator_refs["x"]
+        for a in (x, cube.mul(x, x), cube.add(cube.unit, x), cube.zero_element()):
+            yield cube, a
+    local = quotient("field Q\nvars X, Y\nrelations:\n  X^2\n  Y^2 - X\n")  # Q[Y]/<Y^4>
+    for name in ("X", "Y"):
+        yield local, local.generator_refs[name]
+    yield local, local.add(local.scalar_mul(Fraction(2), local.unit), local.generator_refs["Y"])
+
+
 def test_minimal_polynomial_between_charpoly_and_its_squarefree_part():
-    # g | chi (Cayley-Hamilton) and sqf(chi) | g (both have the eigenvalues as roots)
+    # g | chi (Cayley-Hamilton) and sqf(chi) | g (both have the eigenvalues as roots); and g
+    # is exact: g(M_a) = 0, while (g / q)(M_a) != 0 for every irreducible factor q of g
     sympy = pytest.importorskip("sympy")
     T = sympy.Symbol("T")
     rng = random.Random(73)
+
+    def check(A, a):
+        K = A.field
+        op = sympy_operator(sympy, A, a)
+        chi = sympy_poly(sympy, K, op.charpoly(T).all_coeffs(), T)
+        g = sympy_poly(sympy, K, reversed(A.minimal_polynomial(a).coeffs), T)
+        assert chi.rem(g).is_zero and g.rem(chi.sqf_part()).is_zero
+        assert at_operator(sympy, K, g, op).is_zero_matrix
+        for q, _ in g.factor_list()[1]:
+            assert not at_operator(sympy, K, g.exquo(q), op).is_zero_matrix
+
     cases = 0
     for A in random_algebras(rng):
-        K, m = A.field, A.dimension
         for _ in range(2):
-            a = tuple(K.from_int(rng.randint(-4, 4)) for _ in range(m))
-            op = sympy.Matrix([[sympy.Rational(c) for c in row] for row in A.mul_operator(a)])
-            chi = sympy_poly(sympy, K, op.charpoly(T).all_coeffs(), T)
-            g = sympy_poly(sympy, K, reversed(A.minimal_polynomial(a).coeffs), T)
-            assert chi.rem(g).is_zero and g.rem(chi.sqf_part()).is_zero
+            check(A, tuple(A.field.from_int(rng.randint(-4, 4)) for _ in range(A.dimension)))
             cases += 1
-    assert cases == 54
+    for A, a in minimal_polynomial_cases(random.Random(83)):
+        check(A, a)
+        cases += 1
+    assert cases == 54 + 21
 
 
 # ------------------------------------------------------------------ minimal polynomials

@@ -6,7 +6,13 @@ from operator import mul
 
 import pytest
 
-from etalg.errors import BudgetExceeded, NotZeroDimensional, RingMismatch, TrivialIdeal
+from etalg.errors import (
+    BudgetExceeded,
+    InternalContradiction,
+    NotZeroDimensional,
+    RingMismatch,
+    TrivialIdeal,
+)
 from etalg.fields import GF, QQ
 from etalg.groebner import (
     buchberger,
@@ -127,6 +133,14 @@ def test_one_certificate_multiplies_out():
     for c, g in zip(cert, gens):
         total = total + c * g
     assert total == MultiPoly.one(QQ, V)
+
+
+def test_a_certificate_that_does_not_multiply_out_is_a_contradiction():
+    gens = [mpoly(QQ, V, {(1, 0): 1}), mpoly(QQ, V, {(1, 0): 1, (0, 0): -1})]
+    gb = buchberger(gens, track=True)
+    gb.cofactors = tuple(tuple(c.scale(QQ.from_int(2)) for c in row) for row in gb.cofactors)
+    with pytest.raises(InternalContradiction, match="cofactor bookkeeping broke"):
+        one_certificate(gb)
 
 
 def test_is_invertible_mod_examples():

@@ -4,9 +4,10 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import etalg.pipeline
 from etalg import groebner
@@ -382,6 +383,47 @@ def test_missing_nilpotent_witness_is_a_contradiction(monkeypatch):
     monkeypatch.setattr(etalg.pipeline, "find_nilpotent", lambda A: None)
     with pytest.raises(InternalContradiction):
         classify(DUAL)
+
+
+@st.composite
+def small_presentations(draw):
+    """1 or 2 variables, 1 or 2 relations of degree <= 3, over Q, GF(2) or GF(3).
+
+    Each relation is a power of one variable plus up to three random terms,
+    so that many presentations are zero-dimensional, of dimension up to 9.
+    """
+    field = draw(st.sampled_from((QQ, F2, F3)))
+    n = draw(st.integers(1, 2))
+    monomials = [e for e in iter_product(range(4), repeat=n) if sum(e) <= 3]
+    term = st.tuples(st.sampled_from(monomials), st.integers(-2, 2))
+    relations = []
+    for _ in range(draw(st.integers(1, 2))):
+        var, degree = draw(st.integers(0, n - 1)), draw(st.integers(1, 3))
+        power = tuple(degree if k == var else 0 for k in range(n))
+        relations.append(mpoly(field, ("X", "Y")[:n],
+                               {power: 1, **dict(draw(st.lists(term, max_size=3)))}))
+    assume(all(not f.is_zero for f in relations))
+    return AlgebraPresentation(field, ("X", "Y")[:n], tuple(relations))
+
+
+@given(small_presentations())
+def test_every_report_keeps_the_invariants_of_the_theory(P):
+    report = classify(P)
+    if report.nette and not report.trivial:
+        assert report.noether_dimension == 0
+    A = report.algebra
+    if A is None:
+        return
+    m = A.dimension
+    assert report.etale == (not P.field.is_zero(report.discriminant))
+    if report.etale:
+        assert sum(g.degree for g in report.decomposition) == m
+    else:
+        w = power = report.nilpotent_witness
+        assert not A.is_zero_element(w)
+        for _ in range(m - 1):
+            power = A.mul(power, w)
+        assert A.is_zero_element(power)  # w^m = 0
 
 
 def count_buchberger(monkeypatch):
