@@ -69,7 +69,9 @@ def _add_common(parser):
     parser.add_argument("--order", default="grevlex", choices=("grevlex", "lex"),
                         help="monomial order for the Groebner engine")
     parser.add_argument("--budget-pairs", type=_budget, default=DEFAULT_PAIR_BUDGET,
-                        metavar="N", help="Groebner critical-pair budget")
+                        metavar="N",
+                        help="Groebner critical-pair budget: pairs taken off the queue "
+                             "after the Gebauer-Moller criteria")
     parser.add_argument("--budget-primitive", type=_budget, default=DEFAULT_PRIMITIVE_BUDGET,
                         metavar="N",
                         help="primitive-element search budget, also per field-leaf scan")

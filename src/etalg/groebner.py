@@ -2,10 +2,12 @@
 
 The engine computes the reduced monic Groebner basis of an ideal with the
 classical pair algorithm: normal selection through a heap keyed (deg lcm,
-order key, i, j), the lcm-coprimality criterion, and a pair budget that
-raises BudgetExceeded instead of hanging.  The leading monomial of each
-basis element is computed once, when it joins the basis, and kept beside
-it (also on the returned GroebnerBasis).  Each element is a list of rows,
+order key, i, j), the Gebauer-Moller criteria (Gebauer & Moller, JSC 1988;
+the UPDATE procedure of Becker & Weispfenning, GTM 141), and a pair budget,
+counted on the pairs those criteria keep, that raises BudgetExceeded
+instead of hanging.  The leading monomial of each basis element is
+computed once, when it joins the basis, and kept beside it (also on the
+returned GroebnerBasis).  Each element is a list of rows,
 term dicts that one kernel updates in place (row -= c * x^q * g, dropping
 zeros): its polynomial and, in a tracked run, its cofactors over the
 original generators, which the printable Bezout certificates of the
@@ -25,7 +27,7 @@ Mora, JSC 1993).
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop
 from itertools import combinations
 
 from .errors import (
@@ -123,10 +125,13 @@ def _reduce(rows, basis, lms, order, K):
 def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False):
     """Reduced Groebner basis of <gens>; deterministic for fixed input and order.
 
-    ``pair_budget`` bounds the number of critical pairs taken off the queue;
-    exceeding it raises BudgetExceeded.  With ``track=True`` the result
-    carries cofactors expressing each basis element in the original
-    generators; without it no cofactor is built at all.
+    Each element joins through the Gebauer-Moller update, which queues only
+    the pairs that criteria M, F and Buchberger's coprimality criterion keep
+    and drops the queued pairs the chain criterion makes redundant.
+    ``pair_budget`` bounds the number of critical pairs taken off the queue
+    after those criteria; exceeding it raises BudgetExceeded.  With
+    ``track=True`` the result carries cofactors expressing each basis element
+    in the original generators; without it no cofactor is built at all.
     """
     gens = list(gens)
     if not gens:
@@ -137,17 +142,47 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     one, minus_one = K.one(), K.neg(K.one())
     unit = (0,) * len(variables)
 
-    basis = []  # rows of each basis element: its terms, then its cofactors when tracking
-    lms = []    # leading monomial of each basis element
+    basis = []   # rows of each basis element: its terms, then its cofactors when tracking
+    lms = []     # leading monomial of each basis element
+    active = []  # elements whose leading monomial no later element's divides
+    # Normal selection: the pair with the smallest (deg lcm, order key of lcm,
+    # i, j) comes first.  That key is a total order, so the heap pops pairs
+    # in one fixed sequence; the lcm rides along after it.
+    pairs = []
 
     def add(rows):
-        """Append rows, scaled so that the polynomial is monic."""
+        """Append rows, scaled so that the polynomial is monic, and update the pairs.
+
+        Every term of rows[0] is reduced, so no earlier leading monomial
+        divides the new one.
+        """
         lm = max(rows[0], key=order.key)
         if rows[0][lm] != one:
             inv = K.invert(rows[0][lm])
             rows = [{exps: K.mul(inv, a) for exps, a in row.items()} for row in rows]
+        t = len(basis)
         basis.append(rows)
         lms.append(lm)
+        # Criterion M drops (i, t) when some (j, t) has an lcm properly
+        # dividing lcm(i, t); criterion F keeps the first pair of each lcm,
+        # and no pair of an lcm that some coprime pair (i, t) has.
+        new = [(mono_lcm(lms[i], lm), i) for i in active]
+        fresh, coprime = {}, set()
+        for l, i in new:
+            if any(k != l and mono_divides(k, l) for k, _ in new):
+                continue
+            fresh.setdefault(l, i)
+            if mono_is_coprime(lms[i], lm):
+                coprime.add(l)
+        # The chain criterion: lm_t | lcm(i, j) makes a queued (i, j) redundant
+        # unless lcm(i, t) or lcm(j, t) equals lcm(i, j).
+        pairs[:] = [p for p in pairs
+                    if not (mono_divides(lm, p[4]) and mono_lcm(lms[p[2]], lm) != p[4]
+                            and mono_lcm(lms[p[3]], lm) != p[4])]
+        pairs.extend((mono_degree(l), order.key(l), i, t, l)
+                     for l, i in fresh.items() if l not in coprime)
+        heapify(pairs)
+        active[:] = [i for i in active if not mono_divides(lm, lms[i])] + [t]
 
     for idx, g in enumerate(gens):
         rows = [dict(g.terms)]
@@ -157,47 +192,28 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         if rows[0]:
             add(rows)
 
-    # Normal selection: the pair with the smallest (deg lcm, order key of lcm,
-    # i, j) comes first.  That key is a total order, so the heap pops pairs
-    # in one fixed sequence.
-    def pair(i, j):
-        l = mono_lcm(lms[i], lms[j])
-        return (mono_degree(l), order.key(l), i, j)
-
-    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
-    heapify(pairs)
     processed = 0
     while pairs:
         processed += 1
         if processed > pair_budget:
             raise BudgetExceeded(f"Groebner pair budget of {pair_budget} exceeded")
-        _, _, i, j = heappop(pairs)
-        if mono_is_coprime(lms[i], lms[j]):
-            continue
+        _, _, i, j, l = heappop(pairs)
         # basis elements are monic: S = (l / lm_i) * g_i - (l / lm_j) * g_j
-        l = mono_lcm(lms[i], lms[j])
         ui, uj = mono_div(l, lms[i]), mono_div(l, lms[j])
         rows = [{} for _ in basis[i]]
         for row, gi, gj in zip(rows, basis[i], basis[j]):
             _subtract(row, minus_one, ui, gi, K)
             _subtract(row, one, uj, gj, K)
         _reduce(rows, basis, lms, order, K)
-        if not rows[0]:
-            continue
-        add(rows)
-        new = len(basis) - 1
-        for k in range(new):
-            heappush(pairs, pair(k, new))
+        if rows[0]:
+            add(rows)
 
-    # Minimalize: keep only elements whose leading monomial no other kept
-    # element divides, then tail-reduce each (a copy of its rows) against the
-    # minimal set.  Tail reduction keeps each leading term, so the result is
-    # monic and already ascending.  It is the unique reduced basis,
+    # Minimalize: the active elements are the minimal set, since no leading
+    # monomial divides a later one.  Tail-reduce each (a copy of its rows)
+    # against the others.  Tail reduction keeps each leading term, so the
+    # result is monic and ascending.  It is the unique reduced basis,
     # independent of scheduling.
-    minimal = []
-    for k in sorted(range(len(basis)), key=lambda k: order.key(lms[k])):
-        if not any(mono_divides(lms[m], lms[k]) for m in minimal):
-            minimal.append(k)
+    minimal = sorted(active, key=lambda k: order.key(lms[k]))
     generators, cofactors = [], []
     for k in minimal:
         others = [m for m in minimal if m != k]

@@ -25,7 +25,7 @@ from etalg.groebner import (
     quotient_algebra,
     standard_monomials,
 )
-from etalg.kaehler import minors, transposed_jacobian
+from etalg.kaehler import AlgebraPresentation, decide_all, minors, transposed_jacobian
 from etalg.multipoly import (
     GREVLEX,
     LEX,
@@ -313,13 +313,19 @@ def test_quotient_algebra_matches_all_pairs_normal_forms():
     assert not_a_box >= 5
 
 
-def linear_min_buchberger(gens, order, track):
+def linear_min_buchberger(gens, order, track, criteria=True):
     """(generators, cofactors, pairs taken) from a pair loop that takes a linear
-    min over the queue and recomputes every key and leading term: the oracle."""
+    min over a list of pairs and recomputes every key and leading term: the
+    oracle.  With ``criteria`` each new element updates the pairs by the
+    Gebauer-Moller criteria M, F, B and chain, written plainly; without it
+    every pair is queued and only coprime pairs are skipped, when taken."""
     K, variables = gens[0].field, gens[0].variables
 
     def lm(g):
         return g.leading(order)[0]
+
+    def lcm(i, j):
+        return mono_lcm(lm(basis[i]), lm(basis[j]))
 
     def reduce_(f, basis, rep, reps):
         remainder, p = MultiPoly.zero(K, variables), f
@@ -341,7 +347,32 @@ def linear_min_buchberger(gens, order, track):
         inv = K.invert(poly.leading(order)[1])
         return poly.scale(inv), None if rep is None else [c.scale(inv) for c in rep]
 
-    basis, reps = [], []
+    basis, reps, pairs, active = [], [], [], []
+
+    def join(reduced, rep):
+        reduced, rep = monic(reduced, rep)
+        basis.append(reduced)
+        reps.append(rep)
+        t = len(basis) - 1
+        if not criteria:
+            pairs.extend((k, t) for k in range(t))
+            return
+        lm_t = lm(reduced)
+        # M: (i, t) goes when some (j, t) has an lcm properly dividing lcm(i, t)
+        new = [i for i in active
+               if not any(lcm(j, t) != lcm(i, t) and mono_divides(lcm(j, t), lcm(i, t))
+                          for j in active)]
+        # F and B: one pair per lcm, and none for an lcm that a coprime pair has
+        for i in new:
+            same = [j for j in new if lcm(j, t) == lcm(i, t)]
+            if same[0] == i and not any(mono_is_coprime(lm(basis[j]), lm_t) for j in same):
+                pairs.append((i, t))
+        # chain: lm_t | lcm(i, j) with lcm(i, t) != lcm(i, j) != lcm(j, t)
+        pairs[:] = [(i, j) for i, j in pairs
+                    if j == t or not (mono_divides(lm_t, lcm(i, j)) and lcm(i, t) != lcm(i, j)
+                                      and lcm(j, t) != lcm(i, j))]
+        active[:] = [i for i in active if not mono_divides(lm_t, lm(basis[i]))] + [t]
+
     for idx, g in enumerate(gens):
         if g.is_zero:
             continue
@@ -351,23 +382,19 @@ def linear_min_buchberger(gens, order, track):
             rep[idx] = MultiPoly.one(K, variables)
         reduced, rep = reduce_(g, basis, rep, reps)
         if not reduced.is_zero:
-            reduced, rep = monic(reduced, rep)
-            basis.append(reduced)
-            reps.append(rep)
+            join(reduced, rep)
 
     def pair_key(pair):
-        i, j = pair
-        l = mono_lcm(lm(basis[i]), lm(basis[j]))
-        return (sum(l), order.key(l), i, j)
+        l = lcm(*pair)
+        return (sum(l), order.key(l), *pair)
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     taken = 0
     while pairs:
         taken += 1
         i, j = pairs.pop(min(range(len(pairs)), key=lambda k: pair_key(pairs[k])))
         if mono_is_coprime(lm(basis[i]), lm(basis[j])):
             continue
-        l = mono_lcm(lm(basis[i]), lm(basis[j]))
+        l = lcm(i, j)
         ui = MultiPoly.from_monomial(K, variables, mono_div(l, lm(basis[i])))
         uj = MultiPoly.from_monomial(K, variables, mono_div(l, lm(basis[j])))
         s = basis[i] * ui - basis[j] * uj
@@ -375,12 +402,8 @@ def linear_min_buchberger(gens, order, track):
             continue
         rep = [ui * a - uj * b for a, b in zip(reps[i], reps[j])] if track else None
         reduced, rep = reduce_(s, basis, rep, reps)
-        if reduced.is_zero:
-            continue
-        reduced, rep = monic(reduced, rep)
-        basis.append(reduced)
-        reps.append(rep)
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        if not reduced.is_zero:
+            join(reduced, rep)
 
     minimal = []
     for k in sorted(range(len(basis)), key=lambda k: order.key(lm(basis[k]))):
@@ -427,9 +450,60 @@ def test_heap_pair_queue_matches_linear_min_oracle():
                     if taken:
                         with pytest.raises(BudgetExceeded):
                             buchberger(gens, order, pair_budget=taken - 1, track=track)
+                # the criteria drop pairs, never basis elements: the reduced
+                # basis is the criteria-free loop's
+                assert linear_min_buchberger(gens, order, False, criteria=False)[0] == generators
                 nontrivial += not contains_one(gb)
                 compared += 1
     assert nontrivial >= 10
+
+
+def multiplies_out_to_one(cofactors, gens):
+    K, variables = gens[0].field, gens[0].variables
+    total = sum((c * g for c, g in zip(cofactors, gens)), MultiPoly.zero(K, variables))
+    return total == MultiPoly.one(K, variables)
+
+
+def test_certificates_hold_where_the_criteria_change_the_cofactors():
+    # Four quadrics in three variables generate 1, and 3 x 3 systems with an
+    # invertible det(Ja) adjoin it as a single minor.  The criteria take
+    # another path than the criteria-free loop on several of these, so their
+    # cofactors differ; each certificate must still hold.
+    rng = random.Random(75)
+    names = ("X", "Y", "Z")
+    differ = {"bezout": 0, "inverse": 0}
+    for field in (QQ, GF(2), GF(5)):
+        found = 0
+        while found < 4:
+            order = (GREVLEX, LEX)[found % 2]
+            gens = [random_quadric(rng, field, names) for _ in range(4)]
+            gb = buchberger(gens, order, track=True)
+            if not contains_one(gb):
+                continue
+            assert multiplies_out_to_one(one_certificate(gb), gens)
+            free = linear_min_buchberger(gens, order, True, criteria=False)
+            differ["bezout"] += free[1] != gb.cofactors
+            found += 1
+        found = 0
+        while found < 2:
+            relations = [random_quadric(rng, field, names) for _ in range(3)]
+            if any(f.is_zero for f in relations):
+                continue
+            order = (GREVLEX, LEX)[found % 2]
+            P = AlgebraPresentation(field, names, relations)
+            decisions = decide_all(P, order, certificates=True)
+            etale = decisions["standard_etale"]
+            if not etale.value or etale.trivial:
+                continue
+            aug = decisions["nette"].basis  # the one tracked run on <f> + <det(Ja)>
+            assert multiplies_out_to_one(one_certificate(aug), aug.original)
+            minor, inverse = etale.certificate
+            assert normal_form(minor * inverse - MultiPoly.one(field, names),
+                               buchberger(relations, order)).is_zero
+            free = linear_min_buchberger(list(aug.original), order, True, criteria=False)
+            differ["inverse"] += free[1] != aug.cofactors
+            found += 1
+    assert differ["bezout"] >= 1 and differ["inverse"] >= 1, differ
 
 
 CI_MINOR_IDEAL = ("field Q\nvars W, X, Y, Z\nrelations:\n"
@@ -443,11 +517,13 @@ def ci_minor_generators():
 
 @pytest.mark.parametrize("track", [False, True])
 def test_pair_budget_boundary_on_a_minor_ideal(track):
-    # the relations plus the 2 x 2 minors of Ja: 136 pairs leave the queue
+    # the relations plus the 2 x 2 minors of Ja: 21 pairs leave the queue
+    # after the Gebauer-Moller criteria (136 without them)
     gens = ci_minor_generators()
+    assert linear_min_buchberger(gens, GREVLEX, track)[2] == 21
     with pytest.raises(BudgetExceeded):
-        buchberger(gens, pair_budget=135, track=track)
-    assert contains_one(buchberger(gens, pair_budget=136, track=track))
+        buchberger(gens, pair_budget=20, track=track)
+    assert contains_one(buchberger(gens, pair_budget=21, track=track))
 
 
 def test_row_kernel_cofactors_match_multipoly_arithmetic_on_a_minor_ideal():
@@ -455,7 +531,7 @@ def test_row_kernel_cofactors_match_multipoly_arithmetic_on_a_minor_ideal():
     gens = ci_minor_generators()
     generators, cofactors, taken = linear_min_buchberger(gens, GREVLEX, True)
     gb = buchberger(gens, track=True)
-    assert taken == 136
+    assert taken == 21
     assert gb.generators == generators
     assert gb.cofactors == cofactors
 
@@ -475,8 +551,13 @@ def test_tracked_run_makes_no_multipoly_product_or_difference(monkeypatch):
 
 
 def test_budget_exceeded():
+    # X^2 - 2, X*Y - 1 queues a pair (X^2 and X*Y share X); it needs 3 to finish
+    specs = ({(2, 0): 1, (0, 0): -2}, {(1, 1): 1, (0, 0): -1})
     with pytest.raises(BudgetExceeded):
-        gb_of({(2, 0): 1, (0, 0): -2}, {(0, 2): 1, (1, 0): -1}, pair_budget=0)
+        gb_of(*specs, pair_budget=0)
+    with pytest.raises(BudgetExceeded):
+        gb_of(*specs, pair_budget=2)
+    assert gb_of(*specs, pair_budget=3).lms == ((1, 0), (0, 2))  # X - 2*Y, Y^2 - 1/2
 
 
 def test_ring_mismatch():
