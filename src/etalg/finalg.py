@@ -3,22 +3,37 @@
 A FiniteAlgebra is a commutative, associative, unital algebra of finite
 dimension m over a discrete field, stored as the table of coordinate vectors
 e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
-algebra object carries the operations.
+algebra object carries the operations.  Each distinct vector of a table
+gets its support, the (index, scalar) pairs of its nonzero coordinates,
+once, when it is built; ``_combine``, the module's one accumulation loop,
+walks supports, so products skip zero coordinates.
 
-Construction validates the unit law and commutativity on the full table,
-and associativity on every basis triple when m^3 <= ASSOCIATIVITY_SAMPLE,
-else on that many distinct triples fixed by m alone (all constructors here
-build associative tables; the full sweep would cost m^5 field operations).
-On a commutative table x * e_k is row k weighted by x, so both sides of a
-triple, and the unit law, are read off table rows without a product.
+An algebra comes from one of two inputs, each with its own construction
+check, whose failures raise InternalContradiction:
 
-A quotient by a zero-dimensional ideal also records its ``border``, set by
-``groebner.quotient_algebra`` (None elsewhere): columns[k][l] holds x_k * e_l
-as (index, scalar) pairs, and steps[i] = (k, i') says e_i = x_k * e_i' with
-i' < i (steps[0] is None).  The Gram matrix follows that recursion row by row
-(Rouillier's traces of monomials); any other algebra pairs the table with
-the basis traces.  Minimal polynomials come from one echelon form over the
-powers 1, a, a^2, ..., extended power by power (Krylov).
+* A table and a unit (``monogenic_from_poly``, ``product``, split factors).
+  The check covers the unit law and commutativity on the full table, and
+  associativity on every basis triple when m^3 <= ASSOCIATIVITY_SAMPLE, else
+  on that many distinct triples fixed by m alone (the full sweep would cost
+  m^5 field operations).  On a commutative table x * e_k is row k weighted
+  by x, so both sides of a triple, and the unit law, are read off rows.
+* A ``border`` (``groebner.quotient_algebra``): columns[k][l] holds x_k * e_l
+  as (index, scalar) pairs, the columns of the multiplication matrix M_k,
+  and steps[i] = (k, i') says e_i = x_k * e_i' with i' < i (steps[0] is
+  None).  The check is complete: every step column x_k * e_i' must be e_i,
+  and the M_k must commute (Mourrain, ISSAC 1999; Kehrein, Kreuzer &
+  Robbiano 2005).  Then e_i = B_i * e_0 for the product B_i of the M_k along
+  the steps, and since every M in K[M_1, ..., M_n] commutes with the B_i,
+  M * e_0 = 0 forces M * e_i = 0 for all i: M -> M * e_0 is an isomorphism
+  from K[M_1, ..., M_n] onto K^m with B_i -> e_i.  The table is derived from
+  the steps, e_i * e_j = B_i' * (M_k * e_j), so it is the multiplication of
+  that matrix algebra: commutative, associative and unital by construction,
+  with nothing left to sample.  The Gram matrix follows the same recursion
+  row by row (Rouillier's traces of monomials); any other algebra pairs the
+  table with the basis traces.
+
+Minimal polynomials come from one echelon form over the powers 1, a, a^2,
+..., extended power by power (Krylov).
 """
 
 from __future__ import annotations
@@ -46,15 +61,37 @@ from .unipoly import UniPoly, eval_in_algebra
 ASSOCIATIVITY_SAMPLE = 96
 
 
+class _Vector(tuple):
+    """A table vector: its coordinates, and ``support``, the (index, scalar) pairs of the nonzero ones."""
+
+    def __new__(cls, coords, support):
+        vector = super().__new__(cls, coords)
+        vector.support = support
+        return vector
+
+
+def _support(K, x):
+    """The nonzero coordinates of x as (index, scalar) pairs; a _Vector carries its own."""
+    if type(x) is _Vector:
+        return x.support
+    return tuple((k, a) for k, a in enumerate(x) if not K.is_zero(a))
+
+
+def _vector(K, coords, pairs=None):
+    """coords as a _Vector; supports built with one ``pairs`` dict share each distinct (index, scalar) pair."""
+    support = _support(K, coords)
+    if pairs is not None:  # a table repeats pairs often, and over GF(p) there are m (p - 1) at most
+        support = tuple(pairs.setdefault(p, p) for p in support)
+    return _Vector(coords, support)
+
+
 def _combine(K, m, pairs):
-    """The sum of c * v over the (scalar, vector) pairs, skipping zero scalars and coordinates."""
+    """The sum of c * v over the (scalar, support of v) pairs, as a coordinate tuple."""
+    add, mul = K.add, K.mul
     out = [K.zero()] * m
-    for c, v in pairs:
-        if K.is_zero(c):
-            continue
-        for k, a in enumerate(v):
-            if not K.is_zero(a):
-                out[k] = K.add(out[k], K.mul(c, a))
+    for c, support in pairs:
+        for k, a in support:
+            out[k] = add(out[k], mul(c, a))
     return tuple(out)
 
 
@@ -70,36 +107,103 @@ class FiniteAlgebra:
     __slots__ = ("field", "dimension", "basis_labels", "table", "unit", "generator_refs",
                  "border")
 
-    def __init__(self, field, basis_labels, table, unit, generator_refs=None):
+    def __init__(self, field, basis_labels, table=None, unit=None, generator_refs=None,
+                 border=None):
+        """From a table and a unit, or from a border (columns, steps) alone; see the module docstring."""
         self.field = field
         self.basis_labels = tuple(basis_labels)
         self.dimension = len(self.basis_labels)
         if self.dimension < 1:
             raise DimensionMismatch("a strictly finite algebra has dimension >= 1")
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        self.unit = tuple(unit)
         self.generator_refs = dict(generator_refs) if generator_refs else {}
-        self.border = None
-        self._validate()
+        if border is None:
+            self.border = None
+            self.table = self._shared_vectors(table)
+            self.unit = tuple(unit)
+            self._check_table()
+        else:
+            columns, steps = border
+            self.border = (tuple(map(tuple, columns)), tuple(steps))
+            self._check_border()
+            self.table = self._table_from_border()
+            self.unit = self.basis_element(0)
 
-    def _validate(self):
-        m = self.dimension
-        if len(self.table) != m or any(len(row) != m for row in self.table):
+    def _shared_vectors(self, table):
+        """The table with one _Vector per distinct entry object, so equal references stay shared."""
+        K, m = self.field, self.dimension
+        rows = [list(row) for row in table]  # holds every entry, so no id is reused below
+        if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("structure-constant table is not m x m")
-        if any(len(v) != m for row in self.table for v in row):
-            raise DimensionMismatch("structure-constant vectors have wrong length")
+        vectors, pairs = {}, {}
+        for v in (v for row in rows for v in row):
+            if id(v) not in vectors:
+                if len(v) != m:
+                    raise DimensionMismatch("structure-constant vectors have wrong length")
+                vectors[id(v)] = _vector(K, v, pairs)
+        return tuple(tuple(vectors[id(v)] for v in row) for row in rows)
+
+    def _check_table(self):
+        m, table = self.dimension, self.table
         if len(self.unit) != m:
             raise DimensionMismatch("unit vector has wrong length")
         for i in range(m):
             for j in range(i + 1, m):
-                if self.table[i][j] != self.table[j][i]:
-                    raise AssertionError(f"multiplication not commutative at ({i}, {j})")
+                if table[i][j] != table[j][i]:
+                    raise InternalContradiction(f"multiplication not commutative at ({i}, {j})")
+        unit = _vector(self.field, self.unit)
         for i in range(m):
-            if self._times_basis(self.unit, i) != self.basis_element(i):
-                raise AssertionError(f"unit law fails on basis element {i}")
+            if self._times_basis(unit, i) != self.basis_element(i):
+                raise InternalContradiction(f"unit law fails on basis element {i}")
         for i, j, k in _associativity_triples(m):
-            if self._times_basis(self.table[i][j], k) != self._times_basis(self.table[j][k], i):
-                raise AssertionError(f"multiplication not associative at ({i}, {j}, {k})")
+            if self._times_basis(table[i][j], k) != self._times_basis(table[j][k], i):
+                raise InternalContradiction(f"multiplication not associative at ({i}, {j}, {k})")
+
+    def _check_border(self):
+        """Each step column x_k * e_i' is e_i, and the multiplication matrices M_k commute."""
+        K, m = self.field, self.dimension
+        columns, steps = self.border
+        n, one = len(columns), K.one()
+        if (any(len(column) != m for column in columns) or len(steps) != m or steps[0] is not None
+                or any(not 0 <= r < m for column in columns for col in column for r, _ in col)):
+            raise DimensionMismatch("border columns or steps do not fit the dimension")
+        for i, (k, prev) in enumerate(steps[1:], 1):
+            if not (0 <= k < n and 0 <= prev < i):
+                raise DimensionMismatch(f"border step {i} does not come from an earlier element")
+            if columns[k][prev] != ((i, one),):
+                raise InternalContradiction(f"border step {i}: x_{k} * e_{prev} is not e_{i}")
+        for j in range(n):
+            for k in range(j + 1, n):
+                for l in range(m):
+                    if self._border_times(j, columns[k][l]) != self._border_times(k, columns[j][l]):
+                        raise InternalContradiction(
+                            f"multiplication matrices of x_{j} and x_{k} do not commute "
+                            f"on basis element {l}")
+
+    def _table_from_border(self):
+        """The table along the steps, in basis order, once _check_border has passed.
+
+        Row 0 is the identity.  Along a step e_i = x_k * e_i', entry (i, j) for
+        j >= i is entry (i', l), the same vector, when x_k * e_j = e_l, and else
+        M_k applied to entry (i', j); entries left of the diagonal are the
+        mirrors of earlier rows.
+        """
+        K, m = self.field, self.dimension
+        columns, steps = self.border
+        one, pairs = K.one(), {}
+        rows = [tuple(_Vector(self.basis_element(j), ((j, one),)) for j in range(m))]
+        for i in range(1, m):
+            k, prev = steps[i]
+            earlier, column = rows[prev], columns[k]
+            rows.append(tuple(row[i] for row in rows) + tuple(
+                earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
+                else _vector(K, self._border_times(k, earlier[j].support), pairs)
+                for j, col in enumerate(column[i:], i)))
+        return tuple(rows)
+
+    def _border_times(self, k, support):
+        """M_k applied to the vector with this support: its scalars weight the columns x_k * e_l."""
+        column = self.border[0][k]
+        return _combine(self.field, self.dimension, ((c, column[l]) for l, c in support))
 
     # -- elements --------------------------------------------------------
     def zero_element(self):
@@ -128,15 +232,18 @@ class FiniteAlgebra:
     def mul(self, x, y):
         self._check_element(x)
         self._check_element(y)
-        K = self.field
-        support = [(j, b) for j, b in enumerate(y) if not K.is_zero(b)]
-        return _combine(K, self.dimension, ((K.mul(a, b), self.table[i][j])
-                                            for i, a in enumerate(x) if not K.is_zero(a)
-                                            for j, b in support))
+        K, table = self.field, self.table
+        xs, ys = _support(K, x), _support(K, y)
+        if len(xs) == len(ys) == 1 and xs[0][1] == ys[0][1] == K.one():
+            return table[xs[0][0]][ys[0][0]]  # e_i * e_j: the table's own vector
+        return _combine(K, self.dimension, ((K.mul(a, b), table[i][j].support)
+                                            for i, a in xs for j, b in ys))
 
     def _times_basis(self, x, k):
         """x * e_k: row k of the (commutative) table weighted by x."""
-        return _combine(self.field, self.dimension, zip(x, self.table[k]))
+        row = self.table[k]
+        return _combine(self.field, self.dimension,
+                        ((a, row[i].support) for i, a in _support(self.field, x)))
 
     def power(self, x, n: int):
         result = self.unit
@@ -156,6 +263,7 @@ class FiniteAlgebra:
     def mul_operator(self, a):
         """Matrix of b -> a*b in the basis; entry (i, j) is (a*e_j)_i."""
         self._check_element(a)
+        a = _vector(self.field, a)  # its support, once for all the columns
         cols = [self._times_basis(a, j) for j in range(self.dimension)]
         return [[cols[j][i] for j in range(self.dimension)] for i in range(self.dimension)]
 
@@ -238,8 +346,10 @@ class FiniteAlgebra:
             p = next((i for i, c in enumerate(vec) if not K.is_zero(c)), None)
             if p is None:
                 return UniPoly(K, comb)
-            inv = K.invert(vec[p])
-            rows[p] = (tuple(K.mul(inv, c) for c in vec), tuple(K.mul(inv, c) for c in comb))
+            if vec[p] != K.one():
+                inv = K.invert(vec[p])
+                vec, comb = tuple(K.mul(inv, c) for c in vec), tuple(K.mul(inv, c) for c in comb)
+            rows[p] = (vec, comb)
             insort(pivots, p)
             power = self.mul(power, a)
 
@@ -269,9 +379,12 @@ class FiniteAlgebra:
         # q = (h - h(0)) / T, so that e = a * (-q(a)/h(0)) witnesses e in <a>.
         q = UniPoly(K, h.coeffs[1:])
         w = self.scalar_mul(K.neg(inv_h0), eval_in_algebra(q, a, self))
-        assert self.mul(e, e) == e
-        assert self.mul(a, e) == a
-        assert self.mul(a, w) == e
+        if self.mul(e, e) != e:
+            raise InternalContradiction("idempotent_of: e * e != e")
+        if self.mul(a, e) != a:
+            raise InternalContradiction("idempotent_of: a * e != a")
+        if self.mul(a, w) != e:
+            raise InternalContradiction("idempotent_of: the witness w has a * w != e")
         if return_witness:
             return e, w
         return e
@@ -285,7 +398,8 @@ class FiniteAlgebra:
             raise NotInvertible("minimal polynomial has zero constant term")
         q = UniPoly(K, [K.neg(K.div(c, g.coeff(0))) for c in g.coeffs[1:]])
         b = eval_in_algebra(q, a, self)
-        assert self.mul(a, b) == self.unit
+        if self.mul(a, b) != self.unit:
+            raise InternalContradiction("inverse_in_subalgebra: a * b != 1")
         return b
 
     # -- display -----------------------------------------------------------
@@ -314,9 +428,10 @@ class AlgebraSplit:
     """A ~ first x second along an idempotent e, with maps for certificates.
 
     ``first`` carries the product on (1-e)*A, ``second`` the one on e*A.
-    Basis vectors of each factor are stored in the coordinates of A, so
-    embedding is a linear combination and projection is multiplication by
-    the factor unit followed by coordinate extraction.
+    Basis vectors of each factor are stored in the coordinates of A, with
+    their supports, so embedding is a linear combination over those supports
+    and projection is multiplication by the factor unit followed by
+    coordinate extraction.
     """
 
     parent: FiniteAlgebra
@@ -345,22 +460,26 @@ class AlgebraSplit:
 
 
 def _embed(parent, basis_vectors, v):
-    return _combine(parent.field, parent.dimension, zip(v, basis_vectors))
+    """The combination of the factor's basis vectors (_Vectors) with coordinates v."""
+    return _combine(parent.field, parent.dimension,
+                    ((c, basis_vectors[i].support) for i, c in _support(parent.field, v)))
 
 
 def _project(parent, basis_vectors, pivots, unit_vec, w):
     inside = parent.mul(unit_vec, w)
     coords = tuple(inside[p] for p in pivots)
-    assert _embed(parent, basis_vectors, coords) == inside
+    if _embed(parent, basis_vectors, coords) != inside:
+        raise InternalContradiction("projection onto a split factor does not embed back")
     return coords
 
 
 def _ideal_subalgebra(A, unit_vec, labels_prefix):
     """The ideal u*A as an algebra with unit u, on an echelonized basis."""
     K = A.field
-    images = [A._times_basis(unit_vec, i) for i in range(A.dimension)]
+    unit = _vector(K, unit_vec)
+    images = [A._times_basis(unit, i) for i in range(A.dimension)]
     reduced, pivots = linalg.rref(images, K)
-    basis = [tuple(row) for row in reduced[: len(pivots)]]
+    basis = [_vector(K, row) for row in reduced[: len(pivots)]]
     dim = len(basis)
 
     def project(w):
@@ -433,7 +552,8 @@ def monogenic_from_poly(f: UniPoly, name: str = "x") -> FiniteAlgebra:
         current = (current * X) % f
     def coords(poly):
         return tuple(poly.coeff(i) for i in range(m))
-    table = [[coords(powers[i + j]) for j in range(m)] for i in range(m)]
+    vectors = [coords(power) for power in powers]
+    table = [vectors[i:i + m] for i in range(m)]
     labels = ["1"] + [name if k == 1 else f"{name}^{k}" for k in range(1, m)]
     unit = coords(UniPoly.one(K))
     gen = coords(powers[1] if m >= 2 else (X % f))

@@ -20,9 +20,9 @@ invertibility modulo the ideal, Noether dimension via independent variable
 subsets of the leading-term ideal, standard monomials, and the structure
 constants of a zero-dimensional quotient.  Those take normal forms only on
 the border of the staircase (x_k * b for a standard monomial b, when the
-product is not standard) and fill every other product of standard monomials
-by multiplication-matrix products, FGLM style (Faugere, Gianni, Lazard &
-Mora, JSC 1993).
+product is not standard), FGLM style (Faugere, Gianni, Lazard & Mora, JSC
+1993); ``finalg.FiniteAlgebra`` checks that border and derives every other
+product of standard monomials from it.
 """
 
 from __future__ import annotations
@@ -323,21 +323,20 @@ def standard_monomials(gb: GroebnerBasis):
 
 
 def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
-    """Structure constants of the quotient on its standard-monomial basis.
+    """The quotient as a FiniteAlgebra on its standard-monomial basis, built from its border.
 
     Normal forms are taken only on the border of the staircase: for each
     variable x_k and standard monomial b_l, the column of x_k * b_l is a unit
-    vector when the product is standard and its normal form otherwise.  The
-    table is then filled in ascending basis order.  The row of 1 is the
-    identity; any other b_i is x_k * b_i' for its first variable x_k, where
-    b_i' is standard (the staircase is closed under division) and earlier,
-    so b_i * b_j = b_i' * (x_k * b_j).  Where the column x_k * b_j is one basis
-    element b_l, that is entry (i', l), the same vector; elsewhere it is the
-    multiplication matrix of x_k applied to entry (i', j).
+    vector when the product is standard and its normal form otherwise.  Any
+    b_i other than 1 is x_k * b_i' for its first variable x_k, where b_i' is
+    standard (the staircase is closed under division) and earlier: the step
+    (k, i').  FiniteAlgebra takes the columns and the steps, checks them
+    completely (each step column is a basis element, and the multiplication
+    matrices commute) and derives every product of standard monomials from
+    them, b_i * b_j = b_i' * (x_k * b_j); see ``finalg``.
 
     The returned algebra remembers, as generator references, the coordinate
-    vector of every ambient variable: the column of x_k * 1.  Its ``border``
-    holds the columns and the steps (k, i'), for its Gram matrix to follow.
+    vector of every ambient variable: the column of x_k * 1.
     """
     monomials = standard_monomials(gb)
     index = {mono: k for k, mono in enumerate(monomials)}
@@ -352,41 +351,19 @@ def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
         nf = normal_form(MultiPoly.from_monomial(K, gb.variables, mono), gb)
         return tuple((index[exps], c) for exps, c in nf.terms.items())
 
+    columns = [[sparse(mono_mul(x, b)) for b in monomials] for x in x_monomials]
+    steps = [None]
+    for b in monomials[1:]:
+        k = next(v for v, e in enumerate(b) if e)
+        steps.append((k, index[mono_div(b, x_monomials[k])]))
+
     def dense(pairs):
         vec = [K.zero()] * m
         for r, c in pairs:
             vec[r] = c
         return tuple(vec)
 
-    columns = [[sparse(mono_mul(x, b)) for b in monomials] for x in x_monomials]
-
-    def times(k, vec):
-        """x_k * vec, through the columns x_k * b_l."""
-        out = [K.zero()] * m
-        for c, col in zip(vec, columns[k]):
-            if K.is_zero(c):
-                continue
-            for r, a in col:
-                out[r] = K.add(out[r], K.mul(c, a))
-        return tuple(out)
-
-    one = K.one()
-    steps = [None]
-    for b in monomials[1:]:
-        k = next(v for v, e in enumerate(b) if e)
-        steps.append((k, index[mono_div(b, x_monomials[k])]))
-    table = [[None] * m for _ in range(m)]
-    for j, b in enumerate(monomials):
-        table[0][j] = table[j][0] = dense(sparse(b))
-    for i in range(1, m):
-        k, prev = steps[i]
-        earlier = table[prev]
-        for j, col in enumerate(columns[k][i:], i):
-            table[i][j] = table[j][i] = (earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
-                                         else times(k, earlier[j]))
     refs = {name: dense(columns[k][0]) for k, name in enumerate(gb.variables)}
     sample = MultiPoly.zero(K, gb.variables)
     labels = [sample.format_monomial(mono) for mono in monomials]
-    algebra = FiniteAlgebra(K, labels, table, table[0][0], generator_refs=refs)
-    algebra.border = (columns, tuple(steps))
-    return algebra
+    return FiniteAlgebra(K, labels, generator_refs=refs, border=(columns, steps))

@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain as iter_chain
@@ -9,6 +11,7 @@ import pytest
 from etalg.errors import (
     DimensionMismatch,
     FieldMismatch,
+    InternalContradiction,
     NotInvertible,
     NotIdempotent,
     RepeatedZeroRoot,
@@ -175,7 +178,7 @@ def every_constructor(rng):
 
 def test_mul_matches_the_triple_loop():
     rng = random.Random(67)
-    for A in every_constructor(rng):
+    for A in iter_chain(every_constructor(rng), richer_algebras()):
         K, m = A.field, A.dimension
         for _ in range(3):
             x, y = (tuple(K.from_int(rng.choice([0, 0, -3, -1, 1, 2, 4])) for _ in range(m))
@@ -491,13 +494,13 @@ def test_construction_rejects_a_non_commutative_table():
     K = QQ
     one, zero = K.one(), K.zero()
     table = [[(one, zero), (zero, one)], [(one, zero), (one, zero)]]
-    with pytest.raises(AssertionError, match="not commutative"):
+    with pytest.raises(InternalContradiction, match="not commutative"):
         FiniteAlgebra(K, ("1", "x"), table, (one, zero))
 
 
 def test_construction_rejects_a_unit_law_break():
     A = alg(QQ, [-1, 0, 1])
-    with pytest.raises(AssertionError, match="unit law"):
+    with pytest.raises(InternalContradiction, match="unit law"):
         FiniteAlgebra(QQ, A.basis_labels, A.table, A.generator_refs["x"])
 
 
@@ -511,8 +514,78 @@ def test_construction_rejects_every_single_entry_corruption_at_dimension_7():
             v = list(table[i][j])
             v[(i + j) % m] = F5.add(v[(i + j) % m], F5.one())
             table[i][j] = table[j][i] = tuple(v)
-            with pytest.raises(AssertionError, match="not associative"):
+            with pytest.raises(InternalContradiction, match="not associative"):
                 FiniteAlgebra(F5, A.basis_labels, table, A.unit)
+
+
+GF5_GRID = "field GF(5)\nvars X, Y\nrelations:\n  X^5 - X\n  (Y+2*X+1)^5 - (Y+2*X+1)\n"
+Q_TOWER = "field Q\nvars X, Y\nrelations:\n  X^3 - 2\n  Y^2 - X - 1\n"
+
+
+def border_corruptions(A):
+    """(k, l, border) for every single-entry corruption of the M_k: one added to one coordinate of x_k * e_l."""
+    K = A.field
+    columns, steps = A.border
+    for k, column in enumerate(columns):
+        for l, col in enumerate(column):
+            for r in range(A.dimension):
+                vec = dict(col)
+                vec[r] = K.add(vec.get(r, K.zero()), K.one())
+                bad = [list(c) for c in columns]
+                bad[k][l] = tuple((i, c) for i, c in sorted(vec.items()) if not K.is_zero(c))
+                yield k, l, (bad, steps)
+
+
+@pytest.mark.parametrize("text,m", [(GF5_GRID, 25), (Q_TOWER, 6)])
+def test_construction_rejects_every_single_entry_corruption_of_the_matrices(text, m):
+    # a corrupted step column fails the step check, any other the commuting check
+    A = quotient(text)
+    assert A.dimension == m and len(A.border[0]) == 2
+    corruptions = 0
+    for _, _, border in border_corruptions(A):
+        with pytest.raises(InternalContradiction, match="border step|do not commute"):
+            FiniteAlgebra(A.field, A.basis_labels, border=border)
+        corruptions += 1
+    assert corruptions == 2 * m * m
+
+
+def test_one_variable_border_rejects_every_step_corruption():
+    A = quotient("field GF(5)\nvars X\nrelations:\n  X^7 - X - 1\n")
+    K, m = A.field, A.dimension
+    for _, l, border in border_corruptions(A):
+        if l < m - 1:  # the step column x * b_l = b_(l+1)
+            with pytest.raises(InternalContradiction, match=f"border step {l + 1}"):
+                FiniteAlgebra(K, A.basis_labels, border=border)
+            continue
+        # One variable has no second matrix to commute with, and its one border column
+        # x * b_(m-1) = x^m = c_0 + c_1 x + ... + c_(m-1) x^(m-1) is a free choice: any
+        # choice presents K[X]/<f'> for the monic f' = X^m - c_(m-1) X^(m-1) - ... - c_0,
+        # a valid algebra that no check can tell from the intended one.  It is accepted,
+        # as that algebra.
+        column = dict(border[0][0][l])
+        f = UniPoly(K, [K.neg(column.get(i, K.zero())) for i in range(m)] + [K.one()])
+        assert FiniteAlgebra(K, A.basis_labels, border=border).table == monogenic_from_poly(f).table
+
+
+def test_post_conditions_raise_under_python_O():
+    # -O strips assert statements; the post-conditions of idempotent_of must still raise
+    path = os.pathsep.join(filter(None, (os.path.join(os.path.dirname(__file__), "..", "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    code = (
+        "import etalg.finalg as finalg\n"
+        "from etalg.errors import InternalContradiction\n"
+        "from etalg.fields import QQ\n"
+        "from etalg.unipoly import UniPoly\n"
+        "A = finalg.monogenic_from_poly(UniPoly.from_ints(QQ, [0, -1, 1]))\n"
+        "finalg.eval_in_algebra = lambda poly, a, algebra: a  # h(x) replaced by x: e is 1 + x\n"
+        "try:\n"
+        "    A.idempotent_of(A.generator_refs['x'])\n"
+        "except InternalContradiction as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout == "idempotent_of: e * e != e\n"
 
 
 def test_dimension_mismatch():
