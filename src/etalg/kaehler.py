@@ -17,9 +17,12 @@ it adjoins, and how its certificate prints), and one routine decides them
 all.  It checks triviality and the precondition, then runs Buchberger once
 on the relations plus the adjoined minors.  From that run it reads the
 verdict, the Bezout cofactors, and the inverse of a single minor (the
-normal form of its cofactor).  ``decide_all`` enumerates the minors of each
-size once and shares the run between flags that adjoin the same minors.
-When s = n all four flags adjoin det(Ja), so they share one run.
+normal form of its cofactor).  ``decide_all`` decides the flags it is asked
+for (all four by default), enumerates the minors of each size once, and
+shares the run between flags that adjoin the same minors.  With
+certificates, the Bezout identity of each distinct run is checked once and
+kept with its basis.  When s = n all four flags adjoin det(Ja), so they
+share one run and one check.
 
 Minor enumeration is combinatorial; sizes stay small here.  A presentation
 whose ideal contains 1 (the zero ring) satisfies every test vacuously and is
@@ -219,10 +222,11 @@ def _decide(name, P, order, pair_budget, certificates, gb, runs, found) -> Decis
     """Is 1 in <f> + <the minors the flag adjoins>?
 
     ``found`` shares the enumerated minors between flags (see ``_adjoined``).
-    ``runs`` maps each adjoined generator tuple to its Groebner basis, so
-    flags that ask the same question share one run; with ``certificates``
-    that run is the tracked one and yields both the Bezout cofactors and
-    the inverse of a single minor.
+    ``runs`` maps each adjoined generator tuple to its Groebner basis and
+    its Bezout cofactors, so flags that ask the same question share one
+    run.  With ``certificates`` that run is the tracked one, its identity
+    is checked once, when the run is made, and its cofactors yield both
+    the Bezout certificate and the inverse of a single minor.
     """
     if gb is None:
         gb = relation_basis(P, order, pair_budget)
@@ -233,26 +237,31 @@ def _decide(name, P, order, pair_budget, certificates, gb, runs, found) -> Decis
         return Decision(value=False, detail=flag.refusal.format(s=P.s, n=P.n), basis=gb)
     extra, labels, detail = _adjoined(flag, P, order, found)
     if extra not in runs:
-        runs[extra] = buchberger(list(P.relations) + list(extra), order, pair_budget,
-                                 track=certificates)
-    aug = runs[extra]
+        aug = buchberger(list(P.relations) + list(extra), order, pair_budget, track=certificates)
+        runs[extra] = aug, (one_certificate(aug) if certificates else None)
+    aug, cofactors = runs[extra]
     holds = contains_one(aug)
     cert = None
-    if certificates and holds:
-        cofactors = one_certificate(aug)
+    if cofactors is not None:
         cert = (extra[0], normal_form(cofactors[-1], gb)) if flag.single else tuple(cofactors)
     return Decision(value=holds, detail=detail, labels=labels, certificate=cert,
                     basis=gb if flag.single else aug)
 
 
 def decide_all(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
-               certificates=False, gb=None) -> dict:
-    """The four decisions by flag name: minors enumerated once, one run per distinct ideal."""
+               certificates=False, gb=None, flags=tuple(_FLAGS)) -> dict:
+    """The decisions of ``flags`` (default all four) by flag name.
+
+    Only the named flags are decided: a flag left out costs no Groebner
+    run.  Minors are enumerated once per size, each distinct ideal is run
+    once, and with ``certificates`` each run's Bezout identity is checked
+    once however many flags read it.
+    """
     if gb is None:
         gb = relation_basis(P, order, pair_budget)
     runs, found = {}, {}
     return {name: _decide(name, P, order, pair_budget, certificates, gb, runs, found)
-            for name in _FLAGS}
+            for name in flags}
 
 
 def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,

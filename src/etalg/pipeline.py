@@ -34,14 +34,14 @@ leaf is generated by a single element by finite-field theory.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,
-the decisions, the Noether dimension, the table, the discriminant, then the
-decomposition or the nilpotent witness, and the dimension of the
-differentials.  The report records those sections, and ``render_report``
-prints exactly them, so a report cannot print what its run never computed;
-the CLI subcommands differ only in the sections they ask for.  The report
-also records whether ``classify`` tracked certificates; evidence lines
-appear exactly then, each polynomial in the order of the run that produced
-it.
+the decisions of the flags among the sections, the Noether dimension, the
+table, the discriminant, then the decomposition or the nilpotent witness,
+and the dimension of the differentials.  The report records those
+sections, and ``render_report`` prints exactly them, so a report cannot
+print what its run never computed; the CLI subcommands differ only in the
+sections they ask for.  The report also records whether ``classify``
+tracked certificates; evidence lines appear exactly then, each polynomial
+in the order of the run that produced it.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ class ClassificationReport:
     # non-schema extras used by the text renderer
     algebra: object = None
     certificate: object = None
-    decisions: dict = dataclass_field(default_factory=dict)
+    decisions: dict = dataclass_field(default_factory=dict)  # the decided flags only
 
     def to_json_dict(self):
         """The keys of the recorded sections: ``input`` is the header, any other its section."""
@@ -407,9 +407,10 @@ def classify(
     gb = relation_basis(P, order, pair_budget)
     report.trivial = contains_one(gb)
     if "decisions" in stages:
-        report.decisions = decide_all(P, order, pair_budget, certificates, gb)
-        for name in FLAGS:
-            setattr(report, name, report.decisions[name].value)
+        flags = [name for name in FLAGS if name in sections]
+        report.decisions = decide_all(P, order, pair_budget, certificates, gb, flags)
+        for name, decision in report.decisions.items():
+            setattr(report, name, decision.value)
 
     if report.trivial:
         report.etale = True

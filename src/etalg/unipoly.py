@@ -19,6 +19,7 @@ from .errors import (
     ConstantPolynomial,
     DerivativeNonzero,
     FieldMismatch,
+    InternalContradiction,
     NoCoprimeSplit,
     NotMonic,
     ZeroDerivative,
@@ -361,10 +362,14 @@ def coprime_split(f: UniPoly):
         h = gcd(f1, f2)
     if f1.degree == 0:
         raise NoCoprimeSplit("every prime factor of f is repeated")
-    assert f1 * f2 == f
-    assert gcd(f1, f2).degree == 0
-    assert gcd(f1, fp).degree == 0
-    assert f1.degree < f.degree and f2.degree < f.degree
+    if f1 * f2 != f:
+        raise InternalContradiction("coprime_split: f1 * f2 != f")
+    if gcd(f1, f2).degree != 0:
+        raise InternalContradiction("coprime_split: gcd(f1, f2) != 1")
+    if gcd(f1, fp).degree != 0:
+        raise InternalContradiction("coprime_split: gcd(f1, f') != 1")
+    if f1.degree >= f.degree or f2.degree >= f.degree:
+        raise InternalContradiction("coprime_split: a factor has the degree of f")
     return f1, f2
 
 

@@ -245,8 +245,11 @@ def test_decompose_runs_no_decision(tmp_path, capsys):
     code, out, err = run_main(capsys, "decompose", str(path), "--budget-pairs", "20")
     assert code == 0 and err == ""
     assert out == "etale: false\nno decomposition: the quotient is not finite-dimensional\n"
-    code, out, err = run_main(capsys, "nette", str(path), "--budget-pairs", "20")
+    code, out, err = run_main(capsys, "smooth", str(path), "--budget-pairs", "20")
     assert code == 2 and out == "" and "budget" in err
+    # s = 2 < n = 4 refuses nette at once, so nette never adjoins the minors
+    code, out, err = run_main(capsys, "nette", str(path), "--budget-pairs", "20")
+    assert code == 0 and err == "" and out == "nette: false\n"
 
 
 def usage_exit(capsys, *argv):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import etalg.pipeline
-from etalg import groebner
+from etalg import groebner, kaehler
 from etalg.cli import SUBCOMMAND_SECTIONS
 from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
@@ -452,10 +452,21 @@ COMPLETE_INTERSECTION = (
 
 @pytest.mark.parametrize("certificates,tracked", [(False, 0), (True, 1)])
 def test_tower_runs_groebner_once_per_ideal(monkeypatch, certificates, tracked):
+    # s = n: the four flags share one run on det(Ja), and its identity is checked once
     calls = count_buchberger(monkeypatch)
+    original = kaehler.one_certificate
+    checks = []
+
+    def counting(gb):
+        checks.append(gb)
+        return original(gb)
+
+    monkeypatch.setattr(kaehler, "one_certificate", counting)
     report = classify(parse_input(TOWER), certificates=certificates)
     assert report.nette and report.standard_etale and report.etale
     assert len(calls) == 2 and sum(calls) == tracked
+    assert len(checks) == tracked
+    assert all((d.certificate is not None) == certificates for d in report.decisions.values())
 
 
 def test_complete_intersection_runs_groebner_three_times(monkeypatch):
@@ -586,6 +597,11 @@ STAGE_WORK = {
     "shifted_power": (SHIFTED_POWER, {
         "classify": (2, 1, 1, 1, 0), "nette": (2, 0, 0, 0, 0), "smooth": (2, 0, 0, 0, 0),
         "etale": (2, 1, 1, 0, 0), "differentials": (1, 0, 0, 0, 0), "decompose": (1, 1, 1, 1, 0),
+    }),
+    # s < n: nette and standard etale are refused at once; only the smooth flags adjoin minors
+    "complete_intersection": (COMPLETE_INTERSECTION, {
+        "classify": (3, 0, 0, 0, 0), "nette": (1, 0, 0, 0, 0), "smooth": (3, 0, 0, 0, 0),
+        "etale": (1, 0, 0, 0, 0), "differentials": (1, 0, 0, 0, 0), "decompose": (1, 0, 0, 0, 0),
     }),
 }
 

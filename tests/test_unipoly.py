@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -210,6 +213,26 @@ def test_coprime_split_examples():
         coprime_split(upoly(F2, [1, 1, 1]))
     with pytest.raises(ZeroDerivative):
         coprime_split(upoly(F2, [1, 0, 1]))
+
+
+def test_coprime_split_post_conditions_raise_under_python_O():
+    # -O strips assert statements; the post-conditions of coprime_split must still raise
+    path = os.pathsep.join(filter(None, (os.path.join(os.path.dirname(__file__), "..", "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    code = (
+        "from etalg.errors import InternalContradiction\n"
+        "from etalg.fields import QQ\n"
+        "from etalg.unipoly import UniPoly, coprime_split\n"
+        "f = UniPoly.from_ints(QQ, [0, 0, -1, 1])  # X^3 - X^2\n"
+        "UniPoly.__mul__ = lambda self, other: self  # every product drops its right factor\n"
+        "try:\n"
+        "    coprime_split(f)\n"
+        "except InternalContradiction as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout == "coprime_split: f1 * f2 != f\n"
 
 
 def test_coprime_split_contracts_on_random_products():
