@@ -6,7 +6,8 @@ e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
 algebra object carries the operations.  Each distinct vector of a table
 gets its support, the (index, scalar) pairs of its nonzero coordinates,
 once, when it is built; ``_combine``, the module's one accumulation loop,
-walks supports, so products skip zero coordinates.
+walks supports, so products skip zero coordinates.  Equal products share
+one vector, so the trace-form Gram matrix takes one trace per distinct vector.
 
 An algebra comes from one of two inputs, each with its own construction
 check, whose failures raise InternalContradiction:
@@ -28,9 +29,7 @@ check, whose failures raise InternalContradiction:
   from K[M_1, ..., M_n] onto K^m with B_i -> e_i.  The table is derived from
   the steps, e_i * e_j = B_i' * (M_k * e_j), so it is the multiplication of
   that matrix algebra: commutative, associative and unital by construction,
-  with nothing left to sample.  The Gram matrix follows the same recursion
-  row by row (Rouillier's traces of monomials); any other algebra pairs the
-  table with the basis traces.
+  with nothing left to sample.
 
 Minimal polynomials come from one echelon form over the powers 1, a, a^2,
 ..., extended power by power (Krylov).
@@ -274,31 +273,16 @@ class FiniteAlgebra:
         return reduce(K.add, map(K.mul, a, self._basis_traces()), K.zero())
 
     def gram_matrix(self):
-        """Trace-form Gram table G[i][j] = Tr(e_i * e_j), filled row by row in basis order.
+        """Trace-form Gram table G[i][j] = Tr(e_i * e_j), the trace of table[i][j].
 
-        Row 0, and every row of an algebra without a border, is table[i][j]
-        paired with the basis traces Tr(e_l).  Along a border step
-        e_i = x_k * e_i', row i is row i' read through column k:
-        G[i][j] = sum_l (x_k * e_j)_l * G[i'][l], one lookup where x_k * e_j is
-        a basis element.  Each row fills from its diagonal on, and its mirror
-        completes the earlier rows, so row i' is whole before row i reads it.
+        Tr(v), the sum of v_k * Tr(e_k) over the support of v, is taken once
+        per distinct table vector, keyed by id as in ``_shared_vectors``.
         """
-        K, m, traces = self.field, self.dimension, self._basis_traces()
-        one, zero = K.one(), K.zero()
-        gram = [[None] * m for _ in range(m)]
-        for i in range(m):
-            if i == 0 or self.border is None:
-                row = (reduce(K.add, map(K.mul, v, traces), zero) for v in self.table[i][i:])
-            else:
-                columns, steps = self.border
-                k, prev = steps[i]
-                earlier = gram[prev]
-                row = (earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
-                       else reduce(K.add, (K.mul(c, earlier[l]) for l, c in col), zero)
-                       for col in columns[k][i:])
-            for j, g in enumerate(row, i):
-                gram[i][j] = gram[j][i] = g
-        return gram
+        K, traces, seen = self.field, self._basis_traces(), {}
+        for v in (v for row in self.table for v in row):
+            if id(v) not in seen:
+                seen[id(v)] = reduce(K.add, (K.mul(a, traces[k]) for k, a in v.support), K.zero())
+        return [[seen[id(v)] for v in row] for row in self.table]
 
     def _basis_traces(self):
         """Tr(e_k) for every k: the sum over j of (e_k * e_j)_j, so no product is formed."""

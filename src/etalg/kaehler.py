@@ -189,6 +189,7 @@ _FLAGS = {
     "standard_etale": _Flag(lambda s, n: s == n, "s = {s} != n = {n}",
                             single=("det", "det(Ja) = {}")),
 }
+FLAGS = tuple(_FLAGS)  # report order
 
 
 def relation_basis(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
@@ -219,17 +220,16 @@ def _adjoined(flag: _Flag, P, order, found):
 
 
 def _decide(name, P, order, pair_budget, certificates, gb, runs, found) -> Decision:
-    """Is 1 in <f> + <the minors the flag adjoins>?
+    """Is 1 in <f> + <the minors the flag adjoins>?  ``gb`` is the relation basis.
 
     ``found`` shares the enumerated minors between flags (see ``_adjoined``).
-    ``runs`` maps each adjoined generator tuple to its Groebner basis and
-    its Bezout cofactors, so flags that ask the same question share one
-    run.  With ``certificates`` that run is the tracked one, its identity
-    is checked once, when the run is made, and its cofactors yield both
-    the Bezout certificate and the inverse of a single minor.
+    ``runs`` maps each adjoined generator tuple to its Groebner basis, its
+    Bezout cofactors and the inverse of its single minor, so flags that ask
+    the same question share one run.  With ``certificates`` that run is the
+    tracked one, its identity is checked once, when the run is made, and the
+    inverse, the normal form of its last cofactor, is taken once, when a
+    single-minor flag first reads it.
     """
-    if gb is None:
-        gb = relation_basis(P, order, pair_budget)
     if contains_one(gb):
         return Decision(value=True, trivial=True, detail="the relation ideal contains 1", basis=gb)
     flag = _FLAGS[name]
@@ -238,18 +238,20 @@ def _decide(name, P, order, pair_budget, certificates, gb, runs, found) -> Decis
     extra, labels, detail = _adjoined(flag, P, order, found)
     if extra not in runs:
         aug = buchberger(list(P.relations) + list(extra), order, pair_budget, track=certificates)
-        runs[extra] = aug, (one_certificate(aug) if certificates else None)
-    aug, cofactors = runs[extra]
-    holds = contains_one(aug)
+        runs[extra] = [aug, one_certificate(aug) if certificates else None, None]
+    run = runs[extra]
+    aug, cofactors, inverse = run
     cert = None
     if cofactors is not None:
-        cert = (extra[0], normal_form(cofactors[-1], gb)) if flag.single else tuple(cofactors)
-    return Decision(value=holds, detail=detail, labels=labels, certificate=cert,
+        if flag.single and inverse is None:
+            inverse = run[2] = normal_form(cofactors[-1], gb)
+        cert = (extra[0], inverse) if flag.single else tuple(cofactors)
+    return Decision(value=contains_one(aug), detail=detail, labels=labels, certificate=cert,
                     basis=gb if flag.single else aug)
 
 
 def decide_all(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
-               certificates=False, gb=None, flags=tuple(_FLAGS)) -> dict:
+               certificates=False, gb=None, flags=FLAGS) -> dict:
     """The decisions of ``flags`` (default all four) by flag name.
 
     Only the named flags are decided: a flag left out costs no Groebner
@@ -271,7 +273,7 @@ def nette_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     Tests 1 in <f> + <n x n minors of Ja>.  When s < n there are no such
     minors, so only the zero ring passes.
     """
-    return _decide("nette", P, order, pair_budget, certificates, gb, {}, {})
+    return decide_all(P, order, pair_budget, certificates, gb, ("nette",))["nette"]
 
 
 def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
@@ -281,19 +283,22 @@ def standard_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
     The leading minor uses rows X_1..X_s, so the declared variable order
     matters for this test (and only for this one).
     """
-    return _decide("standard_smooth", P, order, pair_budget, certificates, gb, {}, {})
+    return decide_all(P, order, pair_budget, certificates, gb,
+                      ("standard_smooth",))["standard_smooth"]
 
 
 def elementary_smooth_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                                certificates=False, gb=None) -> Decision:
     """1 in <f> + <s x s minors of Ja>; false when s > n (no such minors)."""
-    return _decide("elementary_smooth", P, order, pair_budget, certificates, gb, {}, {})
+    return decide_all(P, order, pair_budget, certificates, gb,
+                      ("elementary_smooth",))["elementary_smooth"]
 
 
 def standard_etale_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                             certificates=False, gb=None) -> Decision:
     """s = n and det(Ja) invertible in the quotient."""
-    return _decide("standard_etale", P, order, pair_budget, certificates, gb, {}, {})
+    return decide_all(P, order, pair_budget, certificates, gb,
+                      ("standard_etale",))["standard_etale"]
 
 
 def is_nette(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:

@@ -55,7 +55,7 @@ from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField
 from .finalg import FiniteAlgebra, split_by_idempotent
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
-from .kaehler import (AlgebraPresentation, Decision, decide_all, omega_dimension,
+from .kaehler import (FLAGS, AlgebraPresentation, Decision, decide_all, omega_dimension,
                       omega_presentation, relation_basis)
 from .multipoly import GREVLEX
 from .unipoly import UniPoly, eval_in_algebra, is_separable, squarefree_part
@@ -287,7 +287,6 @@ def find_nilpotent(A: FiniteAlgebra):
 
 # ------------------------------------------------------------------ the report
 
-FLAGS = ("nette", "standard_smooth", "elementary_smooth", "standard_etale")
 # The full text report, in report order: what ``classify`` runs by default.
 SECTIONS = ("header", "trivial", *FLAGS, "noether_dimension", "vector_space_dimension", "basis",
             "discriminant", "etale", "decomposition", "primitive_element", "nilpotent_witness",

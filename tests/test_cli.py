@@ -30,6 +30,16 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_readme_sample_report_is_the_classify_output(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    block = re.search(r"Sample report:\n\n```\n(.*?)```\n", readme, re.S)
+    assert block is not None
+    code, out, err = run_main(capsys, "classify", sample("circle_cross.alg"))
+    assert code == 0 and err == ""
+    assert out == block.group(1)
+
+
 def test_classify_text(capsys):
     code, out, err = run_main(capsys, "classify", sample("circle_cross.alg"))
     assert code == 0 and err == ""

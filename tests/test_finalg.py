@@ -156,14 +156,33 @@ def gram_oracle(A):
              for j in range(m)] for i in range(m)]
 
 
+def shifted_power(n):
+    """(X + 1)^n + X over GF(3)."""
+    return upoly(F3, [1, 1]) ** n + upoly(F3, [0, 1])
+
+
+def shared_vector_algebras():
+    """Tables given whole: K[X]/<(X+1)^60 + X>, which shares equal products, and its product with a quadratic."""
+    A = monogenic_from_poly(shifted_power(60))
+    yield A
+    yield product(A, alg(F3, [1, 0, 1]))
+
+
 def test_trace_and_gram_match_the_multiplication_operator():
     rng = random.Random(61)
-    for A in iter_chain(random_algebras(rng), richer_algebras()):
+    for A in iter_chain(random_algebras(rng), richer_algebras(), shared_vector_algebras()):
         K, m = A.field, A.dimension
         for _ in range(3):
             a = tuple(K.from_int(rng.randint(-4, 4)) for _ in range(m))
             assert A.trace(a) == trace_oracle(A, a)
         assert A.gram_matrix() == gram_oracle(A)
+
+
+def test_monogenic_and_quotient_gram_matrices_agree_on_the_power_basis():
+    Q = quotient("field GF(3)\nvars X\nrelations:\n  (X+1)^160 + X\n")
+    A = monogenic_from_poly(shifted_power(160), "X")
+    assert Q.basis_labels == A.basis_labels
+    assert A.gram_matrix() == Q.gram_matrix()
 
 
 def every_constructor(rng):

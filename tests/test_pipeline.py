@@ -452,20 +452,26 @@ COMPLETE_INTERSECTION = (
 
 @pytest.mark.parametrize("certificates,tracked", [(False, 0), (True, 1)])
 def test_tower_runs_groebner_once_per_ideal(monkeypatch, certificates, tracked):
-    # s = n: the four flags share one run on det(Ja), and its identity is checked once
+    # s = n: the four flags share one run on det(Ja), its identity is checked once,
+    # and the inverse of det(Ja) that both single-minor flags print is normalised once
     calls = count_buchberger(monkeypatch)
-    original = kaehler.one_certificate
-    checks = []
+    original, original_nf = kaehler.one_certificate, kaehler.normal_form
+    checks, inverses = [], []
 
     def counting(gb):
         checks.append(gb)
         return original(gb)
 
+    def counting_nf(f, gb):
+        inverses.append(f)
+        return original_nf(f, gb)
+
     monkeypatch.setattr(kaehler, "one_certificate", counting)
+    monkeypatch.setattr(kaehler, "normal_form", counting_nf)
     report = classify(parse_input(TOWER), certificates=certificates)
     assert report.nette and report.standard_etale and report.etale
     assert len(calls) == 2 and sum(calls) == tracked
-    assert len(checks) == tracked
+    assert len(checks) == len(inverses) == tracked
     assert all((d.certificate is not None) == certificates for d in report.decisions.values())
 
 
