@@ -506,6 +506,12 @@ def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
     )
 
 
+def _padded(table, before, after):
+    """Each distinct vector of a table, by id, padded once, so equal products stay shared."""
+    distinct = {id(v): v for row in table for v in row}
+    return {key: before + v + after for key, v in distinct.items()}
+
+
 def product(A1: FiniteAlgebra, A2: FiniteAlgebra) -> FiniteAlgebra:
     """Block-diagonal product algebra A1 x A2."""
     if A1.field != A2.field:
@@ -513,8 +519,10 @@ def product(A1: FiniteAlgebra, A2: FiniteAlgebra) -> FiniteAlgebra:
     K = A1.field
     m1, m2 = A1.dimension, A2.dimension
     zeros1, zeros2 = (K.zero(),) * m1, (K.zero(),) * m2
-    table = ([[v + zeros2 for v in row] + [zeros1 + zeros2] * m2 for row in A1.table]
-             + [[zeros1 + zeros2] * m1 + [zeros1 + v for v in row] for row in A2.table])
+    zero = zeros1 + zeros2
+    first, second = _padded(A1.table, (), zeros2), _padded(A2.table, zeros1, ())
+    table = ([[first[id(v)] for v in row] + [zero] * m2 for row in A1.table]
+             + [[zero] * m1 + [second[id(v)] for v in row] for row in A2.table])
     unit = tuple(A1.unit) + tuple(A2.unit)
     labels = [f"{l}@1" for l in A1.basis_labels] + [f"{l}@2" for l in A2.basis_labels]
     return FiniteAlgebra(K, labels, table, unit)

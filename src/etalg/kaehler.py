@@ -302,19 +302,22 @@ def standard_etale_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
 
 
 def is_nette(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return nette_decision(P, order, pair_budget, gb=gb).value
+    return decide_all(P, order, pair_budget, gb=gb, flags=("nette",))["nette"].value
 
 
 def is_standard_smooth(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return standard_smooth_decision(P, order, pair_budget, gb=gb).value
+    return decide_all(P, order, pair_budget, gb=gb,
+                      flags=("standard_smooth",))["standard_smooth"].value
 
 
 def is_elementary_smooth(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return elementary_smooth_decision(P, order, pair_budget, gb=gb).value
+    return decide_all(P, order, pair_budget, gb=gb,
+                      flags=("elementary_smooth",))["elementary_smooth"].value
 
 
 def is_standard_etale(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return standard_etale_decision(P, order, pair_budget, gb=gb).value
+    return decide_all(P, order, pair_budget, gb=gb,
+                      flags=("standard_etale",))["standard_etale"].value
 
 
 # ------------------------------------------------------------------ omega dimension
@@ -347,7 +350,5 @@ def omega_dimension(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) 
                 for exps, c in nf.terms.items():
                     vec[i * m + index[exps]] = c
             columns.append(vec)
-    if not columns:
-        return m * P.n
     rows = [[col[r] for col in columns] for r in range(m * P.n)]
     return m * P.n - rank(rows, K)

@@ -1,25 +1,23 @@
 """Dense exact linear algebra over a FieldContext.
 
-Matrices are lists of row lists.  Everything is plain Gaussian elimination
-with first-nonzero pivoting, which is deterministic and exact over Q and
-GF(p).  Sizes stay at desk scale throughout the package.
+Matrices are lists of row lists.  One forward elimination, pivoting on the
+first nonzero entry of each column and counting its row swaps, is exact and
+deterministic over Q and GF(p).  ``det`` and ``rank`` read it alone; ``rref``
+finishes it by back-substitution.  Sizes stay at desk scale.
 """
 
 from __future__ import annotations
 
 
-def _copy(rows):
-    return [list(r) for r in rows]
+def _echelon(rows, K):
+    """Row echelon form by forward elimination.  Returns (rows, pivot_columns, swaps).
 
-
-def rref(rows, K):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
+    Nothing above a pivot is cleared and no row is scaled, so over Q fewer
+    entries grow than in Gauss-Jordan.
+    """
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, swaps, r = [], 0, 0
     for col in range(ncols):
         pivot = None
         for i in range(r, nrows):
@@ -28,50 +26,49 @@ def rref(rows, K):
                 break
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = K.invert(m[r][col])
-        m[r] = [K.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not K.is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(m[i], m[r])]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps += 1
+        top = m[r][col:]
+        inv = K.invert(top[0])
+        for row in m[r + 1:]:
+            if not K.is_zero(row[col]):
+                f = K.mul(row[col], inv)
+                row[col:] = [K.sub(x, K.mul(f, y)) for x, y in zip(row[col:], top)]
         pivots.append(col)
         r += 1
         if r == nrows:
             break
+    return m, pivots, swaps
+
+
+def rref(rows, K):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    m, pivots, _ = _echelon(rows, K)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        inv = K.invert(m[r][col])
+        m[r][col:] = top = [K.mul(inv, x) for x in m[r][col:]]
+        for row in m[:r]:
+            if not K.is_zero(row[col]):
+                f = row[col]
+                row[col:] = [K.sub(x, K.mul(f, y)) for x, y in zip(row[col:], top)]
     return m, pivots
 
 
 def rank(rows, K) -> int:
-    return len(rref(rows, K)[1])
+    return len(_echelon(rows, K)[1])
 
 
 def det(rows, K):
     """Determinant of a square matrix; det of the 0x0 matrix is 1."""
-    n = len(rows)
-    if n == 0:
-        return K.one()
-    m = _copy(rows)
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if not K.is_zero(m[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            return K.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            if not K.is_zero(m[i][col]):
-                f = K.div(m[i][col], m[col][col])
-                m[i] = [K.sub(x, K.mul(f, y)) for x, y in zip(m[i], m[col])]
+    m, pivots, swaps = _echelon(rows, K)
+    if len(pivots) < len(m):
+        return K.zero()
     d = K.one()
-    for i in range(n):
+    for i in range(len(m)):
         d = K.mul(d, m[i][i])
-    return d if sign == 1 else K.neg(d)
+    return K.neg(d) if swaps % 2 else d
 
 
 def solve(rows, rhs, K):

@@ -217,23 +217,15 @@ def derivative(f: UniPoly) -> UniPoly:
 # --------------------------------------------------------------------- resultants
 
 def resultant(f: UniPoly, g: UniPoly):
-    """Determinant of the Sylvester matrix of f and g."""
+    """Determinant of the Sylvester matrix of f and g.
+
+    A constant operand takes the same path: for g = c the matrix is c times
+    the identity, so Res(f, c) = c^deg f; two constants give the 0x0 matrix.
+    """
     if f.is_zero or g.is_zero:
         raise ZeroOperand("resultant needs nonzero operands")
     K = f.field
     m, n = f.degree, g.degree
-    if m == 0 and n == 0:
-        return K.one()
-    if n == 0:
-        acc = K.one()
-        for _ in range(m):
-            acc = K.mul(acc, g.coeffs[0])
-        return acc
-    if m == 0:
-        acc = K.one()
-        for _ in range(n):
-            acc = K.mul(acc, f.coeffs[0])
-        return acc
     size = m + n
     fd = list(reversed(f.coeffs))
     gd = list(reversed(g.coeffs))

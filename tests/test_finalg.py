@@ -442,6 +442,16 @@ def test_product_examples():
     assert not B.field.is_zero(B.discriminant())
 
 
+def test_product_table_shares_the_factor_vectors():
+    """Each distinct vector of a factor is padded once, and every cross product is one zero vector."""
+    def distinct(A):
+        return len({id(v) for row in A.table for v in row})
+    rng = random.Random(71)
+    for A in iter_chain(random_algebras(rng), shared_vector_algebras()):
+        B = monogenic_from_poly(random_monic(rng, A.field, 2))
+        assert distinct(product(A, B)) <= distinct(A) + distinct(B) + 1
+
+
 def test_product_discriminant_multiplicative_random():
     rng = random.Random(59)
     for K in (QQ, F5):

@@ -148,6 +148,7 @@ def test_omega_dimension_examples():
     assert omega_dimension(F2_SQUARE) == 2
     assert omega_dimension(TWO_POINTS) == 0
     assert omega_dimension(DUAL) == 1
+    assert omega_dimension(AlgebraPresentation(QQ, (), ())) == 0  # K itself: Ja has no columns
     with pytest.raises(NotZeroDimensional):
         omega_dimension(HYPERBOLA)
 

@@ -129,6 +129,15 @@ def test_resultant_matches_brute_on_random_pairs():
             f = random_monic(rng, K, rng.randint(1, 4))
             g = random_monic(rng, K, rng.randint(1, 4))
             assert resultant(f, g) == brute_det(sylvester_matrix(f, g), K)
+        # constant operands: Res(f, c) = c^deg f = Res(c, f), and Res(c, d) = 1
+        for c, d in ((2, 3), (3, 2)):
+            f = random_monic(rng, K, rng.randint(1, 3))
+            C, D = upoly(K, [c]), upoly(K, [d])
+            power = K.from_int(c ** f.degree)
+            assert power != K.one()
+            assert resultant(f, C) == brute_det(sylvester_matrix(f, C), K) == power
+            assert resultant(C, f) == brute_det(sylvester_matrix(C, f), K) == power
+            assert resultant(C, D) == brute_det(sylvester_matrix(C, D), K) == K.one()
 
 
 def test_resultant_rejects_zero():
