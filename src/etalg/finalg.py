@@ -6,18 +6,28 @@ e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
 algebra object carries the operations.  Each distinct vector of a table
 gets its support, the (index, scalar) pairs of its nonzero coordinates,
 once, when it is built; ``_combine``, the module's one accumulation loop,
-walks supports, so products skip zero coordinates.  Equal products share
-one vector, so the trace-form Gram matrix takes one trace per distinct vector.
+walks supports, so products skip zero coordinates.  It accumulates with the
+elements' own + and * and reduces each output coordinate once, at the end
+(mod p over GF(p); a Fraction is always in lowest terms), so its results are
+reduced residues or Fractions like every other element.  Equal products
+share one vector, so the trace-form Gram matrix takes one trace per distinct
+vector.
 
-An algebra comes from one of two inputs, each with its own construction
+An algebra comes from one of three inputs, each with its own construction
 check, whose failures raise InternalContradiction:
 
-* A table and a unit (``monogenic_from_poly``, ``product``, split factors).
-  The check covers the unit law and commutativity on the full table, and
+* A table and a unit (``monogenic_from_poly``, ``product``).  The check
+  covers the unit law and commutativity on the full table, and
   associativity on every basis triple when m^3 <= ASSOCIATIVITY_SAMPLE, else
   on that many distinct triples fixed by m alone (the full sweep would cost
   m^5 field operations).  On a commutative table x * e_k is row k weighted
   by x, so both sides of a triple, and the unit law, are read off rows.
+* A split factor u*A (``split_by_idempotent``), whose table is derived from
+  its parent's.  ``_ideal_subalgebra`` checks that every product b_i * b_j
+  of its basis embeds back into u*A, so the table is the parent's product
+  restricted to a subspace closed under it; with the unit law and the
+  parent's own check this proves it commutative and associative, and no
+  triple is sampled.
 * A ``border`` (``groebner.quotient_algebra``): columns[k][l] holds x_k * e_l
   as (index, scalar) pairs, the columns of the multiplication matrix M_k,
   and steps[i] = (k, i') says e_i = x_k * e_i' with i' < i (steps[0] is
@@ -69,29 +79,36 @@ class _Vector(tuple):
         return vector
 
 
-def _support(K, x):
-    """The nonzero coordinates of x as (index, scalar) pairs; a _Vector carries its own."""
+def _support(x):
+    """The nonzero coordinates of x as (index, scalar) pairs; a _Vector carries its own.
+
+    Coordinates are numbers (residues or Fractions), zero exactly when falsy.
+    """
     if type(x) is _Vector:
         return x.support
-    return tuple((k, a) for k, a in enumerate(x) if not K.is_zero(a))
+    return tuple([(k, a) for k, a in enumerate(x) if a])
 
 
-def _vector(K, coords, pairs=None):
+def _vector(coords, pairs=None):
     """coords as a _Vector; supports built with one ``pairs`` dict share each distinct (index, scalar) pair."""
-    support = _support(K, coords)
+    support = _support(coords)
     if pairs is not None:  # a table repeats pairs often, and over GF(p) there are m (p - 1) at most
         support = tuple(pairs.setdefault(p, p) for p in support)
     return _Vector(coords, support)
 
 
 def _combine(K, m, pairs):
-    """The sum of c * v over the (scalar, support of v) pairs, as a coordinate tuple."""
-    add, mul = K.add, K.mul
+    """The sum of c * v over the (scalar, support of v) pairs, as a coordinate tuple.
+
+    Scalars may come unreduced (a product of two residues); each coordinate
+    is reduced once, after the last term.
+    """
     out = [K.zero()] * m
     for c, support in pairs:
         for k, a in support:
-            out[k] = add(out[k], mul(c, a))
-    return tuple(out)
+            out[k] += c * a
+    p = K.modulus
+    return tuple([x % p for x in out]) if p else tuple(out)
 
 
 def _associativity_triples(m):
@@ -129,7 +146,7 @@ class FiniteAlgebra:
 
     def _shared_vectors(self, table):
         """The table with one _Vector per distinct entry object, so equal references stay shared."""
-        K, m = self.field, self.dimension
+        m = self.dimension
         rows = [list(row) for row in table]  # holds every entry, so no id is reused below
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DimensionMismatch("structure-constant table is not m x m")
@@ -138,7 +155,7 @@ class FiniteAlgebra:
             if id(v) not in vectors:
                 if len(v) != m:
                     raise DimensionMismatch("structure-constant vectors have wrong length")
-                vectors[id(v)] = _vector(K, v, pairs)
+                vectors[id(v)] = _vector(v, pairs)
         return tuple(tuple(vectors[id(v)] for v in row) for row in rows)
 
     def _check_table(self):
@@ -149,11 +166,15 @@ class FiniteAlgebra:
             for j in range(i + 1, m):
                 if table[i][j] != table[j][i]:
                     raise InternalContradiction(f"multiplication not commutative at ({i}, {j})")
-        unit = _vector(self.field, self.unit)
+        unit = _vector(self.unit)
         for i in range(m):
             if self._times_basis(unit, i) != self.basis_element(i):
                 raise InternalContradiction(f"unit law fails on basis element {i}")
-        for i, j, k in _associativity_triples(m):
+        self._check_associativity()
+
+    def _check_associativity(self):
+        table = self.table
+        for i, j, k in _associativity_triples(self.dimension):
             if self._times_basis(table[i][j], k) != self._times_basis(table[j][k], i):
                 raise InternalContradiction(f"multiplication not associative at ({i}, {j}, {k})")
 
@@ -195,7 +216,7 @@ class FiniteAlgebra:
             earlier, column = rows[prev], columns[k]
             rows.append(tuple(row[i] for row in rows) + tuple(
                 earlier[col[0][0]] if len(col) == 1 and col[0][1] == one
-                else _vector(K, self._border_times(k, earlier[j].support), pairs)
+                else _vector(self._border_times(k, earlier[j].support), pairs)
                 for j, col in enumerate(column[i:], i)))
         return tuple(rows)
 
@@ -232,26 +253,29 @@ class FiniteAlgebra:
         self._check_element(x)
         self._check_element(y)
         K, table = self.field, self.table
-        xs, ys = _support(K, x), _support(K, y)
+        xs, ys = _support(x), _support(y)
         if len(xs) == len(ys) == 1 and xs[0][1] == ys[0][1] == K.one():
             return table[xs[0][0]][ys[0][0]]  # e_i * e_j: the table's own vector
-        return _combine(K, self.dimension, ((K.mul(a, b), table[i][j].support)
+        return _combine(K, self.dimension, ((a * b, table[i][j].support)
                                             for i, a in xs for j, b in ys))
 
     def _times_basis(self, x, k):
         """x * e_k: row k of the (commutative) table weighted by x."""
         row = self.table[k]
         return _combine(self.field, self.dimension,
-                        ((a, row[i].support) for i, a in _support(self.field, x)))
+                        ((a, row[i].support) for i, a in _support(x)))
 
     def power(self, x, n: int):
-        result = self.unit
-        base = x
-        while n > 0:
+        """x^n by repeated squaring, starting from x itself: no product with the unit."""
+        if n == 0:
+            return self.unit
+        while not n & 1:
+            x, n = self.mul(x, x), n >> 1
+        result = x
+        while n > 1:
+            x, n = self.mul(x, x), n >> 1
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
+                result = self.mul(result, x)
         return result
 
     def is_zero_element(self, x) -> bool:
@@ -262,7 +286,7 @@ class FiniteAlgebra:
     def mul_operator(self, a):
         """Matrix of b -> a*b in the basis; entry (i, j) is (a*e_j)_i."""
         self._check_element(a)
-        a = _vector(self.field, a)  # its support, once for all the columns
+        a = _vector(a)  # its support, once for all the columns
         cols = [self._times_basis(a, j) for j in range(self.dimension)]
         return [[cols[j][i] for j in range(self.dimension)] for i in range(self.dimension)]
 
@@ -429,10 +453,10 @@ class AlgebraSplit:
     second_unit_in_parent: tuple
 
     def embed_first(self, v):
-        return _embed(self.parent, self.first_basis, v)
+        return _embed(self.parent.field, self.first_basis, v)
 
     def embed_second(self, v):
-        return _embed(self.parent, self.second_basis, v)
+        return _embed(self.parent.field, self.second_basis, v)
 
     def project_first(self, w):
         return _project(self.parent, self.first_basis, self.first_pivots,
@@ -443,27 +467,46 @@ class AlgebraSplit:
                         self.second_unit_in_parent, w)
 
 
-def _embed(parent, basis_vectors, v):
-    """The combination of the factor's basis vectors (_Vectors) with coordinates v."""
-    return _combine(parent.field, parent.dimension,
-                    ((c, basis_vectors[i].support) for i, c in _support(parent.field, v)))
+def _embed(K, basis_vectors, v):
+    """The combination of basis vectors (_Vectors of one length) with coordinates v."""
+    return _combine(K, len(basis_vectors[0]),
+                    ((c, basis_vectors[i].support) for i, c in _support(v)))
+
+
+def _coordinates(K, basis_vectors, pivots, w):
+    """w on an echelon basis, read at its pivots; None unless w embeds back (w is in the span)."""
+    coords = tuple(w[p] for p in pivots)
+    return coords if _embed(K, basis_vectors, coords) == w else None
 
 
 def _project(parent, basis_vectors, pivots, unit_vec, w):
-    inside = parent.mul(unit_vec, w)
-    coords = tuple(inside[p] for p in pivots)
-    if _embed(parent, basis_vectors, coords) != inside:
+    coords = _coordinates(parent.field, basis_vectors, pivots, parent.mul(unit_vec, w))
+    if coords is None:
         raise InternalContradiction("projection onto a split factor does not embed back")
     return coords
 
 
+class _IdealFactor(FiniteAlgebra):
+    """A split factor u*A whose basis ``_ideal_subalgebra`` found closed under A's product.
+
+    Its table is A's product restricted to that subspace, so the unit law,
+    checked on construction, and A's own check make it commutative and
+    associative: no triple is sampled.
+    """
+
+    __slots__ = ()
+
+    def _check_associativity(self):
+        pass
+
+
 def _ideal_subalgebra(A, unit_vec, labels_prefix):
-    """The ideal u*A as an algebra with unit u, on an echelonized basis."""
+    """The ideal u*A as an algebra with unit u, on an echelonized basis closed under A's product."""
     K = A.field
-    unit = _vector(K, unit_vec)
+    unit = _vector(unit_vec)
     images = [A._times_basis(unit, i) for i in range(A.dimension)]
     reduced, pivots = linalg.rref(images, K)
-    basis = [_vector(K, row) for row in reduced[: len(pivots)]]
+    basis = [_vector(row) for row in reduced[: len(pivots)]]
     dim = len(basis)
 
     def project(w):
@@ -472,12 +515,15 @@ def _ideal_subalgebra(A, unit_vec, labels_prefix):
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            vec = project(A.mul(basis[i], basis[j]))
+            vec = _coordinates(K, basis, pivots, A.mul(basis[i], basis[j]))
+            if vec is None:
+                raise InternalContradiction(
+                    f"split basis not closed: b_{i} * b_{j} leaves the ideal")
             table[i][j] = vec
             table[j][i] = vec
     refs = {name: project(A.mul(unit_vec, vec)) for name, vec in A.generator_refs.items()}
     labels = [f"{labels_prefix}{k + 1}" for k in range(dim)]
-    sub = FiniteAlgebra(K, labels, table, project(unit_vec), generator_refs=refs)
+    sub = _IdealFactor(K, labels, table, project(unit_vec), generator_refs=refs)
     return sub, tuple(basis), tuple(pivots)
 
 

@@ -30,7 +30,12 @@ infinite base field guarantees among deterministic scalar combinations of
 the generators.  Over GF(p) that bounded search can run out of candidates;
 route 2 then splits along idempotents read off the fixed space of the
 p-power (Frobenius) operator until every leaf is a field, and each field
-leaf is generated by a single element by finite-field theory.
+leaf is generated by a single element by finite-field theory.  That
+operator F is one GF(p)-linear map, built once at the root (along the
+border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
+split factor u*A reads its map off its parent's at its pivots, and no
+factor powers its own basis.  Factors of dimension 1 are leaves without a
+split, and each factor keeps its basis in root coordinates.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,
@@ -53,7 +58,7 @@ from itertools import chain as iter_chain, islice, product as iter_product
 from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField
-from .finalg import FiniteAlgebra, split_by_idempotent
+from .finalg import FiniteAlgebra, _coordinates, _embed, _vector, split_by_idempotent
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
 from .kaehler import (FLAGS, AlgebraPresentation, Decision, decide_all, omega_dimension,
                       omega_presentation, relation_basis)
@@ -124,12 +129,55 @@ def frobenius_split(A: FiniteAlgebra):
     """
     if not isinstance(A.field, PrimeField):
         raise NotEtale("frobenius_split is a GF(p) operation")
+    return _fixed_space_idempotent(A, _frobenius_images(A))
+
+
+def _frobenius_images(A: FiniteAlgebra):
+    """F(e_i) = e_i^p for every basis element, as _Vectors: the p-power map F, one linear map.
+
+    F is a ring map, so on a quotient it goes along the border steps,
+    F(e_i) = F(x_k) * F(e_i') for e_i = x_k * e_i': n powerings and m - 1
+    products.  An algebra without a border raises each basis element to the
+    p-th power.
+    """
+    K, m = A.field, A.dimension
+    p = K.modulus
+    if A.border is None:
+        images = [A.power(A.basis_element(i), p) for i in range(m)]
+    else:
+        columns, steps = A.border
+        zero = K.zero()
+        xs = [A.power(tuple(dict(column[0]).get(i, zero) for i in range(m)), p)
+              for column in columns]  # x_k = x_k * e_0
+        images = [A.unit]
+        for k, prev in steps[1:]:
+            images.append(A.mul(xs[k], images[prev]))
+    return [_vector(image) for image in images]
+
+
+def _restricted_images(K, images, basis, pivots):
+    """F on a split factor u*A from F on A: F(b) for each echelon basis vector b, read at the pivots.
+
+    F(u*a) = u^p * F(a) = u * F(a), so each F(b) lies in u*A; one that does
+    not embed back raises InternalContradiction.  The result is the map that
+    powering the factor's own basis would give, in the same basis.
+    """
+    restricted = []
+    for b in basis:
+        coords = _coordinates(K, basis, pivots, _embed(K, images, b))
+        if coords is None:
+            raise InternalContradiction("a Frobenius image leaves its split factor")
+        restricted.append(_vector(coords))
+    return restricted
+
+
+def _fixed_space_idempotent(A: FiniteAlgebra, images):
+    """``frobenius_split`` with F given by its images of A's basis, in A's coordinates."""
     K = A.field
     p = K.modulus
     m = A.dimension
-    cols = [A.power(A.basis_element(j), p) for j in range(m)]
     matrix = [
-        [K.sub(cols[j][i], K.one() if i == j else K.zero()) for j in range(m)]
+        [K.sub(images[j][i], K.one() if i == j else K.zero()) for j in range(m)]
         for i in range(m)
     ]
     fixed = linalg.kernel_basis(matrix, K)
@@ -189,9 +237,20 @@ def _first_full_degree(A: FiniteAlgebra, candidates):
     return None
 
 
-def _frobenius_leaves(sub: FiniteAlgebra, embed, chain, budget):
-    """The field factors of an etale GF(p)-algebra, split along Frobenius idempotents."""
-    e = frobenius_split(sub)
+def _frobenius_leaves(sub: FiniteAlgebra, basis, chain, budget, images):
+    """The field factors of an etale GF(p)-algebra, split along Frobenius idempotents.
+
+    ``basis`` is sub's basis in root coordinates, as _Vectors, so an
+    embedding into the root is one combination.  ``images`` is F on sub's
+    basis, restricted from its parent's; it is None on dimension 1, where
+    sub is GF(p) itself and a leaf without a split.
+    """
+    K = sub.field
+
+    def embed(v):
+        return _embed(K, basis, v)
+
+    e = None if sub.dimension == 1 else _fixed_space_idempotent(sub, images)
     if e is None:
         scan = _all_elements(sub)
         found = _first_full_degree(sub, iter_chain(_generators(sub), islice(scan, budget)))
@@ -205,8 +264,14 @@ def _frobenius_leaves(sub: FiniteAlgebra, embed, chain, budget):
         return [DecompositionFactor(g, embed(vec), embed(sub.unit), chain)]
     split = split_by_idempotent(e, sub)
     chain = chain + (embed(e),)
-    return (_frobenius_leaves(split.first, lambda v: embed(split.embed_first(v)), chain, budget)
-            + _frobenius_leaves(split.second, lambda v: embed(split.embed_second(v)), chain, budget))
+    leaves = []
+    for factor, factor_basis, pivots in ((split.first, split.first_basis, split.first_pivots),
+                                         (split.second, split.second_basis, split.second_pivots)):
+        factor_images = (None if factor.dimension == 1
+                         else _restricted_images(K, images, factor_basis, pivots))
+        leaves += _frobenius_leaves(factor, [_vector(embed(b)) for b in factor_basis], chain,
+                                    budget, factor_images)
+    return leaves
 
 
 def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET):
@@ -241,7 +306,8 @@ def _decompose(A: FiniteAlgebra, primitive_budget):
             raise
         notes.append(f"primitive-element search over {A.field!r}: {exc}; "
                      "splitting along the Frobenius fixed space instead")
-        factors = _frobenius_leaves(A, lambda v: v, (), primitive_budget)
+        identity = [_vector(A.basis_element(i)) for i in range(A.dimension)]
+        factors = _frobenius_leaves(A, identity, (), primitive_budget, _frobenius_images(A))
 
     # Each e_k idempotent with (e_1 + ... + e_{k-1}) * e_k = 0 makes the
     # family pairwise orthogonal by induction, in 2r products.

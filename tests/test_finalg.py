@@ -18,6 +18,8 @@ from etalg.errors import (
     TrivialIdempotent,
 )
 from etalg.fields import GF, QQ
+import etalg.finalg
+from etalg import linalg
 from etalg.finalg import (
     FiniteAlgebra,
     _associativity_triples,
@@ -208,6 +210,84 @@ def test_mul_matches_the_triple_loop():
                     for k in range(m):
                         want[k] = K.add(want[k], K.mul(K.mul(x[i], y[j]), A.table[i][j][k]))
             assert A.mul(x, y) == tuple(want)
+
+
+def big_scalar(rng, K):
+    """A scalar spread over all of K: any residue, or a Fraction with a small denominator."""
+    return Fraction(rng.randint(-99, 99), rng.randint(1, 9)) if K == QQ else rng.randrange(K.modulus)
+
+
+def kernel_algebras(rng, K):
+    """A monogenic algebra, a product, a two-variable quotient (border) and a split factor over K."""
+    A = monogenic_from_poly(UniPoly(K, [big_scalar(rng, K) for _ in range(4)] + [K.one()]))
+    yield A
+    P = product(A, monogenic_from_poly(UniPoly(K, [big_scalar(rng, K), big_scalar(rng, K),
+                                                   K.one()])))
+    yield P
+    a, b, c = (rng.randint(2, 9) for _ in range(3))
+    yield quotient(f"field {K.name()}\nvars X, Y\nrelations:\n"
+                   f"  X^2 - {a}*Y - {b}\n  Y^3 + {c}*X*Y - 1\n")
+    e = (K.zero(),) * A.dimension + P.unit[A.dimension:]
+    yield split_by_idempotent(e, P).second
+
+
+def canonical(K, c):
+    """c is a reduced residue in [0, p), or a Fraction over Q."""
+    return type(c) is Fraction if K == QQ else type(c) is int and 0 <= c < K.modulus
+
+
+@pytest.mark.parametrize("K", [F2, GF(32003), GF(2 ** 61 - 1), QQ], ids=str)
+def test_accumulation_kernel_matches_a_field_operation_loop(K):
+    # _combine sums unreduced products and reduces each coordinate once, at the end
+    rng = random.Random(89)
+
+    def reference(A, x, y):
+        m = A.dimension
+        out = [K.zero()] * m
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    out[k] = K.add(out[k], K.mul(K.mul(x[i], y[j]), A.table[i][j][k]))
+        return tuple(out)
+
+    for A in kernel_algebras(rng, K):
+        m = A.dimension
+        for _ in range(3):
+            x, y = (tuple(big_scalar(rng, K) if rng.random() < 0.7 else K.zero()
+                          for _ in range(m)) for _ in range(2))
+            got = A.mul(x, y)
+            assert got == reference(A, x, y)
+            assert all(canonical(K, c) for c in got)
+            for k in range(m):
+                column = A._times_basis(x, k)
+                assert column == reference(A, x, A.basis_element(k))
+                assert all(canonical(K, c) for c in column)
+            operator = A.mul_operator(x)
+            assert operator == [[reference(A, x, A.basis_element(j))[i] for j in range(m)]
+                                for i in range(m)]
+            assert all(canonical(K, c) for row in operator for c in row)
+
+
+def test_power_matches_repeated_multiplication(monkeypatch):
+    rng = random.Random(97)
+    products = []
+    original = FiniteAlgebra.mul
+
+    def counting(self, x, y):
+        products.append(None)
+        return original(self, x, y)
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", counting)
+    for A in iter_chain(kernel_algebras(rng, GF(32003)), kernel_algebras(rng, QQ)):
+        K = A.field
+        x = tuple(big_scalar(rng, K) for _ in range(A.dimension))
+        want = A.unit
+        for n in range(11):
+            products.clear()
+            assert A.power(x, n) == want
+            # squarings, plus one product per further set bit: none with the unit
+            assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+            want = A.mul(want, x)
 
 
 def sympy_poly(sympy, K, coeffs, T):
@@ -428,6 +508,35 @@ def test_split_projections_are_ring_maps():
         assert proj(A.unit) == sub.unit
     # embeddings compose back to the idempotent pieces
     assert split.embed_second(split.project_second(x)) == A.mul(x, x)
+
+
+def test_split_rejects_a_basis_not_closed_under_multiplication(monkeypatch):
+    # GF(3)^3 split along e1: (1 - e1)*A is spanned by e2 and e3.  A tampered echelon
+    # basis (0, 1, 2) alone is not closed: (0, 1, 2)^2 = (0, 1, 1)
+    point = alg(F3, [0, 1])
+    A = product(product(point, point), point)
+    e1 = A.basis_element(0)
+    assert split_by_idempotent(e1, A).first.dimension == 2
+    monkeypatch.setattr(linalg, "rref", lambda rows, K: ([[0, 1, 2], [0, 0, 0], [0, 0, 0]], [1]))
+    with pytest.raises(InternalContradiction, match="not closed"):
+        split_by_idempotent(e1, A)
+
+
+def test_split_factors_take_no_sampled_sweep(monkeypatch):
+    # a factor's table is checked closed instead; tables given whole keep the sweep
+    sweeps = []
+    original = etalg.finalg._associativity_triples
+
+    def counting(m):
+        sweeps.append(m)
+        return original(m)
+
+    monkeypatch.setattr(etalg.finalg, "_associativity_triples", counting)
+    A = product(alg(F5, [1, 0, 1]), alg(F5, [2, 1, 1]))
+    assert sweeps == [2, 2, 4]
+    split = split_by_idempotent(A.sub(A.unit, A.basis_element(0)), A)
+    assert sweeps == [2, 2, 4]
+    assert (split.first.dimension, split.second.dimension) == (2, 2)
 
 
 def test_product_examples():

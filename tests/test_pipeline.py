@@ -14,7 +14,7 @@ from etalg import groebner, kaehler
 from etalg.cli import SUBCOMMAND_SECTIONS
 from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
-from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product
+from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product, split_by_idempotent
 from etalg.groebner import buchberger, quotient_algebra
 from etalg.kaehler import AlgebraPresentation, relation_basis
 from etalg.multipoly import GREVLEX, LEX
@@ -29,7 +29,7 @@ from etalg.pipeline import (
     render_report,
 )
 from etalg.unipoly import is_separable
-from util import mpoly, random_presentations, upoly
+from util import mpoly, random_monic, random_presentations, upoly
 
 F2 = GF(2)
 F3 = GF(3)
@@ -182,8 +182,8 @@ def tampered_leaves(monkeypatch, tamper):
     """Make the Frobenius route return its genuine factors with tampered idempotents."""
     genuine = etalg.pipeline._frobenius_leaves
 
-    def leaves(sub, embed, chain, budget):
-        factors = genuine(sub, embed, chain, budget)
+    def leaves(sub, basis, chain, budget, images):
+        factors = genuine(sub, basis, chain, budget, images)
         if chain:  # a recursive call on a split node
             return factors
         units = tamper(sub, [f.idempotent for f in factors])
@@ -198,7 +198,7 @@ def test_decompose_rejects_non_orthogonal_idempotents(monkeypatch):
     A = quotient_of(F2, ("X", "Y"), {(2, 0): 1, (1, 0): 1}, {(0, 2): 1, (0, 1): 1})
     tampered_leaves(monkeypatch, lambda B, e: [B.add(e[0], e[1]), B.add(e[1], e[2]),
                                                B.add(e[2], e[3]), B.add(e[1], e[2])])
-    with pytest.raises(InternalContradiction):
+    with pytest.raises(InternalContradiction, match="certificate failed"):
         decompose_etale(A)
 
 
@@ -209,7 +209,7 @@ def test_decompose_rejects_non_idempotent_members(monkeypatch):
     assert decompose_etale(A).notes
     tampered_leaves(monkeypatch, lambda B, e: [B.scalar_mul(F3.from_int(2), e[0]), e[1], e[2],
                                                B.sub(e[3], e[0])])
-    with pytest.raises(InternalContradiction):
+    with pytest.raises(InternalContradiction, match="certificate failed"):
         decompose_etale(A)
 
 
@@ -290,6 +290,67 @@ def test_frobenius_split_on_non_reduced_algebras():
 def test_frobenius_split_requires_prime_field():
     with pytest.raises(NotEtale):
         frobenius_split(monogenic_from_poly(upoly(QQ, [-1, 0, 1])))
+
+
+def powered(A):
+    """F on A by raising each basis element to the p-th power: the oracle."""
+    return [A.power(A.basis_element(i), A.field.modulus) for i in range(A.dimension)]
+
+
+def frobenius_oracle_algebras(rng):
+    """Quotients (border roots), monogenic, product and non-reduced algebras over GF(2), GF(3), GF(5)."""
+    for K in (F2, F3, GF(5)):
+        p = K.modulus
+        yield quotient_of(K, ("X", "Y"), {(p, 0): 1, (1, 0): -1},
+                          {(0, 2): 1, (1, 0): rng.randint(1, 4), (0, 0): rng.randint(0, 4)})
+        yield quotient_of(K, ("X", "Y", "Z"), {(2, 0, 0): 1, (0, 1, 0): -1},
+                          {(0, 2, 0): 1, (0, 0, 1): -1}, {(0, 0, 2): 1, (1, 0, 0): -1})
+        for _ in range(2):
+            f = random_monic(rng, K, rng.randint(2, 5))
+            yield monogenic_from_poly(f)
+            yield monogenic_from_poly(f * f)  # not reduced
+            yield product(monogenic_from_poly(f), monogenic_from_poly(random_monic(rng, K, 2)))
+        point = monogenic_from_poly(upoly(K, [0, 1]))
+        yield product(product(point, point), product(point, monogenic_from_poly(upoly(K, [0, 0, 1]))))
+
+
+def test_restricted_frobenius_matches_powering_on_every_node():
+    # F(e_i) = F(x_k) * F(e_i') along the border, and restriction below the root, give
+    # the map that powering each node's own basis gives
+    rng = random.Random(101)
+    nodes = 0
+
+    def walk(A, images):
+        nonlocal nodes
+        nodes += 1
+        assert images == powered(A)
+        e = etalg.pipeline._fixed_space_idempotent(A, images)
+        if e is None:
+            return
+        split = split_by_idempotent(e, A)
+        for factor, basis, pivots in ((split.first, split.first_basis, split.first_pivots),
+                                      (split.second, split.second_basis, split.second_pivots)):
+            walk(factor, etalg.pipeline._restricted_images(A.field, images, basis, pivots))
+
+    borders = 0
+    for A in frobenius_oracle_algebras(rng):
+        borders += A.border is not None
+        walk(A, etalg.pipeline._frobenius_images(A))
+    assert borders == 6 and nodes > 100
+
+
+def test_a_frobenius_image_outside_its_factor_raises():
+    # on GF(3)^3 a map sending e1 to e2 does not preserve the split (1 - e1)*A x e1*A
+    point = monogenic_from_poly(upoly(F3, [0, 1]))
+    A = product(product(point, point), point)
+    e1 = A.basis_element(0)
+    split = split_by_idempotent(e1, A)
+    images = etalg.pipeline._frobenius_images(A)
+    assert etalg.pipeline._restricted_images(F3, images, split.second_basis,
+                                             split.second_pivots) == [(1,)]
+    swapped = [images[1], images[0], images[2]]
+    with pytest.raises(InternalContradiction, match="Frobenius image"):
+        etalg.pipeline._restricted_images(F3, swapped, split.second_basis, split.second_pivots)
 
 
 # ------------------------------------------------------------------ nilpotent witnesses
@@ -549,6 +610,31 @@ def test_frobenius_split_reuses_the_minimal_polynomial_of_its_fixed_element(monk
     report = classify(parse_input(text))
     assert report.etale
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("text,splits,powers", [
+    (read_input("golden", "inputs", "gf4_squared.alg"), 3, 2),
+    (read_input("golden", "inputs", "gf64_leaf.alg"), 4, 3),
+    (GF5_SQUARED_GRID, 24, 2),
+], ids=["gf4_squared", "gf64_leaf", "gf5_grid"])
+def test_frobenius_route_powers_once_at_the_root(monkeypatch, text, splits, powers):
+    # F is one map, powered along the border at the root (one power per variable) and
+    # restricted below it; factors of dimension 1 are leaves without a fixed-space split
+    counts = {"splits": 0, "powers": 0, "public": 0}
+
+    def counting(key, original):
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+        return wrapper
+
+    for key, owner, name in (("splits", etalg.pipeline, "_fixed_space_idempotent"),
+                             ("powers", FiniteAlgebra, "power"),
+                             ("public", etalg.pipeline, "frobenius_split")):
+        monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+    report = classify(parse_input(text))
+    assert report.etale and len(report.decomposition) > 1
+    assert counts == {"splits": splits, "powers": powers, "public": 0}
 
 
 @pytest.mark.parametrize("text", [
