@@ -16,7 +16,7 @@ vector.
 An algebra comes from one of three inputs, each with its own construction
 check, whose failures raise InternalContradiction:
 
-* A table and a unit (``monogenic_from_poly``, ``product``).  The check
+* A table and a unit (``product``, or a table a caller hands in).  The check
   covers the unit law and commutativity on the full table, and
   associativity on every basis triple when m^3 <= ASSOCIATIVITY_SAMPLE, else
   on that many distinct triples fixed by m alone (the full sweep would cost
@@ -28,9 +28,10 @@ check, whose failures raise InternalContradiction:
   restricted to a subspace closed under it; with the unit law and the
   parent's own check this proves it commutative and associative, and no
   triple is sampled.
-* A ``border`` (``groebner.quotient_algebra``): columns[k][l] holds x_k * e_l
-  as (index, scalar) pairs, the columns of the multiplication matrix M_k,
-  and steps[i] = (k, i') says e_i = x_k * e_i' with i' < i (steps[0] is
+* A ``border`` (``groebner.quotient_algebra``, and ``monogenic_from_poly``,
+  which hands K[X]/<f> the one-variable border of <f>): columns[k][l] holds
+  x_k * e_l as (index, scalar) pairs, the columns of the multiplication
+  matrix M_k, and steps[i] = (k, i') says e_i = x_k * e_i' with i' < i (steps[0] is
   None).  The check is complete: every step column x_k * e_i' must be e_i,
   and the M_k must commute (Mourrain, ISSAC 1999; Kehrein, Kreuzer &
   Robbiano 2005).  Then e_i = B_i * e_0 for the product B_i of the M_k along
@@ -42,7 +43,8 @@ check, whose failures raise InternalContradiction:
   with nothing left to sample.
 
 Minimal polynomials come from one echelon form over the powers 1, a, a^2,
-..., extended power by power (Krylov).
+..., extended power by power (Krylov), whose row updates go through
+``_combine`` as well.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
 
 from . import linalg
 from .errors import (
@@ -339,27 +340,33 @@ class FiniteAlgebra:
         monic in that power.
         """
         self._check_element(a)
-        K = self.field
-        rows, pivots = {}, []  # pivot -> (row scaled to 1 at the pivot, its combination)
-        power = self.unit
-        for k in count():
-            vec, comb = power, (K.zero(),) * k + (K.one(),)
-            for p in pivots:  # a row reaches only past its pivot, so one ascending pass
-                c = vec[p]
-                if not K.is_zero(c):
-                    row, row_comb = rows[p]  # row_comb is the shorter: an earlier power
-                    vec = tuple(K.sub(x, K.mul(c, y)) for x, y in zip(vec, row))
-                    comb = (tuple(K.sub(x, K.mul(c, y)) for x, y in zip(comb, row_comb))
-                            + comb[len(row_comb):])
-            p = next((i for i, c in enumerate(vec) if not K.is_zero(c)), None)
-            if p is None:
+        K, m, one = self.field, self.dimension, self.field.one()
+        rows, pivots = {}, []  # pivot -> (row, support of its combination, 1 / pivot coordinate)
+        a, power = _vector(a), _vector(self.unit)  # supports once, for the products and rows
+        for k in range(m + 1):
+            multiples = []  # (c, row, its combination): power - sum c * row is 0 at every pivot
+            for q in pivots:  # a row reaches only past its pivot, so earlier rows fix c
+                c = power[q]
+                for c_p, row, _ in multiples:
+                    c -= c_p * row[q]
+                row, row_comb, inv = rows[q]
+                c = c * inv % K.modulus if K.modulus else c * inv
+                if c:
+                    multiples.append((c, row, row_comb))
+            if multiples:
+                vec = _vector(_combine(K, m, [(one, power.support)]
+                                       + [(-c, row.support) for c, row, _ in multiples]))
+                comb = _combine(K, k + 1, [(one, ((k, one),))]
+                                + [(-c, row_comb) for c, _, row_comb in multiples])
+            else:
+                vec, comb = power, (K.zero(),) * k + (one,)
+            if not vec.support:
                 return UniPoly(K, comb)
-            if vec[p] != K.one():
-                inv = K.invert(vec[p])
-                vec, comb = tuple(K.mul(inv, c) for c in vec), tuple(K.mul(inv, c) for c in comb)
-            rows[p] = (vec, comb)
+            p, lead = vec.support[0]
+            rows[p] = (vec, _support(comb), K.invert(lead))
             insort(pivots, p)
-            power = self.mul(power, a)
+            power = _vector(self.mul(power, a))
+        raise InternalContradiction(f"minimal_polynomial: 1, a, ..., a^{m} are independent")
 
     def idempotent_of(self, a, return_witness=False):
         """The unique idempotent e in K[a] with <a> = <e>.
@@ -433,38 +440,21 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraSplit:
-    """A ~ first x second along an idempotent e, with maps for certificates.
+    """A ~ first x second along an idempotent e: the factors and their bases in A.
 
-    ``first`` carries the product on (1-e)*A, ``second`` the one on e*A.
-    Basis vectors of each factor are stored in the coordinates of A, with
-    their supports, so embedding is a linear combination over those supports
-    and projection is multiplication by the factor unit followed by
-    coordinate extraction.
+    ``first`` carries the product on (1-e)*A, ``second`` the one on e*A.  Each
+    factor's basis is an echelon basis of its ideal in the coordinates of A,
+    as _Vectors, with the pivot of each vector: a factor element v embeds as
+    ``_embed(K, basis, v)``, and an element w of the ideal has coordinates
+    ``_coordinates(K, basis, pivots, w)``, read at the pivots.
     """
 
-    parent: FiniteAlgebra
     first: FiniteAlgebra
     second: FiniteAlgebra
     first_basis: tuple
     second_basis: tuple
     first_pivots: tuple
     second_pivots: tuple
-    first_unit_in_parent: tuple
-    second_unit_in_parent: tuple
-
-    def embed_first(self, v):
-        return _embed(self.parent.field, self.first_basis, v)
-
-    def embed_second(self, v):
-        return _embed(self.parent.field, self.second_basis, v)
-
-    def project_first(self, w):
-        return _project(self.parent, self.first_basis, self.first_pivots,
-                        self.first_unit_in_parent, w)
-
-    def project_second(self, w):
-        return _project(self.parent, self.second_basis, self.second_pivots,
-                        self.second_unit_in_parent, w)
 
 
 def _embed(K, basis_vectors, v):
@@ -477,13 +467,6 @@ def _coordinates(K, basis_vectors, pivots, w):
     """w on an echelon basis, read at its pivots; None unless w embeds back (w is in the span)."""
     coords = tuple(w[p] for p in pivots)
     return coords if _embed(K, basis_vectors, coords) == w else None
-
-
-def _project(parent, basis_vectors, pivots, unit_vec, w):
-    coords = _coordinates(parent.field, basis_vectors, pivots, parent.mul(unit_vec, w))
-    if coords is None:
-        raise InternalContradiction("projection onto a split factor does not embed back")
-    return coords
 
 
 class _IdealFactor(FiniteAlgebra):
@@ -534,22 +517,11 @@ def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
         raise NotIdempotent("e^2 != e")
     if A.is_zero_element(e) or e == A.unit:
         raise TrivialIdempotent("e must differ from 0 and 1")
-    complement = A.sub(A.unit, e)
-    first, basis1, pivots1 = _ideal_subalgebra(A, complement, "u")
+    first, basis1, pivots1 = _ideal_subalgebra(A, A.sub(A.unit, e), "u")
     second, basis2, pivots2 = _ideal_subalgebra(A, e, "v")
     if first.dimension + second.dimension != A.dimension:
         raise InternalContradiction("split dimensions do not add up")
-    return AlgebraSplit(
-        parent=A,
-        first=first,
-        second=second,
-        first_basis=basis1,
-        second_basis=basis2,
-        first_pivots=pivots1,
-        second_pivots=pivots2,
-        first_unit_in_parent=complement,
-        second_unit_in_parent=e,
-    )
+    return AlgebraSplit(first, second, basis1, basis2, pivots1, pivots2)
 
 
 def _padded(table, before, after):
@@ -575,24 +547,18 @@ def product(A1: FiniteAlgebra, A2: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def monogenic_from_poly(f: UniPoly, name: str = "x") -> FiniteAlgebra:
-    """K[X]/<f> on the power basis 1, x, ..., x^(deg f - 1)."""
+    """K[X]/<f> on the power basis 1, x, ..., x^(m-1), from the border of <f> as a quotient.
+
+    x * x^l = x^(l+1) for l < m - 1, x * x^(m-1) = -f_0 - ... - f_(m-1) x^(m-1), x^i = x * x^(i-1).
+    """
     if f.is_zero or f.degree == 0:
         raise ZeroOperand("monogenic_from_poly needs degree >= 1")
     if not f.is_monic:
         raise NotMonic("monogenic_from_poly needs a monic polynomial")
-    K = f.field
-    m = f.degree
-    X = UniPoly.variable(K)
-    powers = []
-    current = UniPoly.one(K)
-    for _ in range(2 * m - 1):
-        powers.append(current)
-        current = (current * X) % f
-    def coords(poly):
-        return tuple(poly.coeff(i) for i in range(m))
-    vectors = [coords(power) for power in powers]
-    table = [vectors[i:i + m] for i in range(m)]
+    K, m = f.field, f.degree
+    top = tuple((i, K.neg(c)) for i, c in reversed(tuple(enumerate(f.coeffs[:m]))) if c)
+    column = [((l + 1, K.one()),) for l in range(m - 1)] + [top]
     labels = ["1"] + [name if k == 1 else f"{name}^{k}" for k in range(1, m)]
-    unit = coords(UniPoly.one(K))
-    gen = coords(powers[1] if m >= 2 else (X % f))
-    return FiniteAlgebra(K, labels, table, unit, generator_refs={name: gen})
+    gen = tuple(dict(column[0]).get(i, K.zero()) for i in range(m))  # x = x * 1
+    return FiniteAlgebra(K, labels, generator_refs={name: gen},
+                         border=([column], [None] + [(0, i - 1) for i in range(1, m)]))

@@ -35,7 +35,10 @@ operator F is one GF(p)-linear map, built once at the root (along the
 border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
 split factor u*A reads its map off its parent's at its pivots, and no
 factor powers its own basis.  Factors of dimension 1 are leaves without a
-split, and each factor keeps its basis in root coordinates.
+split, and each factor keeps its basis in root coordinates.  A split takes
+the smallest root of a minimal polynomial dividing T^p - T, at large p by
+equal-degree splitting.  Every generator search is a lazy stream read by one
+loop under its budget.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,
@@ -53,17 +56,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain as iter_chain, islice, product as iter_product
+from itertools import chain as iter_chain, count, islice, product as iter_product
 
 from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField
-from .finalg import FiniteAlgebra, _coordinates, _embed, _vector, split_by_idempotent
+from .finalg import (FiniteAlgebra, _combine, _coordinates, _embed, _support, _vector,
+                     split_by_idempotent)
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
 from .kaehler import (FLAGS, AlgebraPresentation, Decision, decide_all, omega_dimension,
                       omega_presentation, relation_basis)
 from .multipoly import GREVLEX
-from .unipoly import UniPoly, eval_in_algebra, is_separable, squarefree_part
+from .unipoly import UniPoly, eval_in_algebra, gcd, is_separable, squarefree_part
 
 DEFAULT_PRIMITIVE_BUDGET = 1000
 
@@ -84,39 +88,39 @@ def _candidates(A: FiniteAlgebra):
     return [*A.generator_refs.values(), *_basis(A)]
 
 
+def _combinations(A: FiniteAlgebra):
+    """The combinations sum lambda_i * gen_i, lazily, ordered by the largest scalar index used.
+
+    Scalars come from the base field's deterministic enumeration; over GF(p) there are p^r.
+    """
+    K = A.field
+    supports = [_support(v) for v in _generators(A)]
+    for tier in count():
+        scalars = K.enumerate_scalars(tier + 1)
+        if len(scalars) <= tier:
+            return
+        for indices in iter_product(range(tier + 1), repeat=len(supports)):
+            if tier == 0 or max(indices) == tier:
+                yield _combine(K, A.dimension, [(scalars[i], s) for i, s in zip(indices, supports)])
+
+
 def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET):
     """Search b = sum lambda_i * gen_i with minimal polynomial of full degree.
 
     Holds on any finite algebra, reduced or not: a minimal polynomial g of
     degree dim A makes A = K[b] = K[T]/<g>, so the answer proves itself.
-    Scalars come from the deterministic enumeration of the base field, tuples
-    ordered by the largest scalar index they use; the search raises
-    SearchExhausted after ``budget`` candidates or when a finite field runs
-    out of tuples.
+    ``_first_full_degree``, the one scan loop, reads at most ``budget``
+    combinations; SearchExhausted is raised when they are spent, or when a
+    finite field runs out of tuples first.
     """
-    vectors = _generators(A)
-    r = len(vectors)
-    tried = 0
-    tier = 0
-    while True:
-        scalars = A.field.enumerate_scalars(tier + 1)
-        if len(scalars) <= tier:
-            raise SearchExhausted(
-                f"no primitive element among the {tried} candidate combinations"
-            )
-        for indices in iter_product(range(tier + 1), repeat=r):
-            if tier > 0 and max(indices) != tier:
-                continue
-            tried += 1
-            if tried > budget:
-                raise SearchExhausted(f"primitive-element budget of {budget} exhausted")
-            b = A.zero_element()
-            for idx, vec in zip(indices, vectors):
-                b = A.add(b, A.scalar_mul(scalars[idx], vec))
-            g = A.minimal_polynomial(b)
-            if g.degree == A.dimension:
-                return b, g
-        tier += 1
+    scan = _combinations(A)
+    found = _first_full_degree(A, islice(scan, budget))
+    if found is None and next(scan, None) is not None:
+        raise SearchExhausted(f"primitive-element budget of {budget} exhausted")
+    if found is None:  # over GF(p), after all p^r combinations
+        tried = A.field.modulus ** len(_generators(A))
+        raise SearchExhausted(f"no primitive element among the {tried} candidate combinations")
+    return found
 
 
 def frobenius_split(A: FiniteAlgebra):
@@ -174,7 +178,6 @@ def _restricted_images(K, images, basis, pivots):
 def _fixed_space_idempotent(A: FiniteAlgebra, images):
     """``frobenius_split`` with F given by its images of A's basis, in A's coordinates."""
     K = A.field
-    p = K.modulus
     m = A.dimension
     matrix = [
         [K.sub(images[j][i], K.one() if i == j else K.zero()) for j in range(m)]
@@ -190,14 +193,49 @@ def _fixed_space_idempotent(A: FiniteAlgebra, images):
     else:
         raise InternalContradiction("fixed space of dimension >= 2 inside the scalars")
     # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p).
-    # For its first root c and h = g / (T - c), e = 1 - h(v)/h(c) is the
+    # For its smallest root c and h = g / (T - c), e = 1 - h(v)/h(c) is the
     # idempotent that generates <v - c>, and it is neither 0 nor 1.
     g = A.minimal_polynomial(v)
-    c = next((c for c in map(K.from_int, range(p)) if K.is_zero(g(c))), None)
-    if c is None:
-        raise InternalContradiction("p-power-fixed element with no root in the prime field")
+    c = _smallest_root(g)
     h = g // UniPoly(K, [K.neg(c), K.one()])
     return A.sub(A.unit, A.scalar_mul(K.invert(h(c)), eval_in_algebra(h, v, A)))
+
+
+def _smallest_root(g: UniPoly):
+    """The smallest root in GF(p), as an integer, of a g (of degree d) that divides T^p - T.
+
+    Evaluating g at 0, 1, 2, ... takes about p operations, splitting g about d^2 log2(p)
+    per attempt; the scan runs when p <= 16 d^2 log2(p), so always at p = 2.
+    """
+    K, p = g.field, g.field.modulus
+    if p > 16 * g.degree ** 2 * p.bit_length():
+        return min(_split_roots(g, 0))
+    c = next((c for c in range(p) if K.is_zero(g(c))), None)
+    if c is None:
+        raise InternalContradiction("p-power-fixed element with no root in the prime field")
+    return c
+
+
+def _split_roots(g: UniPoly, start):
+    """The roots of g, a product of distinct linear factors over GF(p), p odd.
+
+    Equal-degree splitting (Cantor & Zassenhaus, Math. Comp. 1981): gcd(g, (T + a)^((p-1)/2) - 1)
+    holds the roots r with r + a a nonzero square.  Some a < p separates any two roots, and
+    an a that did not split g splits neither part, so both go on from a + 1.
+    """
+    K, p, one = g.field, g.field.modulus, UniPoly.one(g.field)
+    if g.degree == 1:
+        return [K.neg(g.coeff(0))]
+    for a in range(start, p):
+        power, base, n = one, UniPoly(K, [K.from_int(a), K.one()]), (p - 1) // 2
+        while n:
+            if n & 1:
+                power = power * base % g
+            base, n = base * base % g, n >> 1
+        d = gcd(g, power - one)
+        if 0 < d.degree < g.degree:
+            return _split_roots(d, a + 1) + _split_roots(g // d, a + 1)
+    raise InternalContradiction(f"{g.format()} is not a product of distinct linear factors")
 
 
 # ------------------------------------------------------------------ decomposition
@@ -218,14 +256,6 @@ class DecompositionCertificate:
 
     factors: tuple
     notes: tuple
-
-
-def _all_elements(A: FiniteAlgebra):
-    """Every element of a GF(p)-algebra, in deterministic coordinate order."""
-    K = A.field
-    residues = [K.from_int(i) for i in range(K.modulus)]
-    for coords in iter_product(residues, repeat=A.dimension):
-        yield tuple(coords)
 
 
 def _first_full_degree(A: FiniteAlgebra, candidates):
@@ -252,7 +282,9 @@ def _frobenius_leaves(sub: FiniteAlgebra, basis, chain, budget, images):
 
     e = None if sub.dimension == 1 else _fixed_space_idempotent(sub, images)
     if e is None:
-        scan = _all_elements(sub)
+        # every element in coordinate order, as the base-p digits of 0, 1, 2, ...
+        p, d = K.modulus, sub.dimension
+        scan = (tuple(n // p ** (d - 1 - i) % p for i in range(d)) for n in range(p ** d))
         found = _first_full_degree(sub, iter_chain(_generators(sub), islice(scan, budget)))
         if found is None:
             if next(scan, None) is not None:

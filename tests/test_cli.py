@@ -213,6 +213,19 @@ def test_budget_primitive_bounds_the_field_leaf_scan(capsys):
     assert code == 0 and "g4 = T^6 + T^4 + T^2 + T + 1" in out
 
 
+def test_field_leaf_scan_at_a_large_prime_reads_only_its_budget(capsys, tmp_path):
+    # GF(p^6) x GF(p)^3 for p = 2^61 - 1, shaped as gf64_leaf: X and Y have degrees 2 and 3
+    # on the GF(p^6) leaf, so its scan runs; it reads one element, never a list of residues
+    p = 2 ** 61 - 1
+    path = tmp_path / "leaf.alg"
+    path.write_text(f"field GF({p})\nvars X, Y, Z\nrelations:\n  Z^2 - Z\n  Z*(X^2 - 3)\n"
+                    "  Z*(Y^3 - 5)\n  (Z - 1)*(X^2 - X)\n  (Z - 1)*(Y^2 - Y)\n  (Z - 1)*X*Y\n")
+    assert pow(3, (p - 1) // 2, p) == p - 1 and pow(5, (p - 1) // 3, p) != 1  # no square, no cube
+    code, out, err = run_main(capsys, "decompose", str(path), "--budget-primitive", "1")
+    assert code == 2 and out == ""
+    assert "field-generator scan budget of 1 exhausted on a leaf of dimension 6" in err
+
+
 @pytest.mark.parametrize("name", ["circle_cross.alg", "four_points_gf2.alg", "dual_numbers.alg"])
 def test_byte_identical_across_processes(name):
     # separate interpreters with different hash seeds must print identical bytes

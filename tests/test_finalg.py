@@ -23,6 +23,8 @@ from etalg import linalg
 from etalg.finalg import (
     FiniteAlgebra,
     _associativity_triples,
+    _coordinates,
+    _embed,
     monogenic_from_poly,
     product,
     split_by_idempotent,
@@ -405,6 +407,14 @@ def test_minimal_polynomial_examples():
     assert A.minimal_polynomial(A.unit) == upoly(QQ, [-1, 1])
 
 
+def test_minimal_polynomial_stops_at_the_dimension(monkeypatch):
+    # with its pivots lost no power reduces to zero; a^m is the last power it takes
+    A = alg(F5, [1, 0, 1])
+    monkeypatch.setattr(etalg.finalg, "insort", lambda pivots, p: None)
+    with pytest.raises(InternalContradiction, match=r"1, a, \.\.\., a\^2 are independent"):
+        A.minimal_polynomial(A.generator_refs["x"])
+
+
 def test_minimal_polynomial_of_sum_of_roots():
     from etalg.groebner import buchberger, quotient_algebra
     from util import mpoly
@@ -499,15 +509,31 @@ def test_split_by_idempotent_examples():
 
 
 def test_split_projections_are_ring_maps():
+    # w -> the coordinates of u*w on a factor's basis, read at its pivots, is a ring map
+    # onto the factor (u is the factor's unit embedded in A), and it embeds back as u*w
     A = alg(QQ, [0, -1, 1])
     x = A.generator_refs["x"]
-    split = split_by_idempotent(x, A)
-    for proj, sub in ((split.project_first, split.first), (split.project_second, split.second)):
-        pa, pb = proj(x), proj(A.unit)
-        assert proj(A.mul(x, A.unit)) == sub.mul(pa, pb)
-        assert proj(A.unit) == sub.unit
-    # embeddings compose back to the idempotent pieces
-    assert split.embed_second(split.project_second(x)) == A.mul(x, x)
+    B = product(alg(F5, [2, 0, 1]), alg(F5, [1, 1]))
+    for A, e in ((A, x), (B, B.basis_element(2))):
+        K = A.field
+        split = split_by_idempotent(e, A)
+        elements = [A.unit, e, *(A.basis_element(i) for i in range(A.dimension)),
+                    A.add(A.basis_element(0), A.scalar_mul(K.from_int(3), A.basis_element(1)))]
+        for sub, basis, pivots in ((split.first, split.first_basis, split.first_pivots),
+                                   (split.second, split.second_basis, split.second_pivots)):
+            u = _embed(K, basis, sub.unit)
+
+            def proj(w):
+                return _coordinates(K, basis, pivots, A.mul(u, w))
+
+            assert proj(A.unit) == sub.unit
+            for a in elements:
+                assert _embed(K, basis, proj(a)) == A.mul(u, a)
+                for b in elements:
+                    assert proj(A.mul(a, b)) == sub.mul(proj(a), proj(b))
+        # the second factor is e*A, the first (1 - e)*A
+        assert _embed(K, split.second_basis, split.second.unit) == e
+        assert _embed(K, split.first_basis, split.first.unit) == A.sub(A.unit, e)
 
 
 def test_split_rejects_a_basis_not_closed_under_multiplication(monkeypatch):
@@ -532,10 +558,10 @@ def test_split_factors_take_no_sampled_sweep(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(etalg.finalg, "_associativity_triples", counting)
-    A = product(alg(F5, [1, 0, 1]), alg(F5, [2, 1, 1]))
-    assert sweeps == [2, 2, 4]
+    A = product(alg(F5, [1, 0, 1]), alg(F5, [2, 1, 1]))  # factors from their border
+    assert sweeps == [4]
     split = split_by_idempotent(A.sub(A.unit, A.basis_element(0)), A)
-    assert sweeps == [2, 2, 4]
+    assert sweeps == [4]
     assert (split.first.dimension, split.second.dimension) == (2, 2)
 
 
@@ -569,6 +595,21 @@ def test_product_discriminant_multiplicative_random():
             g = random_monic(rng, K, rng.randint(1, 3))
             A, B = monogenic_from_poly(f), monogenic_from_poly(g)
             assert product(A, B).discriminant() == K.mul(A.discriminant(), B.discriminant())
+
+
+def test_monogenic_from_poly_is_the_quotient_by_f():
+    # K[X]/<f> gets the border, table, unit and generator reference of the quotient by <f>
+    rng = random.Random(29)
+    for K in (F2, F3, F5, QQ):
+        X = UniPoly.variable(K)
+        randoms = [random_monic(rng, K, rng.randint(1, 6)) for _ in range(10)]
+        # degree 1, and f(0) = 0: X, X + 3 and X times a random f
+        for f in [X, upoly(K, [3, 1]), *randoms, *(X * g for g in randoms[:4])]:
+            A = monogenic_from_poly(f, "X")
+            Q = quotient(f"field {K.name()}\nvars X\nrelations:\n  {f.format('X')}\n")
+            assert A.border == Q.border
+            assert A.table == Q.table and A.unit == Q.unit
+            assert A.generator_refs == Q.generator_refs and A.basis_labels == Q.basis_labels
 
 
 def test_monogenic_from_poly_examples():

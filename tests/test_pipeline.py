@@ -254,7 +254,71 @@ def test_primitive_element_budget():
         primitive_element(A, budget=2)
 
 
+@pytest.mark.parametrize("budget,note", [
+    (0, "primitive-element budget of 0 exhausted"),
+    (3, "primitive-element budget of 3 exhausted"),
+    (4, "no primitive element among the 4 candidate combinations"),
+    (5, "no primitive element among the 4 candidate combinations"),
+])
+def test_primitive_scan_boundaries(monkeypatch, budget, note):
+    # GF(2)^4 has 2^2 combinations of X and Y, none primitive: a budget below 4 is spent
+    # first, and from 4 on the field runs out of tuples; each candidate takes one
+    # minimal polynomial
+    text = read_input("..", "samples", "four_points_gf2.alg")
+    report = classify(parse_input(text), primitive_budget=budget)
+    assert report.notes[0].startswith(f"primitive-element search over GF(2): {note}; ")
+    A = quotient_algebra(relation_basis(parse_input(text)))
+    original = FiniteAlgebra.minimal_polynomial
+    seen = []
+
+    def counting(self, a):
+        seen.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(FiniteAlgebra, "minimal_polynomial", counting)
+    with pytest.raises(SearchExhausted, match=f"^{note}$"):
+        primitive_element(A, budget=budget)
+    assert seen == [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)][:budget]  # 0, Y, X, X + Y
+
+
 # ------------------------------------------------------------------ frobenius splitting
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 32003])
+def test_roots_by_splitting_match_the_scan(p):
+    # a divisor of T^p - T is a product of distinct linear factors; splitting finds all
+    # its roots, and the smallest is the first that evaluating at 0, 1, ..., p - 1 finds
+    K = GF(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        roots = rng.sample(range(p), rng.randint(1, min(p, 12)))
+        g = upoly(K, [1])
+        for r in roots:
+            g = g * upoly(K, [-r, 1])
+        assert sorted(etalg.pipeline._split_roots(g, 0)) == sorted(roots)
+        scan = next(c for c in range(p) if K.is_zero(g(c)))
+        assert etalg.pipeline._smallest_root(g) == scan == min(roots)
+
+
+def test_splitting_a_polynomial_without_linear_factors_raises():
+    # T^2 + 1 is irreducible over GF(7): no a < 7 splits it, and the search ends there
+    with pytest.raises(InternalContradiction, match="not a product of distinct linear factors"):
+        etalg.pipeline._split_roots(upoly(GF(7), [1, 0, 1]), 0)
+
+
+def test_frobenius_route_at_a_large_prime():
+    # four points over GF(2^61 - 1) whose basis elements are not primitive (X*Y takes the
+    # value a*b*w twice); with the scan cut to one candidate, the fixed-space split finds
+    # the roots of degree-4 minimal polynomials by splitting, not by evaluating up to p
+    p = 2 ** 61 - 1
+    a, b, w = 10 ** 17, 2 * 10 ** 17 + 1, 3 * 10 ** 17 + 7
+    c, d = b * w % p, a * w % p
+    text = (f"field GF({p})\nvars X, Y\nrelations:\n  (X - {a})*(X - {b})\n"
+            f"  (Y - {c})*(Y - {d})\n")
+    report = classify(parse_input(text), primitive_budget=1)
+    assert "primitive-element budget of 1 exhausted" in report.notes[0]
+    assert [g.degree for g in report.decomposition] == [1, 1, 1, 1]
+    assert sorted(-g.coeff(0) % p for g in report.decomposition) == [a, a, b, b]
+
 
 def test_frobenius_split_examples():
     A = quotient_of(F2, ("X",), {(2,): 1, (1,): 1})
@@ -298,7 +362,7 @@ def powered(A):
 
 
 def frobenius_oracle_algebras(rng):
-    """Quotients (border roots), monogenic, product and non-reduced algebras over GF(2), GF(3), GF(5)."""
+    """Quotients and monogenic algebras (border roots), products and non-reduced ones over GF(2), GF(3), GF(5)."""
     for K in (F2, F3, GF(5)):
         p = K.modulus
         yield quotient_of(K, ("X", "Y"), {(p, 0): 1, (1, 0): -1},
@@ -336,7 +400,7 @@ def test_restricted_frobenius_matches_powering_on_every_node():
     for A in frobenius_oracle_algebras(rng):
         borders += A.border is not None
         walk(A, etalg.pipeline._frobenius_images(A))
-    assert borders == 6 and nodes > 100
+    assert borders == 18 and nodes > 100
 
 
 def test_a_frobenius_image_outside_its_factor_raises():
