@@ -8,6 +8,9 @@ the arithmetic; polynomial and linear-algebra code stays generic over it.
 Only prime fields are supported in positive characteristic.  They are
 perfect with the identity map as Frobenius inverse, which is exactly what
 the p-th-power decomposition of univariate polynomials needs.
+
+``power`` is the one repeated-squaring loop: every power of a polynomial,
+of a finite-algebra element or modulo a polynomial goes through it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,22 @@ from fractions import Fraction
 from operator import index as _as_int
 
 from .errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
+
+
+def power(x, n: int, mul, one):
+    """x^n under ``mul`` by repeated squaring from x itself; ``one`` only answers n = 0."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    if n == 0:
+        return one
+    while not n & 1:
+        x, n = mul(x, x), n >> 1
+    result = x
+    while n > 1:
+        x, n = mul(x, x), n >> 1
+        if n & 1:
+            result = mul(result, x)
+    return result
 
 
 class FieldContext:

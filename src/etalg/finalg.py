@@ -5,13 +5,13 @@ dimension m over a discrete field, stored as the table of coordinate vectors
 e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
 algebra object carries the operations.  Each distinct vector of a table
 gets its support, the (index, scalar) pairs of its nonzero coordinates,
-once, when it is built; ``_combine``, the module's one accumulation loop,
-walks supports, so products skip zero coordinates.  It accumulates with the
-elements' own + and * and reduces each output coordinate once, at the end
-(mod p over GF(p); a Fraction is always in lowest terms), so its results are
-reduced residues or Fractions like every other element.  Equal products
-share one vector, so the trace-form Gram matrix takes one trace per distinct
-vector.
+once, when it is built.  ``_combine``, the module's one accumulation loop
+behind sums, scalar multiples, products and Krylov rows, walks supports, so
+it skips zero coordinates.  It accumulates with the elements' own + and *
+and reduces each output coordinate once, at the end (mod p over GF(p); a
+Fraction is always in lowest terms), so its results are reduced residues or
+Fractions like every other element.  Equal products share one vector, so
+the trace-form Gram matrix takes one trace per distinct vector.
 
 An algebra comes from one of three inputs, each with its own construction
 check, whose failures raise InternalContradiction:
@@ -54,7 +54,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import reduce
 
-from . import linalg
+from . import fields, linalg
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -240,15 +240,14 @@ class FiniteAlgebra:
 
     def add(self, x, y):
         K = self.field
-        return tuple(K.add(a, b) for a, b in zip(x, y))
+        return _combine(K, self.dimension, ((K.one(), _support(x)), (K.one(), _support(y))))
 
     def sub(self, x, y):
         K = self.field
-        return tuple(K.sub(a, b) for a, b in zip(x, y))
+        return _combine(K, self.dimension, ((K.one(), _support(x)), (K.neg(K.one()), _support(y))))
 
     def scalar_mul(self, c, x):
-        K = self.field
-        return tuple(K.mul(c, a) for a in x)
+        return _combine(self.field, self.dimension, ((c, _support(x)),))
 
     def mul(self, x, y):
         self._check_element(x)
@@ -267,17 +266,8 @@ class FiniteAlgebra:
                         ((a, row[i].support) for i, a in _support(x)))
 
     def power(self, x, n: int):
-        """x^n by repeated squaring, starting from x itself: no product with the unit."""
-        if n == 0:
-            return self.unit
-        while not n & 1:
-            x, n = self.mul(x, x), n >> 1
-        result = x
-        while n > 1:
-            x, n = self.mul(x, x), n >> 1
-            if n & 1:
-                result = self.mul(result, x)
-        return result
+        """x^n by ``fields.power``: no product with the unit."""
+        return fields.power(x, n, self.mul, self.unit)
 
     def is_zero_element(self, x) -> bool:
         K = self.field

@@ -5,13 +5,19 @@ A MultiPoly maps monomials to nonzero coefficients over a FieldContext and
 remembers its ordered variable names; mixing rings raises RingMismatch.
 Two monomial orders are provided: graded reverse lexicographic (the default
 everywhere) and lexicographic.
+
+Arithmetic has one term loop, ``_plus`` (self + the sum of c * x^q * g, zeros
+dropped as they appear), behind every operation but powers, which go through
+``fields.power``.  It shares no code with the Groebner row kernel, so
+``groebner.one_certificate`` re-verifies Bezout identities independently.
 """
 
 from __future__ import annotations
 
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
-from .errors import IndexOutOfRange, RingMismatch
+from .errors import IndexOutOfRange, RingMismatch, ZeroOperand
+from .fields import power
 
 
 # ------------------------------------------------------------------ monomials
@@ -128,6 +134,8 @@ class MultiPoly:
 
     def leading(self, order):
         """(monomial, coefficient) of the leading term under the order."""
+        if not self.terms:
+            raise ZeroOperand("the zero polynomial has no leading term")
         lm = max(self.terms, key=order.key)
         return lm, self.terms[lm]
 
@@ -136,67 +144,55 @@ class MultiPoly:
             raise RingMismatch("operands live in different polynomial rings")
 
     # -- arithmetic ------------------------------------------------------
+    def _plus(self, products):
+        """self + the sum of c * x^q * g over the (c, q, g) triples, zeros dropped at once."""
+        K = self.field
+        add, mul, is_zero = K.add, K.mul, K.is_zero
+        out = dict(self.terms)
+        for c, q, g in products:
+            for m, a in g.terms.items():
+                t = mono_mul(m, q)
+                s, old = mul(c, a), out.get(t)
+                if old is not None:
+                    s = add(old, s)
+                if is_zero(s):
+                    out.pop(t, None)
+                else:
+                    out[t] = s
+        result = object.__new__(MultiPoly)  # no zero terms: skip the constructor's validation
+        result.field, result.variables, result.terms = K, self.variables, out
+        return result
+
     def __add__(self, other):
         self._same_ring(other)
-        K = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = K.add(out.get(m, K.zero()), c)
-            if K.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(K, self.variables, out)
+        return self._plus([(self.field.one(), (0,) * len(self.variables), other)])
 
     def __sub__(self, other):
         self._same_ring(other)
         K = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = K.sub(out.get(m, K.zero()), c)
-            if K.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultiPoly(K, self.variables, out)
+        return self._plus([(K.neg(K.one()), (0,) * len(self.variables), other)])
 
     def __neg__(self):
         K = self.field
-        return MultiPoly(K, self.variables, {m: K.neg(c) for m, c in self.terms.items()})
+        return self.scale(K.neg(K.one()))
 
     def __mul__(self, other):
         self._same_ring(other)
-        K = self.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = K.add(out.get(m, K.zero()), K.mul(c1, c2))
-                if K.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(K, self.variables, out)
+        return MultiPoly.zero(self.field, self.variables)._plus(
+            (c, m, other) for m, c in self.terms.items())
 
     def scale(self, c):
-        K = self.field
-        return MultiPoly(K, self.variables, {m: K.mul(c, x) for m, x in self.terms.items()})
+        return self.mul_term((0,) * len(self.variables), c)
 
     def mul_term(self, exps, c):
-        K = self.field
-        return MultiPoly(
-            K, self.variables, {mono_mul(m, exps): K.mul(c, x) for m, x in self.terms.items()}
-        )
+        """c * x^exps * self."""
+        exps = tuple(exps)
+        if len(exps) != len(self.variables):
+            raise RingMismatch("monomial length does not match variable count")
+        return MultiPoly.zero(self.field, self.variables)._plus([(c, exps, self)])
 
     def __pow__(self, n: int):
-        result = MultiPoly.one(self.field, self.variables)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, mul, MultiPoly.one(self.field, self.variables))
 
     def monic(self, order):
         _, lc = self.leading(order)
@@ -209,17 +205,10 @@ class MultiPoly:
         if not 0 <= i < len(self.variables):
             raise IndexOutOfRange(f"variable index {i} out of range")
         K = self.field
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            d = K.mul(K.from_int(m[i]), c)
-            if K.is_zero(d):
-                continue
-            exps = list(m)
-            exps[i] -= 1
-            out[tuple(exps)] = d
-        return MultiPoly(K, self.variables, out)
+        unit = MultiPoly.one(K, self.variables)
+        return MultiPoly.zero(K, self.variables)._plus(
+            (K.mul(K.from_int(m[i]), c), m[:i] + (m[i] - 1,) + m[i + 1:], unit)
+            for m, c in self.terms.items() if m[i])
 
     # -- comparison / display ---------------------------------------------
     def __eq__(self, other):

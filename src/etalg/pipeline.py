@@ -60,7 +60,7 @@ from itertools import chain as iter_chain, count, islice, product as iter_produc
 
 from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
-from .fields import PrimeField
+from .fields import PrimeField, power
 from .finalg import (FiniteAlgebra, _combine, _coordinates, _embed, _support, _vector,
                      split_by_idempotent)
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
@@ -227,12 +227,9 @@ def _split_roots(g: UniPoly, start):
     if g.degree == 1:
         return [K.neg(g.coeff(0))]
     for a in range(start, p):
-        power, base, n = one, UniPoly(K, [K.from_int(a), K.one()]), (p - 1) // 2
-        while n:
-            if n & 1:
-                power = power * base % g
-            base, n = base * base % g, n >> 1
-        d = gcd(g, power - one)
+        half = power(UniPoly(K, [K.from_int(a), K.one()]), (p - 1) // 2,
+                     lambda x, y: x * y % g, one)
+        d = gcd(g, half - one)
         if 0 < d.degree < g.degree:
             return _split_roots(d, a + 1) + _split_roots(g // d, a + 1)
     raise InternalContradiction(f"{g.format()} is not a product of distinct linear factors")
@@ -375,10 +372,10 @@ def find_nilpotent(A: FiniteAlgebra):
         w = eval_in_algebra(r, a, A)
         if A.is_zero_element(w):
             continue
-        power = w
+        square = w
         for _ in range(A.dimension):
-            power = A.mul(power, power)
-            if A.is_zero_element(power):
+            square = A.mul(square, square)
+            if A.is_zero_element(square):
                 return w
     return None
 

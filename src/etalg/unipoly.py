@@ -11,6 +11,8 @@ and the p-th-power decomposition f = g^p available over perfect prime fields.
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import linalg
 from .errors import (
     AlreadySeparable,
@@ -25,6 +27,7 @@ from .errors import (
     ZeroDerivative,
     ZeroOperand,
 )
+from .fields import power
 
 
 class UniPoly:
@@ -120,14 +123,7 @@ class UniPoly:
         return UniPoly(K, [K.mul(c, x) for x in self.coeffs])
 
     def __pow__(self, n: int):
-        result = UniPoly.one(self.field)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, mul, UniPoly.one(self.field))
 
     def __divmod__(self, other):
         self._same_field(other)

@@ -6,8 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from etalg.errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
-from etalg.fields import GF, PRIMALITY_BOUND, QQ, PrimeField, Rationals, _is_prime
+from etalg.fields import GF, PRIMALITY_BOUND, QQ, PrimeField, Rationals, _is_prime, power
 from etalg.parsing import parse_input
+from util import power_products
+
+
+def test_power_by_repeated_squaring():
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for n in range(40):
+        products.clear()
+        assert power(3, n, mul, 1) == 3 ** n
+        assert len(products) == power_products(n)
+        assert all(1 not in pair for pair in products)  # never a product with the unit
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        power(3, -1, mul, 1)
 
 
 def test_invert_examples():

@@ -268,6 +268,17 @@ def test_accumulation_kernel_matches_a_field_operation_loop(K):
             assert operator == [[reference(A, x, A.basis_element(j))[i] for j in range(m)]
                                 for i in range(m)]
             assert all(canonical(K, c) for row in operator for c in row)
+            # sums and scalar multiples of tuples and table vectors, cancellations included
+            c, v = y[-1], A.table[1][1]
+            for got, want in [(A.add(x, y), tuple(map(K.add, x, y))),
+                              (A.sub(x, y), tuple(map(K.sub, x, y))),
+                              (A.add(v, A.unit), tuple(map(K.add, v, A.unit))),
+                              (A.scalar_mul(c, x), tuple(K.mul(c, a) for a in x)),
+                              (A.scalar_mul(K.zero(), x), A.zero_element()),
+                              (A.sub(x, x), A.zero_element()),
+                              (A.add(x, A.scalar_mul(K.neg(K.one()), x)), A.zero_element())]:
+                assert got == want
+                assert all(canonical(K, a) for a in got)
 
 
 def test_power_matches_repeated_multiplication(monkeypatch):
@@ -290,6 +301,14 @@ def test_power_matches_repeated_multiplication(monkeypatch):
             # squarings, plus one product per further set bit: none with the unit
             assert len(products) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
             want = A.mul(want, x)
+
+
+def test_negative_power_raises():
+    A = alg(F5, [2, 0, 1])  # GF(5)[x]/<x^2 + 2>
+    x = A.basis_element(1)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            A.power(x, n)
 
 
 def sympy_poly(sympy, K, coeffs, T):

@@ -34,7 +34,7 @@ from etalg.unipoly import (
     resultant,
     squarefree_part,
 )
-from util import brute_det, random_monic, sylvester_matrix, upoly
+from util import brute_det, power_products, random_monic, sylvester_matrix, upoly
 
 F2 = GF(2)
 F3 = GF(3)
@@ -53,6 +53,34 @@ def test_zero_polynomial_degree_sentinel():
 def test_trailing_zeros_trimmed():
     assert upoly(QQ, [1, 2, 0, 0]) == upoly(QQ, [1, 2])
     assert upoly(F5, [5, 10]).is_zero
+
+
+def test_power_takes_the_repeated_squaring_product_count(monkeypatch):
+    products = []
+    original = UniPoly.__mul__
+
+    def counting(self, other):
+        products.append(None)
+        return original(self, other)
+
+    rng = random.Random(43)
+    for K in (QQ, F3, F5):
+        f = random_monic(rng, K, 2)
+        wants = [UniPoly.one(K)]
+        for _ in range(10):
+            wants.append(wants[-1] * f)
+        monkeypatch.setattr(UniPoly, "__mul__", counting)
+        for n, want in enumerate(wants):
+            products.clear()
+            assert f ** n == want
+            assert len(products) == power_products(n)
+        monkeypatch.undo()
+
+
+def test_negative_exponent_raises():
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative exponent"):
+            upoly(F5, [1, 1]) ** n
 
 
 def test_divmod_roundtrip():

@@ -23,6 +23,11 @@ def mpoly(field, variables, spec):
     return MultiPoly(field, variables, {tuple(e): field.from_int(c) for e, c in spec.items()})
 
 
+def power_products(n):
+    """Products repeated squaring takes for x^n: squarings, plus one per further set bit of n."""
+    return n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+
+
 def perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)
