@@ -9,7 +9,8 @@
 Comments run from '#' to end of line.  The polynomial grammar has integer
 and a/b rational literals, declared identifiers, + - * ^ and parentheses;
 '^' takes a nonnegative integer literal and there is no implicit
-multiplication.  All rejections raise ParseError with line and column.
+multiplication.  Parentheses nest at most MAX_NESTING deep.  All rejections,
+a file that is not UTF-8 included, raise ParseError with line and column.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .multipoly import MultiPoly
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+MAX_NESTING = 100  # parenthesis depth; inputs in practice nest a few levels
 
 
 class _Tokens:
@@ -71,6 +73,7 @@ class _PolyParser:
         self.field = field
         self.variables = tuple(variables)
         self.var_index = {name: i for i, name in enumerate(self.variables)}
+        self.depth = 0
 
     def parse(self) -> MultiPoly:
         poly = self.expression()
@@ -141,8 +144,13 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {value!r}", self.tokens.line, col)
             return MultiPoly.variable(self.field, self.variables, self.var_index[value])
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
+                                 self.tokens.line, col)
+            self.depth += 1
             poly = self.expression()
             self.tokens.expect_op(")")
+            self.depth -= 1
             return poly
         raise ParseError(
             "expected a number, a variable, or '('" if kind != "eof" else "unexpected end of input",
@@ -159,15 +167,10 @@ _VARS_RE = re.compile(r"^\s*vars\b(.*)$")
 _RELS_RE = re.compile(r"^\s*relations\s*:\s*$")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def parse_input(text: str) -> AlgebraPresentation:
     """Parse the declarative input format into an algebra presentation."""
     lines = text.splitlines()
-    body = [(i + 1, _strip_comment(raw)) for i, raw in enumerate(lines)]
+    body = [(i + 1, raw.partition("#")[0]) for i, raw in enumerate(lines)]
     body = [(no, content) for no, content in body if content.strip()]
     if not body:
         raise ParseError("empty input", 1, 1)
@@ -215,5 +218,11 @@ def parse_input(text: str) -> AlgebraPresentation:
 
 
 def parse_file(path: str) -> AlgebraPresentation:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_input(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return parse_input(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # the text before the first bad byte decodes; "?" marks it
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"not UTF-8 text (byte {data[exc.start]:#04x})",
+                         len(lines), len(lines[-1])) from None

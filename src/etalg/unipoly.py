@@ -2,9 +2,15 @@
 
 Coefficients are stored ascending by degree with trailing zeros trimmed, so
 the zero polynomial has an empty coefficient tuple and its degree is the
-``None`` sentinel (it never takes part in arithmetic).  Besides the ring
-operations the module provides the extended Euclidean algorithm, Sylvester
-resultants and discriminants, separability and squarefreeness tests, the
+``None`` sentinel (it never takes part in arithmetic).
+
+Arithmetic has one coefficient loop, ``_plus`` (self + the sum of c * T^q * g,
+with native + and * and each coefficient reduced once, at the end), behind
++, -, unary -, *, ``scale`` and each step of long division; powers go through
+``fields.power``.  ``gcd`` runs the remainder sequence alone, while
+``extended_gcd`` also carries the Bezout cofactors.  Over the perfect fields
+Q and GF(p) squarefree and separable (gcd(f, f') = 1) mean the same thing.
+The module also provides Sylvester resultants and discriminants, the
 gcd-refinement coprime splitting f = f1*f2 with gcd(f1, f2) = gcd(f1, f') = 1,
 and the p-th-power decomposition f = g^p available over perfect prime fields.
 """
@@ -89,38 +95,35 @@ class UniPoly:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
+    def _plus(self, products):
+        """self + the sum of c * T^q * g over (c, q, g) triples, each coefficient reduced once."""
+        K = self.field
+        out = list(self.coeffs)
+        for c, q, g in products:
+            out += [K.zero()] * (q + len(g.coeffs) - len(out))  # pads only when g reaches past out
+            for i, a in enumerate(g.coeffs, q):
+                out[i] += c * a
+        p = K.modulus
+        return UniPoly(K, [x % p for x in out] if p else out)
+
     def __add__(self, other):
         self._same_field(other)
-        K = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(K, [K.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return self._plus([(self.field.one(), 0, other)])
 
     def __sub__(self, other):
         self._same_field(other)
-        K = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(K, [K.sub(self.coeff(i), other.coeff(i)) for i in range(n)])
+        return self._plus([(self.field.neg(self.field.one()), 0, other)])
 
     def __neg__(self):
-        K = self.field
-        return UniPoly(K, [K.neg(c) for c in self.coeffs])
+        return self.scale(self.field.neg(self.field.one()))
 
     def __mul__(self, other):
         self._same_field(other)
-        K = self.field
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(K)
-        out = [K.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if K.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = K.add(out[i + j], K.mul(a, b))
-        return UniPoly(K, out)
+        return UniPoly.zero(self.field)._plus(
+            (a, i, other) for i, a in enumerate(self.coeffs) if a)
 
     def scale(self, c):
-        K = self.field
-        return UniPoly(K, [K.mul(c, x) for x in self.coeffs])
+        return UniPoly.zero(self.field)._plus([(c, 0, self)])
 
     def __pow__(self, n: int):
         return power(self, n, mul, UniPoly.one(self.field))
@@ -131,20 +134,14 @@ class UniPoly:
             raise ZeroDivisionError("polynomial division by zero")
         K = self.field
         inv_lc = K.invert(other.lc())
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(K), self
-        quo = [K.zero()] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if K.is_zero(c):
-                continue
-            q = K.mul(c, inv_lc)
-            quo[k] = q
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = K.sub(rem[k + i], K.mul(q, b))
-        return UniPoly(K, quo), UniPoly(K, rem)
+        n = len(other.coeffs)
+        quo = [K.zero()] * max(len(self.coeffs) - n + 1, 0)
+        rem = self
+        while len(rem.coeffs) >= n:
+            k = len(rem.coeffs) - n
+            quo[k] = K.mul(rem.coeffs[-1], inv_lc)
+            rem = rem._plus([(K.neg(quo[k]), k, other)])
+        return UniPoly(K, quo), rem
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -201,7 +198,12 @@ def extended_gcd(f: UniPoly, g: UniPoly):
 
 
 def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    return extended_gcd(f, g)[0]
+    """Monic d with <d> = <f, g>: the remainder sequence alone, no cofactors."""
+    if f.is_zero and g.is_zero:
+        raise BothZero("gcd(0, 0) is undefined")
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.scale(f.field.invert(f.lc()))
 
 
 def derivative(f: UniPoly) -> UniPoly:
@@ -259,17 +261,14 @@ def _require_monic_nonconstant(f: UniPoly):
 def is_separable(f: UniPoly) -> bool:
     """True iff gcd(f, f') = 1, equivalently disc(f) != 0."""
     _require_monic_nonconstant(f)
-    fp = derivative(f)
-    if fp.is_zero:
-        return False
-    return gcd(f, fp).degree == 0
+    return gcd(f, derivative(f)).degree == 0
 
 
 def pth_power_decompose(f: UniPoly) -> UniPoly:
     """Given f' = 0 in characteristic p, return g with g^p = f.
 
-    Exponents with nonzero coefficients are all divisible by p, and the
-    perfect base field supplies p-th roots of the coefficients.
+    As f' = 0, exponents with nonzero coefficients are all divisible by p,
+    and the perfect base field supplies p-th roots of the coefficients.
     """
     K = f.field
     p = K.characteristic()
@@ -279,13 +278,7 @@ def pth_power_decompose(f: UniPoly) -> UniPoly:
         raise NotMonic("pth_power_decompose needs a monic polynomial")
     if not derivative(f).is_zero:
         raise DerivativeNonzero("pth_power_decompose needs f' = 0")
-    out = []
-    for k, c in enumerate(f.coeffs):
-        if k % p == 0:
-            out.append(K.pth_root(c))
-        elif not K.is_zero(c):
-            raise DerivativeNonzero("exponent not divisible by the characteristic")
-    return UniPoly(K, out)
+    return UniPoly(K, [K.pth_root(c) for c in f.coeffs[::p]])
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -296,18 +289,15 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         raise NotMonic("squarefree_part needs a monic polynomial")
     if f.degree == 0:
         return f
-    K = f.field
     fp = derivative(f)
-    if K.characteristic() == 0:
-        return f // gcd(f, fp)
     if fp.is_zero:
         return squarefree_part(pth_power_decompose(f))
     d = gcd(f, fp)
     if d.degree == 0:
         return f
     w = f // d
-    # w holds the primes whose multiplicity is not divisible by p; strip them
-    # from f, leaving the part whose derivative vanishes.
+    # w holds the primes whose multiplicity p does not divide (all, in characteristic 0);
+    # strip them from f, leaving v with v' = 0 (v = 1 in characteristic 0).
     v = f
     h = gcd(v, w)
     while h.degree >= 1:
@@ -319,12 +309,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
 
 
 def is_squarefree(f: UniPoly) -> bool:
-    """True iff f has no repeated prime factor."""
-    _require_monic_nonconstant(f)
-    K = f.field
-    if K.characteristic() == 0:
-        return gcd(f, derivative(f)).degree == 0
-    return squarefree_part(f) == f
+    """No repeated prime factor; over the perfect fields Q and GF(p) that is separability."""
+    return is_separable(f)
 
 
 def coprime_split(f: UniPoly):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,11 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import etalg.cli
 import etalg.finalg
 import etalg.pipeline
-from etalg.cli import main
+from etalg.cli import SUBCOMMAND_SECTIONS, main
 from etalg.errors import RingMismatch
 from etalg.fields import PRIMALITY_BOUND
 from etalg.multipoly import LEX
@@ -300,3 +303,83 @@ def test_help_exits_0(capsys):
     code, out, err = usage_exit(capsys, "classify", "--help")
     assert code == 0 and out.startswith("usage: etalg classify") and err == ""
 
+
+
+# ------------------------------------------------------------------ malformed input text
+
+NON_UTF8 = b"field Q\nvars X\nrelations:\n  X^2 \xff- 1\n"
+
+
+def nested(depth):
+    return f"field Q\nvars X\nrelations:\n  {'(' * depth}X{')' * depth}^2 - 1\n".encode()
+
+
+def run_process(tmp_path, data, *argv):
+    path = tmp_path / "input.alg"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "etalg", *argv, str(path)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+MALFORMED = (NON_UTF8, nested(1000))
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path):
+    code, out, err = run_process(tmp_path, NON_UTF8, "classify")
+    assert code == 1 and out == ""
+    assert err == "error: line 4, column 7: not UTF-8 text (byte 0xff)\n"
+
+
+def test_parentheses_past_the_nesting_bound_are_an_input_error(tmp_path):
+    code, out, err = run_process(tmp_path, nested(1000), "classify")
+    assert code == 1 and out == ""
+    assert err == "error: line 4, column 103: parentheses nested more than 100 deep\n"
+
+
+def test_parentheses_at_the_nesting_bound_classify(tmp_path):
+    code, out, err = run_process(tmp_path, nested(100), "classify")
+    assert code == 0 and err == ""
+    assert "  f1 = X^2 - 1\n" in out and "etale: true\n" in out
+
+
+# ------------------------------------------------------------------ no exception escapes
+
+FIELDS = ("Q", "GF(2)", "GF(3)", "GF(5)", "GF(7)")
+VARIABLES = ("X", "Y", "Z")
+ARGVS = tuple([command, *flags] for command in SUBCOMMAND_SECTIONS
+              for flags in ((), ("--certificates",))) + (["classify", "--json"],)
+
+
+@st.composite
+def presentations(draw):
+    """Small presentation texts: 1-3 variables, 0-3 relations of at most 4 terms."""
+    names = VARIABLES[:draw(st.integers(1, len(VARIABLES)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        line = ""
+        for k in range(draw(st.integers(1, 4))):
+            c = draw(st.integers(-3, 3))
+            factors = [str(abs(c))] + [f"{x}^{e}" for x in names if (e := draw(st.integers(0, 3)))]
+            line += ("-" if c < 0 else "") if k == 0 else (" - " if c < 0 else " + ")
+            line += "*".join(factors)
+        relations.append(f"  {line}\n")
+    text = f"field {draw(st.sampled_from(FIELDS))}\nvars {', '.join(names)}\nrelations:\n"
+    return (text + "".join(relations)).encode()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=presentations(), argv=st.sampled_from(ARGVS))
+@example(data=MALFORMED[0], argv=["classify"])
+@example(data=MALFORMED[1], argv=["classify"])
+def test_cli_lets_no_exception_escape(tmp_path_factory, data, argv):
+    path = tmp_path_factory.getbasetemp() / "cli-input.alg"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path), "--budget-pairs", "2000"])
+    if data in MALFORMED:
+        assert code == 1 and err.getvalue().startswith("error: line 4, column ")
+    else:
+        assert code in (0, 2), err.getvalue()

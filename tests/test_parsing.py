@@ -4,7 +4,7 @@ import pytest
 
 from etalg.errors import ParseError
 from etalg.fields import GF, QQ
-from etalg.parsing import parse_input, parse_polynomial
+from etalg.parsing import MAX_NESTING, parse_file, parse_input, parse_polynomial
 from util import mpoly
 
 VALID = """\
@@ -107,3 +107,22 @@ def test_error_positions_reported():
         assert exc.line == 4 and exc.column == 7
     else:
         raise AssertionError("expected ParseError")
+
+
+def test_parse_file_rejects_non_utf8_at_the_first_bad_byte(tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes("field Q\r\nvars X\nrelations:\n  \u00e9 X^2 ".encode() + b"\xff- 1\n")
+    with pytest.raises(ParseError) as raised:
+        parse_file(str(path))
+    assert (raised.value.line, raised.value.column) == (4, 9)  # columns count characters
+    assert "not UTF-8" in str(raised.value)
+
+
+def test_parentheses_nest_up_to_the_bound():
+    X = mpoly(QQ, ("X",), {(1,): 1})
+    deep = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, QQ, ("X",)) == X
+    assert parse_polynomial(" * ".join([deep] * 3), QQ, ("X",)) == X ** 3  # siblings do not add up
+    with pytest.raises(ParseError) as raised:
+        parse_polynomial("1 + (" + deep + ")", QQ, ("X",), line=7)
+    assert (raised.value.line, raised.value.column) == (7, 5 + MAX_NESTING)

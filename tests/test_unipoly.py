@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import etalg.unipoly
 from etalg.errors import (
     AlreadySeparable,
     BothZero,
@@ -120,6 +121,27 @@ def test_bezout_identity(fc, gc):
     assert u * f + v * g == d
     assert d.is_monic
     assert (f % d).is_zero and (g % d).is_zero
+
+
+def test_gcd_builds_no_cofactors(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+
+    monkeypatch.setattr(UniPoly, "__mul__", counting("*", UniPoly.__mul__))
+    monkeypatch.setattr(UniPoly, "__sub__", counting("-", UniPoly.__sub__))
+    monkeypatch.setattr(etalg.unipoly, "extended_gcd", counting("extended_gcd", extended_gcd))
+    pairs = [(upoly(QQ, [0, 0, -1, 1]), upoly(QQ, [0, -2, 3])),
+             (upoly(F5, [1, 2, 3, 4, 1]), upoly(F5, [4, 0, 1])),
+             (upoly(F2, [1, 0, 1]), upoly(F2, [1, 1])),
+             (upoly(QQ, [1, 1]), UniPoly.zero(QQ))]
+    got = [gcd(f, g) for f, g in pairs]
+    assert calls == []
+    assert got == [UniPoly.variable(QQ), UniPoly.one(F5), upoly(F2, [1, 1]), upoly(QQ, [1, 1])]
 
 
 # ------------------------------------------------------------------ derivative
@@ -343,3 +365,78 @@ def test_format_signed_terms():
     assert upoly(QQ, [2, -1, 1]).format("X") == "X^2 - X + 2"
     assert UniPoly(QQ, [Fraction(-1, 2), 1, Fraction(3, 4)]).format("X") == "3/4*X^2 + X - 1/2"
     assert upoly(GF(5), [4, 0, 3]).format() == "3*T^2 + 4"
+
+
+# ------------------------------------------------------------------ sympy oracle
+
+def random_poly(rng, K, degree):
+    """Degree up to ``degree`` (the zero polynomial included); over Q with small denominators."""
+    if K == QQ:
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree + 1)]
+    else:
+        coeffs = [K.from_int(rng.randint(0, K.modulus - 1)) for _ in range(degree + 1)]
+    return UniPoly(K, coeffs)
+
+
+def assert_canonical(f):
+    """Trimmed, with every coefficient a reduced residue over GF(p) or a Fraction over Q."""
+    K = f.field
+    assert not f.coeffs or not K.is_zero(f.coeffs[-1])
+    if K == QQ:
+        assert all(type(c) is Fraction for c in f.coeffs)
+    else:
+        assert all(type(c) is int and 0 <= c < K.modulus for c in f.coeffs)
+
+
+@pytest.mark.parametrize("K", [F2, F5, QQ], ids=repr)
+def test_arithmetic_gcd_and_squarefree_part_match_sympy(K):
+    sympy = pytest.importorskip("sympy")
+    T = sympy.Symbol("T")
+    domain = {"domain": "QQ"} if K == QQ else {"modulus": K.modulus}
+
+    def to_sympy(f):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) if K == QQ else c
+                           for c in reversed(f.coeffs)] or [0], T, **domain)
+
+    def agrees(f, want):
+        assert_canonical(f)
+        assert to_sympy(f) == want
+
+    rng = random.Random(101 + (K.modulus or 0))
+    for _ in range(60):
+        f, g = random_poly(rng, K, rng.randint(0, 6)), random_poly(rng, K, rng.randint(0, 5))
+        if rng.random() < 0.3:  # repeated factors, p-th powers included
+            f = random_poly(rng, K, rng.randint(1, 2)) ** rng.choice((2, 3, K.modulus or 2)) * g
+        c = random_poly(rng, K, 0).coeff(0)
+        F, G = to_sympy(f), to_sympy(g)
+        agrees(f + g, F + G)
+        agrees(f - g, F - G)
+        agrees(-f, -F)
+        agrees(f * g, F * G)
+        agrees(f.scale(c), F * to_sympy(UniPoly.constant(K, c)))
+        for forced_zero in (f - f, f + (-f), f * g - g * f):
+            agrees(forced_zero, to_sympy(UniPoly.zero(K)))
+        if g.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                divmod(f, g)
+            continue
+        q, r = divmod(f, g)
+        want_q, want_r = F.div(G)
+        agrees(q, want_q)
+        agrees(r, want_r)
+        q, r = divmod(f * g, g)
+        agrees(q, F)
+        agrees(r, to_sympy(UniPoly.zero(K)))
+        d = gcd(f, g)
+        agrees(d, F.gcd(G).monic())
+        e, u, v = extended_gcd(f, g)
+        assert e == d and d.is_monic
+        agrees(u * f + v * g, to_sympy(d))
+        for h in (f, g):
+            if h.degree is None or h.degree == 0:
+                continue
+            monic = h.scale(K.invert(h.lc()))
+            H = to_sympy(monic)
+            agrees(squarefree_part(monic), H.sqf_part().monic())
+            # sympy's is_sqf misses f' = 0 over GF(p); compare the degree of the squarefree part
+            assert is_separable(monic) == is_squarefree(monic) == (H.sqf_part().degree() == H.degree())
