@@ -24,13 +24,13 @@ from .groebner import (
 from .kaehler import (
     AlgebraPresentation,
     DifferentialPresentation,
-    is_elementary_smooth,
-    is_nette,
-    is_standard_etale,
-    is_standard_smooth,
+    elementary_smooth_decision,
     jacobian,
+    nette_decision,
     omega_dimension,
     omega_presentation,
+    standard_etale_decision,
+    standard_smooth_decision,
     universal_derivation,
 )
 from .multipoly import GREVLEX, LEX, MonomialOrder, MultiPoly
@@ -52,7 +52,6 @@ from .unipoly import (
     eval_in_algebra,
     extended_gcd,
     is_separable,
-    is_squarefree,
     pth_power_decompose,
     resultant,
 )

@@ -234,24 +234,27 @@ class FiniteAlgebra:
         K = self.field
         return tuple(K.one() if j == i else K.zero() for j in range(self.dimension))
 
-    def _check_element(self, x):
-        if len(x) != self.dimension:
-            raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(x)}")
+    def _check_element(self, *xs):
+        for x in xs:
+            if len(x) != self.dimension:
+                raise DimensionMismatch(f"expected {self.dimension} coordinates, got {len(x)}")
 
     def add(self, x, y):
+        self._check_element(x, y)
         K = self.field
         return _combine(K, self.dimension, ((K.one(), _support(x)), (K.one(), _support(y))))
 
     def sub(self, x, y):
+        self._check_element(x, y)
         K = self.field
         return _combine(K, self.dimension, ((K.one(), _support(x)), (K.neg(K.one()), _support(y))))
 
     def scalar_mul(self, c, x):
+        self._check_element(x)
         return _combine(self.field, self.dimension, ((c, _support(x)),))
 
     def mul(self, x, y):
-        self._check_element(x)
-        self._check_element(y)
+        self._check_element(x, y)
         K, table = self.field, self.table
         xs, ys = _support(x), _support(y)
         if len(xs) == len(ys) == 1 and xs[0][1] == ys[0][1] == K.one():
@@ -305,17 +308,8 @@ class FiniteAlgebra:
         return [reduce(K.add, (v[j] for j, v in enumerate(row)), K.zero()) for row in self.table]
 
     def discriminant(self):
-        """Determinant of the trace-form Gram matrix; nonzero iff etale."""
+        """Determinant of the trace-form Gram matrix; nonzero iff etale, over Q and GF(p) iff reduced."""
         return linalg.det(self.gram_matrix(), self.field)
-
-    def is_reduced(self) -> bool:
-        """No nonzero nilpotents.
-
-        Over the perfect base fields supported here, a strictly finite
-        algebra is reduced exactly when its trace form is nondegenerate, so
-        this is the discriminant test.
-        """
-        return not self.field.is_zero(self.discriminant())
 
     # -- minimal polynomials and idempotents -------------------------------
     def minimal_polynomial(self, a) -> UniPoly:
@@ -359,31 +353,23 @@ class FiniteAlgebra:
         raise InternalContradiction(f"minimal_polynomial: 1, a, ..., a^{m} are independent")
 
     def idempotent_of(self, a, return_witness=False):
-        """The unique idempotent e in K[a] with <a> = <e>.
+        """The unique idempotent e in K[a] with <a> = <e>: 1 - h(a)/h(0) by ``_idempotent`` at c = 0.
 
-        Defined when the minimal polynomial of a has at most a simple root
-        at 0: for g = T*h with h(0) != 0 (or h = g when a is invertible),
-        e = 1 - h(a)/h(0).  A repeated zero root means a generates a
-        non-reduced situation; RepeatedZeroRoot then carries the nilpotent
-        witness a^(k-1) * h(a).
+        Defined when the minimal polynomial g of a has at most a simple root
+        at 0.  A repeated zero root means a generates a non-reduced
+        situation; RepeatedZeroRoot then carries the nilpotent witness
+        (g/T)(a) = a^(k-1) * h(a) for g = T^k * h.
         """
         self._check_element(a)
         K = self.field
         g = self.minimal_polynomial(a)
-        k = 0
-        while K.is_zero(g.coeff(k)):
-            k += 1
-        h = UniPoly(K, g.coeffs[k:])
-        if k >= 2:
-            witness = self.mul(self.power(a, k - 1), eval_in_algebra(h, a, self))
-            raise RepeatedZeroRoot(
-                f"minimal polynomial {g.format()} is divisible by T^2", witness=witness
-            )
-        inv_h0 = K.invert(h.coeff(0))
-        e = self.sub(self.unit, self.scalar_mul(inv_h0, eval_in_algebra(h, a, self)))
+        if K.is_zero(g.coeff(0)) and K.is_zero(g.coeff(1)):
+            raise RepeatedZeroRoot(f"minimal polynomial {g.format()} is divisible by T^2",
+                                   witness=eval_in_algebra(UniPoly(K, g.coeffs[1:]), a, self))
+        e, h = self._idempotent(a, g, K.zero())
         # q = (h - h(0)) / T, so that e = a * (-q(a)/h(0)) witnesses e in <a>.
-        q = UniPoly(K, h.coeffs[1:])
-        w = self.scalar_mul(K.neg(inv_h0), eval_in_algebra(q, a, self))
+        w = self.scalar_mul(K.neg(K.invert(h.coeff(0))),
+                            eval_in_algebra(UniPoly(K, h.coeffs[1:]), a, self))
         if self.mul(e, e) != e:
             raise InternalContradiction("idempotent_of: e * e != e")
         if self.mul(a, e) != a:
@@ -394,18 +380,25 @@ class FiniteAlgebra:
             return e, w
         return e
 
-    def inverse_in_subalgebra(self, a):
-        """a^(-1) expressed inside K[a], via q(T) = -(g(T) - g(0)) / (T g(0))."""
-        self._check_element(a)
+    def _idempotent(self, a, g, c):
+        """(e, h) with e = 1 - h(a)/h(c), for h = g/(T - c), or h = g when c is no root of g.
+
+        For g the minimal polynomial of a and c at most a simple root of g, e
+        is idempotent_of(a - c): a - c has minimal polynomial g(T + c) = T * h(T + c).
+        """
         K = self.field
-        g = self.minimal_polynomial(a)
-        if K.is_zero(g.coeff(0)):
+        h = g // UniPoly(K, [K.neg(c), K.one()]) if K.is_zero(g(c)) else g
+        return self.sub(self.unit, self.scalar_mul(K.invert(h(c)), eval_in_algebra(h, a, self))), h
+
+    def inverse_in_subalgebra(self, a):
+        """a^(-1) inside K[a]: for invertible a, idempotent_of(a) is 1 and its witness is a^(-1)."""
+        try:
+            e, w = self.idempotent_of(a, return_witness=True)
+        except RepeatedZeroRoot as exc:
+            raise NotInvertible("minimal polynomial has zero constant term") from exc
+        if e != self.unit:
             raise NotInvertible("minimal polynomial has zero constant term")
-        q = UniPoly(K, [K.neg(K.div(c, g.coeff(0))) for c in g.coeffs[1:]])
-        b = eval_in_algebra(q, a, self)
-        if self.mul(a, b) != self.unit:
-            raise InternalContradiction("inverse_in_subalgebra: a * b != 1")
-        return b
+        return w
 
     # -- display -----------------------------------------------------------
     def format_table(self):

@@ -69,9 +69,6 @@ class GroebnerBasis:
         self.original = tuple(original)
         self.cofactors = cofactors
 
-    def leading_monomials(self):
-        return list(self.lms)
-
     def __repr__(self):
         gens = ", ".join(g.format(self.order) for g in self.generators)
         return f"GroebnerBasis[{self.order}]({gens})"

@@ -301,25 +301,6 @@ def standard_etale_decision(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET,
                       ("standard_etale",))["standard_etale"]
 
 
-def is_nette(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return decide_all(P, order, pair_budget, gb=gb, flags=("nette",))["nette"].value
-
-
-def is_standard_smooth(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return decide_all(P, order, pair_budget, gb=gb,
-                      flags=("standard_smooth",))["standard_smooth"].value
-
-
-def is_elementary_smooth(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return decide_all(P, order, pair_budget, gb=gb,
-                      flags=("elementary_smooth",))["elementary_smooth"].value
-
-
-def is_standard_etale(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> bool:
-    return decide_all(P, order, pair_budget, gb=gb,
-                      flags=("standard_etale",))["standard_etale"].value
-
-
 # ------------------------------------------------------------------ omega dimension
 
 def omega_dimension(P, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, gb=None) -> int:

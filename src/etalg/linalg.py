@@ -8,6 +8,8 @@ finishes it by back-substitution.  Sizes stay at desk scale.
 
 from __future__ import annotations
 
+from .errors import DimensionMismatch
+
 
 def _echelon(rows, K):
     """Row echelon form by forward elimination.  Returns (rows, pivot_columns, swaps).
@@ -73,6 +75,8 @@ def det(rows, K):
 
 def solve(rows, rhs, K):
     """One solution of rows * x = rhs (free variables set to 0), or None."""
+    if len(rhs) != len(rows):
+        raise DimensionMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return [] if all(K.is_zero(b) for b in rhs) else None
     ncols = len(rows[0])

@@ -36,9 +36,11 @@ border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
 split factor u*A reads its map off its parent's at its pivots, and no
 factor powers its own basis.  Factors of dimension 1 are leaves without a
 split, and each factor keeps its basis in root coordinates.  A split takes
-the smallest root of a minimal polynomial dividing T^p - T, at large p by
-equal-degree splitting.  Every generator search is a lazy stream read by one
-loop under its budget.
+the minimal polynomial g of a fixed element v, which divides T^p - T, and
+its smallest root c (at large p by equal-degree splitting), and reads the
+idempotent of <v - c> off them by the algebra's one idempotent formula, the
+one ``idempotent_of`` takes at c = 0.  Every generator search is a lazy
+stream read by one loop under its budget.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,
@@ -192,13 +194,10 @@ def _fixed_space_idempotent(A: FiniteAlgebra, images):
             break
     else:
         raise InternalContradiction("fixed space of dimension >= 2 inside the scalars")
-    # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p).
-    # For its smallest root c and h = g / (T - c), e = 1 - h(v)/h(c) is the
-    # idempotent that generates <v - c>, and it is neither 0 nor 1.
+    # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p):
+    # the idempotent of <v - c>, for its smallest root c, is neither 0 nor 1.
     g = A.minimal_polynomial(v)
-    c = _smallest_root(g)
-    h = g // UniPoly(K, [K.neg(c), K.one()])
-    return A.sub(A.unit, A.scalar_mul(K.invert(h(c)), eval_in_algebra(h, v, A)))
+    return A._idempotent(v, g, _smallest_root(g))[0]
 
 
 def _smallest_root(g: UniPoly):

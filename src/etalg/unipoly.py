@@ -9,7 +9,8 @@ with native + and * and each coefficient reduced once, at the end), behind
 +, -, unary -, *, ``scale`` and each step of long division; powers go through
 ``fields.power``.  ``gcd`` runs the remainder sequence alone, while
 ``extended_gcd`` also carries the Bezout cofactors.  Over the perfect fields
-Q and GF(p) squarefree and separable (gcd(f, f') = 1) mean the same thing.
+Q and GF(p) squarefree and separable (gcd(f, f') = 1) mean the same thing,
+so ``is_separable`` is the one test of both.
 The module also provides Sylvester resultants and discriminants, the
 gcd-refinement coprime splitting f = f1*f2 with gcd(f1, f2) = gcd(f1, f') = 1,
 and the p-th-power decomposition f = g^p available over perfect prime fields.
@@ -306,11 +307,6 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     if v.degree == 0:
         return w
     return w * squarefree_part(pth_power_decompose(v))
-
-
-def is_squarefree(f: UniPoly) -> bool:
-    """No repeated prime factor; over the perfect fields Q and GF(p) that is separability."""
-    return is_separable(f)
 
 
 def coprime_split(f: UniPoly):

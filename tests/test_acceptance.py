@@ -12,7 +12,7 @@ from etalg.finalg import monogenic_from_poly, product
 from etalg.groebner import buchberger, contains_one, noether_dimension, quotient_algebra
 from etalg.kaehler import (
     AlgebraPresentation,
-    is_nette,
+    nette_decision,
     omega_dimension,
     omega_presentation,
     universal_derivation,
@@ -20,7 +20,7 @@ from etalg.kaehler import (
 from etalg.multipoly import MultiPoly
 from etalg.parsing import parse_input
 from etalg.pipeline import classify, render_report
-from etalg.unipoly import UniPoly, discriminant, is_separable, is_squarefree
+from etalg.unipoly import UniPoly, discriminant, is_separable
 from util import (has_nonzero_nilpotent, mpoly, random_monic, random_mpoly,
                   random_presentations, upoly)
 
@@ -72,7 +72,7 @@ def test_criterion_2_monogenic_etale_and_reduced():
             for f in all_monic(field, degree):
                 A = monogenic_from_poly(f)
                 reduced = not has_nonzero_nilpotent(A)
-                assert reduced == is_squarefree(f)
+                assert reduced == is_separable(f)
                 exhaustive += 1
     ok(2, f"etale <=> separable on {total} random f; exhaustive-reducedness <=> squarefree "
           f"on {exhaustive} small-field f")
@@ -122,7 +122,7 @@ def test_criterion_3_etale_equivalences_on_triangular_families():
         if contains_one(gb) or noether_dimension(gb) != 0:
             continue
         A = quotient_algebra(gb)
-        nette = is_nette(P, gb=gb)
+        nette = nette_decision(P, gb=gb).value
         disc_nonzero = not field.is_zero(A.discriminant())
         separable_gens = all(
             is_separable(A.minimal_polynomial(vec))
@@ -253,7 +253,7 @@ def test_criterion_7_kaehler_suite():
             continue
         instances.append(cand)
     for inst in instances:
-        assert is_nette(inst) == (omega_dimension(inst) == 0)
+        assert nette_decision(inst).value == (omega_dimension(inst) == 0)
         zero_dim_checked += 1
     ok(7, f"Leibniz + chain rule on {pairs} pairs; d(x_i) = e_i; omega dimensions 2 and 0; "
           f"nette <=> omega = 0 on {zero_dim_checked} zero-dimensional instances")

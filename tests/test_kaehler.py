@@ -9,14 +9,12 @@ from etalg.kaehler import (
     AlgebraPresentation,
     decide_all,
     elementary_smooth_decision,
-    is_elementary_smooth,
-    is_nette,
-    is_standard_etale,
-    is_standard_smooth,
     jacobian,
     nette_decision,
     omega_dimension,
     omega_presentation,
+    standard_etale_decision,
+    standard_smooth_decision,
     transposed_jacobian,
     universal_derivation,
 )
@@ -105,36 +103,37 @@ def test_leibniz_and_chain_rule_random():
 
 
 def test_decision_examples():
-    assert is_nette(TWO_POINTS) is True
-    assert is_nette(DUAL) is False
-    assert is_nette(F2_SQUARE) is False
+    assert nette_decision(TWO_POINTS).value is True
+    assert nette_decision(DUAL).value is False
+    assert nette_decision(F2_SQUARE).value is False
 
-    assert is_standard_smooth(HYPERBOLA) is True
-    assert is_standard_smooth(DUAL) is False
-    assert is_standard_smooth(TWO_POINTS) is True
+    assert standard_smooth_decision(HYPERBOLA).value is True
+    assert standard_smooth_decision(DUAL).value is False
+    assert standard_smooth_decision(TWO_POINTS).value is True
 
-    assert is_elementary_smooth(HYPERBOLA) is True
-    assert is_elementary_smooth(DUAL) is False
-    assert is_elementary_smooth(TWO_POINTS) is True
+    assert elementary_smooth_decision(HYPERBOLA).value is True
+    assert elementary_smooth_decision(DUAL).value is False
+    assert elementary_smooth_decision(TWO_POINTS).value is True
 
-    assert is_standard_etale(TWO_POINTS) is True
-    assert is_standard_etale(CIRCLE_CROSS) is True
-    assert is_standard_etale(HYPERBOLA) is False
+    assert standard_etale_decision(TWO_POINTS).value is True
+    assert standard_etale_decision(CIRCLE_CROSS).value is True
+    assert standard_etale_decision(HYPERBOLA).value is False
 
 
 def test_trivial_presentation_flags():
     trivial = pres(QQ, ("X",), {(1,): 1}, {(1,): 1, (0,): 1})
-    for predicate in (is_nette, is_standard_smooth, is_elementary_smooth, is_standard_etale):
-        assert predicate(trivial) is True
+    for decision in (nette_decision, standard_smooth_decision, elementary_smooth_decision,
+                     standard_etale_decision):
+        assert decision(trivial).value is True
     assert nette_decision(trivial).trivial is True
 
 
 def test_polynomial_ring_flags():
     free = AlgebraPresentation(QQ, V, ())
-    assert is_nette(free) is False
-    assert is_standard_smooth(free) is True
-    assert is_elementary_smooth(free) is True
-    assert is_standard_etale(free) is False
+    assert nette_decision(free).value is False
+    assert standard_smooth_decision(free).value is True
+    assert elementary_smooth_decision(free).value is True
+    assert standard_etale_decision(free).value is False
 
 
 def test_more_relations_than_variables():
@@ -158,7 +157,7 @@ def test_nette_iff_omega_dimension_zero():
                  pres(QQ, V, {(2, 0): 1, (0, 0): -2}, {(0, 2): 1, (0, 0): -3}),
                  pres(GF(3), ("X",), {(3,): 1, (1,): -1})]
     for P in instances:
-        assert is_nette(P) == (omega_dimension(P) == 0)
+        assert nette_decision(P).value == (omega_dimension(P) == 0)
 
 
 def test_standard_etale_implies_nette_and_standard_smooth():
@@ -168,8 +167,8 @@ def test_standard_etale_implies_nette_and_standard_smooth():
         for _ in range(20):
             f = random_monic(rng, K, rng.randint(1, 4))
             P = monogenic_presentation(f)
-            if is_standard_etale(P):
-                assert is_nette(P) and is_standard_smooth(P)
+            if standard_etale_decision(P).value:
+                assert nette_decision(P).value and standard_smooth_decision(P).value
                 checked += 1
     assert checked > 0
 
@@ -179,7 +178,7 @@ def test_monogenic_bridge_nette_iff_separable():
     for K in (QQ, GF(2), GF(3)):
         for _ in range(25):
             f = random_monic(rng, K, rng.randint(1, 4))
-            assert is_nette(monogenic_presentation(f)) == is_separable(f)
+            assert nette_decision(monogenic_presentation(f)).value == is_separable(f)
 
 
 def test_decide_all_expands_det_ja_once_on_the_tower(monkeypatch):

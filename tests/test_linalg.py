@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from etalg.errors import DimensionMismatch
 from etalg.fields import GF, QQ
 from etalg.linalg import det, kernel_basis, rank, rref, solve
 from util import brute_det
@@ -133,3 +134,10 @@ def test_solve_consistent_and_inconsistent(K):
     assert solve([[one, one], [two, two]], [one, K.from_int(3)], K) is None
     assert solve([[], []], [K.zero(), K.zero()], K) == []
     assert solve([[], []], [K.zero(), one], K) is None
+    # every equation has its right-hand side: none is dropped, none is invented
+    with pytest.raises(DimensionMismatch):
+        solve([[one, K.zero()], [K.zero(), one]], [one], K)
+    with pytest.raises(DimensionMismatch):
+        solve([[one, K.zero()]], [one, one], K)
+    with pytest.raises(DimensionMismatch):
+        solve([], [one], K)

@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import etalg.pipeline
 from etalg import groebner, kaehler
 from etalg.cli import SUBCOMMAND_SECTIONS
-from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
+from etalg.errors import InternalContradiction, NotEtale, NotInvertible, SearchExhausted
 from etalg.fields import GF, QQ
 from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product, split_by_idempotent
 from etalg.groebner import buchberger, quotient_algebra
@@ -415,6 +416,65 @@ def test_a_frobenius_image_outside_its_factor_raises():
     swapped = [images[1], images[0], images[2]]
     with pytest.raises(InternalContradiction, match="Frobenius image"):
         etalg.pipeline._restricted_images(F3, swapped, split.second_basis, split.second_pivots)
+
+
+def shifted(g, c):
+    """g(T + c)."""
+    K = g.field
+    total = upoly(K, [])
+    for k, coeff in enumerate(g.coeffs):
+        total = total + (upoly(K, [c, 1]) ** k).scale(coeff)
+    return total
+
+
+@settings(max_examples=25)
+@given(products_of_fields())
+def test_frobenius_idempotent_is_the_idempotent_of_the_shifted_fixed_element(case):
+    # at every split node, the idempotent read off the fixed element v and the smallest root c
+    # of its minimal polynomial g is idempotent_of(v - c), and v - c has minimal polynomial g(T + c)
+    A, _ = case
+    seen = []
+    original = FiniteAlgebra._idempotent
+
+    def recording(self, a, g, c):
+        e = original(self, a, g, c)
+        seen.append((self, a, g, c, e[0]))
+        return e
+
+    def walk(B, images):
+        e = etalg.pipeline._fixed_space_idempotent(B, images)
+        if e is None:
+            return
+        split = split_by_idempotent(e, B)
+        for factor, basis, pivots in ((split.first, split.first_basis, split.first_pivots),
+                                      (split.second, split.second_basis, split.second_pivots)):
+            if factor.dimension > 1:
+                walk(factor, etalg.pipeline._restricted_images(B.field, images, basis, pivots))
+
+    with mock.patch.object(FiniteAlgebra, "_idempotent", recording):
+        walk(A, etalg.pipeline._frobenius_images(A))
+    assert seen
+    for B, v, g, c, e in seen:
+        shift = B.sub(v, B.scalar_mul(B.field.from_int(c), B.unit))
+        assert B.minimal_polynomial(shift) == shifted(g, c)
+        assert B.idempotent_of(shift) == e
+
+
+@settings(max_examples=25)
+@given(products_of_fields(), st.randoms(use_true_random=False))
+def test_inverse_in_subalgebra_is_the_witness_of_idempotent_of(case, rng):
+    # for invertible a, idempotent_of(a) is 1 and its witness is a^(-1)
+    A, _ = case
+    K = A.field
+    for _ in range(12):
+        a = tuple(K.from_int(rng.randrange(K.modulus)) for _ in range(A.dimension))
+        if K.is_zero(A.minimal_polynomial(a).coeff(0)):
+            with pytest.raises(NotInvertible):
+                A.inverse_in_subalgebra(a)
+            continue
+        e, w = A.idempotent_of(a, return_witness=True)
+        assert e == A.unit and A.inverse_in_subalgebra(a) == w
+        assert A.mul(a, w) == A.unit
 
 
 # ------------------------------------------------------------------ nilpotent witnesses

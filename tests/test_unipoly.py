@@ -30,7 +30,6 @@ from etalg.unipoly import (
     extended_gcd,
     gcd,
     is_separable,
-    is_squarefree,
     pth_power_decompose,
     resultant,
     squarefree_part,
@@ -233,9 +232,10 @@ def test_separable_iff_discriminant_nonzero():
 
 
 def test_is_squarefree_examples():
-    assert is_squarefree(upoly(QQ, [-1, 0, 1])) is True
-    assert is_squarefree(upoly(F2, [1, 0, 1])) is False
-    assert is_squarefree(upoly(QQ, [0, 0, -1, 1])) is False
+    # over Q and GF(p) squarefree is separable: is_separable is the one test
+    assert is_separable(upoly(QQ, [-1, 0, 1])) is True
+    assert is_separable(upoly(F2, [1, 0, 1])) is False
+    assert is_separable(upoly(QQ, [0, 0, -1, 1])) is False
 
 
 def test_squarefree_part():
@@ -439,4 +439,4 @@ def test_arithmetic_gcd_and_squarefree_part_match_sympy(K):
             H = to_sympy(monic)
             agrees(squarefree_part(monic), H.sqf_part().monic())
             # sympy's is_sqf misses f' = 0 over GF(p); compare the degree of the squarefree part
-            assert is_separable(monic) == is_squarefree(monic) == (H.sqf_part().degree() == H.degree())
+            assert is_separable(monic) == (H.sqf_part().degree() == H.degree())
