@@ -384,7 +384,7 @@ class FiniteAlgebra:
         """(e, h) with e = 1 - h(a)/h(c), for h = g/(T - c), or h = g when c is no root of g.
 
         For g the minimal polynomial of a and c at most a simple root of g, e
-        is idempotent_of(a - c): a - c has minimal polynomial g(T + c) = T * h(T + c).
+        is idempotent_of(a - c), as a - c has minimal polynomial g(T + c).
         """
         K = self.field
         h = g // UniPoly(K, [K.neg(c), K.one()]) if K.is_zero(g(c)) else g
