@@ -10,7 +10,8 @@ monogenic separable algebras.
 
 from .errors import EtalgError
 from .fields import GF, QQ, FieldContext, PrimeField, Rationals
-from .finalg import FiniteAlgebra, monogenic_from_poly, product, split_by_idempotent
+from .finalg import (FiniteAlgebra, eval_in_algebra, monogenic_from_poly, product,
+                     split_by_idempotent)
 from .groebner import (
     GroebnerBasis,
     buchberger,
@@ -49,7 +50,6 @@ from .unipoly import (
     coprime_split,
     derivative,
     discriminant,
-    eval_in_algebra,
     extended_gcd,
     is_separable,
     pth_power_decompose,

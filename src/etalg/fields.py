@@ -1,9 +1,14 @@
 """Exact arithmetic for the two supported discrete fields: Q and GF(p).
 
-Elements are plain Python values: ``fractions.Fraction`` for Q (always in
+Elements are plain Python numbers: ``fractions.Fraction`` for Q (always in
 lowest terms with positive denominator, so structural equality is semantic
-equality) and ``int`` residues in [0, p) for GF(p).  A FieldContext carries
-the arithmetic; polynomial and linear-algebra code stays generic over it.
+equality) and ``int`` residues in [0, p) for GF(p).  Code everywhere
+combines them with native + - * and unary -, and brings each result back
+into the field once with the FieldContext's ``reduce`` (``reduce_all`` for a
+sequence): x mod p over GF(p), x itself over Q.  That reduction is written
+here alone.  A reduced element is zero exactly when it is falsy.  The
+FieldContext carries the rest: the constants, ``invert``, the
+characteristic, p-th roots, a scalar enumeration and printing.
 
 Only prime fields are supported in positive characteristic.  They are
 perfect with the identity map as Frobenius inverse, which is exactly what
@@ -38,9 +43,8 @@ def power(x, n: int, mul, one):
 
 
 class FieldContext:
-    """A discrete field: every element is zero or invertible, decidably."""
+    """A discrete field of numbers: every element is zero or invertible, decidably."""
 
-    kind = "abstract"
     modulus = None
 
     # -- constants ---------------------------------------------------
@@ -53,27 +57,17 @@ class FieldContext:
     def from_int(self, n):
         raise NotImplementedError
 
-    # -- ring operations ---------------------------------------------
-    def add(self, a, b):
+    # -- reduction and inverses ------------------------------------------
+    def reduce(self, x):
+        """The element that a result of native + - * on elements stands for."""
         raise NotImplementedError
 
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
+    def reduce_all(self, xs) -> tuple:
+        """``reduce`` on each of xs, as a tuple."""
         raise NotImplementedError
 
     def invert(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     # -- field-specific structure --------------------------------------
     def characteristic(self) -> int:
@@ -96,7 +90,7 @@ class FieldContext:
         """The signed sum of (coefficient, label) pairs; the label "1" is the unit."""
         parts = []
         for c, label in terms:
-            if self.is_zero(c):
+            if not c:
                 continue
             text = self.format(c)
             negative = text.startswith("-")
@@ -119,8 +113,6 @@ class FieldContext:
 class Rationals(FieldContext):
     """The field Q with arbitrary-precision rational arithmetic."""
 
-    kind = "Rationals"
-
     def zero(self):
         return Fraction(0)
 
@@ -130,22 +122,16 @@ class Rationals(FieldContext):
     def from_int(self, n):
         return Fraction(_as_int(n))
 
-    def add(self, a, b):
-        return a + b
+    def reduce(self, x):
+        return x  # a Fraction is always in lowest terms
 
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def reduce_all(self, xs) -> tuple:
+        return tuple(xs)
 
     def invert(self, a):
         if a == 0:
             raise ZeroNotInvertible("0 is not invertible in Q")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def characteristic(self) -> int:
         return 0
@@ -207,8 +193,6 @@ def _is_prime(n: int) -> bool:
 class PrimeField(FieldContext):
     """The prime field GF(p); elements are fully reduced residues."""
 
-    kind = "PrimeField"
-
     def __init__(self, p: int):
         if p >= PRIMALITY_BOUND:
             raise CompositeModulus(f"{p} is not below {PRIMALITY_BOUND}, "
@@ -226,17 +210,12 @@ class PrimeField(FieldContext):
     def from_int(self, n):
         return _as_int(n) % self.modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
+    def reduce(self, x):
+        return x % self.modulus
 
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
+    def reduce_all(self, xs) -> tuple:
+        p = self.modulus
+        return tuple([x % p for x in xs])
 
     def invert(self, a):
         if a % self.modulus == 0:

@@ -2,15 +2,15 @@
 
 A FiniteAlgebra is a commutative, associative, unital algebra of finite
 dimension m over a discrete field, stored as the table of coordinate vectors
-e_i * e_j on a labelled basis.  Elements are plain coordinate tuples; the
-algebra object carries the operations.  Each distinct vector of a table
-gets its support, the (index, scalar) pairs of its nonzero coordinates,
-once, when it is built.  ``_combine``, the module's one accumulation loop
-behind sums, scalar multiples, products and Krylov rows, walks supports, so
-it skips zero coordinates.  It accumulates with the elements' own + and *
-and reduces each output coordinate once, at the end (mod p over GF(p); a
-Fraction is always in lowest terms), so its results are reduced residues or
-Fractions like every other element.  Equal products share one vector, so
+e_i * e_j on a labelled basis.  Elements are plain coordinate tuples of
+field elements; the algebra object carries the operations.  Each distinct
+vector of a table gets its support, the (index, scalar) pairs of its nonzero
+coordinates, once, when it is built.  ``_combine``, the module's one
+accumulation loop behind sums, scalar multiples, products, Horner steps and
+Krylov rows, walks supports, so it skips zero coordinates.  It accumulates
+with native + and * and reduces each output coordinate once, at the end, by
+the field's ``reduce_all``, so its results are elements like any other.
+Traces are native sums, reduced once.  Equal products share one vector, so
 the trace-form Gram matrix takes one trace per distinct vector.
 
 An algebra comes from one of three inputs, each with its own construction
@@ -52,7 +52,8 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from functools import reduce
+from itertools import chain
+from operator import mul
 
 from . import fields, linalg
 from .errors import (
@@ -66,7 +67,7 @@ from .errors import (
     TrivialIdempotent,
     ZeroOperand,
 )
-from .unipoly import UniPoly, eval_in_algebra
+from .unipoly import UniPoly
 
 ASSOCIATIVITY_SAMPLE = 96
 
@@ -81,10 +82,7 @@ class _Vector(tuple):
 
 
 def _support(x):
-    """The nonzero coordinates of x as (index, scalar) pairs; a _Vector carries its own.
-
-    Coordinates are numbers (residues or Fractions), zero exactly when falsy.
-    """
+    """The nonzero coordinates of x as (index, scalar) pairs; a _Vector carries its own."""
     if type(x) is _Vector:
         return x.support
     return tuple([(k, a) for k, a in enumerate(x) if a])
@@ -108,8 +106,7 @@ def _combine(K, m, pairs):
     for c, support in pairs:
         for k, a in support:
             out[k] += c * a
-    p = K.modulus
-    return tuple([x % p for x in out]) if p else tuple(out)
+    return K.reduce_all(out)
 
 
 def _associativity_triples(m):
@@ -247,7 +244,7 @@ class FiniteAlgebra:
     def sub(self, x, y):
         self._check_element(x, y)
         K = self.field
-        return _combine(K, self.dimension, ((K.one(), _support(x)), (K.neg(K.one()), _support(y))))
+        return _combine(K, self.dimension, ((K.one(), _support(x)), (-K.one(), _support(y))))
 
     def scalar_mul(self, c, x):
         self._check_element(x)
@@ -255,12 +252,16 @@ class FiniteAlgebra:
 
     def mul(self, x, y):
         self._check_element(x, y)
-        K, table = self.field, self.table
         xs, ys = _support(x), _support(y)
-        if len(xs) == len(ys) == 1 and xs[0][1] == ys[0][1] == K.one():
-            return table[xs[0][0]][ys[0][0]]  # e_i * e_j: the table's own vector
-        return _combine(K, self.dimension, ((a * b, table[i][j].support)
-                                            for i, a in xs for j, b in ys))
+        if len(xs) == len(ys) == 1 and xs[0][1] == ys[0][1] == self.field.one():
+            return self.table[xs[0][0]][ys[0][0]]  # e_i * e_j: the table's own vector
+        return self._product(xs, ys)
+
+    def _product(self, xs, ys, extra=()):
+        """x * y from supports xs and ys, plus the (scalar, support) pairs of extra: one pass."""
+        table = self.table
+        return _combine(self.field, self.dimension, chain(
+            ((a * b, table[i][j].support) for i, a in xs for j, b in ys), extra))
 
     def _times_basis(self, x, k):
         """x * e_k: row k of the (commutative) table weighted by x."""
@@ -273,8 +274,8 @@ class FiniteAlgebra:
         return fields.power(x, n, self.mul, self.unit)
 
     def is_zero_element(self, x) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for a in x)
+        self._check_element(x)
+        return not any(x)
 
     # -- trace form --------------------------------------------------------
     def mul_operator(self, a):
@@ -288,7 +289,7 @@ class FiniteAlgebra:
         """Trace of b -> a*b: the sum of a_k * Tr(e_k), with the Tr(e_k) read off the table."""
         self._check_element(a)
         K = self.field
-        return reduce(K.add, map(K.mul, a, self._basis_traces()), K.zero())
+        return K.reduce(sum(map(mul, a, self._basis_traces()), K.zero()))
 
     def gram_matrix(self):
         """Trace-form Gram table G[i][j] = Tr(e_i * e_j), the trace of table[i][j].
@@ -299,13 +300,13 @@ class FiniteAlgebra:
         K, traces, seen = self.field, self._basis_traces(), {}
         for v in (v for row in self.table for v in row):
             if id(v) not in seen:
-                seen[id(v)] = reduce(K.add, (K.mul(a, traces[k]) for k, a in v.support), K.zero())
+                seen[id(v)] = K.reduce(sum((a * traces[k] for k, a in v.support), K.zero()))
         return [[seen[id(v)] for v in row] for row in self.table]
 
     def _basis_traces(self):
         """Tr(e_k) for every k: the sum over j of (e_k * e_j)_j, so no product is formed."""
         K = self.field
-        return [reduce(K.add, (v[j] for j, v in enumerate(row)), K.zero()) for row in self.table]
+        return [K.reduce(sum((v[j] for j, v in enumerate(row)), K.zero())) for row in self.table]
 
     def discriminant(self):
         """Determinant of the trace-form Gram matrix; nonzero iff etale, over Q and GF(p) iff reduced."""
@@ -334,7 +335,7 @@ class FiniteAlgebra:
                 for c_p, row, _ in multiples:
                     c -= c_p * row[q]
                 row, row_comb, inv = rows[q]
-                c = c * inv % K.modulus if K.modulus else c * inv
+                c = K.reduce(c * inv)
                 if c:
                     multiples.append((c, row, row_comb))
             if multiples:
@@ -363,12 +364,12 @@ class FiniteAlgebra:
         self._check_element(a)
         K = self.field
         g = self.minimal_polynomial(a)
-        if K.is_zero(g.coeff(0)) and K.is_zero(g.coeff(1)):
+        if not g.coeff(0) and not g.coeff(1):
             raise RepeatedZeroRoot(f"minimal polynomial {g.format()} is divisible by T^2",
                                    witness=eval_in_algebra(UniPoly(K, g.coeffs[1:]), a, self))
         e, h = self._idempotent(a, g, K.zero())
         # q = (h - h(0)) / T, so that e = a * (-q(a)/h(0)) witnesses e in <a>.
-        w = self.scalar_mul(K.neg(K.invert(h.coeff(0))),
+        w = self.scalar_mul(-K.invert(h.coeff(0)),
                             eval_in_algebra(UniPoly(K, h.coeffs[1:]), a, self))
         if self.mul(e, e) != e:
             raise InternalContradiction("idempotent_of: e * e != e")
@@ -387,7 +388,7 @@ class FiniteAlgebra:
         is idempotent_of(a - c), as a - c has minimal polynomial g(T + c).
         """
         K = self.field
-        h = g // UniPoly(K, [K.neg(c), K.one()]) if K.is_zero(g(c)) else g
+        h = g if g(c) else g // UniPoly(K, [K.reduce(-c), K.one()])
         return self.sub(self.unit, self.scalar_mul(K.invert(h(c)), eval_in_algebra(h, a, self))), h
 
     def inverse_in_subalgebra(self, a):
@@ -413,10 +414,23 @@ class FiniteAlgebra:
         return lines
 
     def format_element(self, x) -> str:
+        self._check_element(x)
         return self.field.format_sum(zip(x, self.basis_labels))
 
     def __repr__(self):
         return f"FiniteAlgebra(dim={self.dimension} over {self.field!r})"
+
+
+def eval_in_algebra(f: UniPoly, a, algebra: FiniteAlgebra):
+    """Horner evaluation of f at a; each step acc * a + c is one pass, c at the unit's support."""
+    if f.field != algebra.field:
+        raise FieldMismatch("polynomial and algebra live over different fields")
+    algebra._check_element(a)
+    a, unit = _support(a), _support(algebra.unit)
+    acc = algebra.zero_element()
+    for c in reversed(f.coeffs):
+        acc = algebra._product(_support(acc), a, ((c, unit),))
+    return acc
 
 
 # --------------------------------------------------------------- constructions
@@ -539,9 +553,9 @@ def monogenic_from_poly(f: UniPoly, name: str = "x") -> FiniteAlgebra:
     if not f.is_monic:
         raise NotMonic("monogenic_from_poly needs a monic polynomial")
     K, m = f.field, f.degree
-    top = tuple((i, K.neg(c)) for i, c in reversed(tuple(enumerate(f.coeffs[:m]))) if c)
+    top = tuple((i, K.reduce(-c)) for i, c in reversed(tuple(enumerate(f.coeffs[:m]))) if c)
     column = [((l + 1, K.one()),) for l in range(m - 1)] + [top]
     labels = ["1"] + [name if k == 1 else f"{name}^{k}" for k in range(1, m)]
-    gen = tuple(dict(column[0]).get(i, K.zero()) for i in range(m))  # x = x * 1
+    gen = _combine(K, m, [(K.one(), column[0])])  # x = x * 1
     return FiniteAlgebra(K, labels, generator_refs={name: gen},
                          border=([column], [None] + [(0, i - 1) for i in range(1, m)]))

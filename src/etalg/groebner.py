@@ -37,7 +37,7 @@ from .errors import (
     RingMismatch,
     TrivialIdeal,
 )
-from .finalg import FiniteAlgebra
+from .finalg import FiniteAlgebra, _combine
 from .multipoly import (
     GREVLEX,
     MultiPoly,
@@ -83,15 +83,14 @@ def _check_ring(polys):
 
 def _subtract(row, c, q, g, K):
     """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients."""
-    sub, mul, is_zero = K.sub, K.mul, K.is_zero
-    zero = K.zero()
+    reduce, zero = K.reduce, K.zero()
     for exps, a in g.items():
         t = mono_mul(exps, q)
-        s = sub(row.get(t, zero), mul(c, a))
-        if is_zero(s):
-            row.pop(t, None)
-        else:
+        s = reduce(row.get(t, zero) - c * a)
+        if s:
             row[t] = s
+        else:
+            row.pop(t, None)
 
 
 def _reduce(rows, basis, lms, order, K):
@@ -136,7 +135,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     _check_ring(gens)
     K = gens[0].field
     variables = gens[0].variables
-    one, minus_one = K.one(), K.neg(K.one())
+    one, minus_one = K.one(), K.reduce(-K.one())
     unit = (0,) * len(variables)
 
     basis = []   # rows of each basis element: its terms, then its cofactors when tracking
@@ -156,7 +155,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         lm = max(rows[0], key=order.key)
         if rows[0][lm] != one:
             inv = K.invert(rows[0][lm])
-            rows = [{exps: K.mul(inv, a) for exps, a in row.items()} for row in rows]
+            rows = [{exps: K.reduce(inv * a) for exps, a in row.items()} for row in rows]
         t = len(basis)
         basis.append(rows)
         lms.append(lm)
@@ -354,13 +353,8 @@ def quotient_algebra(gb: GroebnerBasis) -> FiniteAlgebra:
         k = next(v for v, e in enumerate(b) if e)
         steps.append((k, index[mono_div(b, x_monomials[k])]))
 
-    def dense(pairs):
-        vec = [K.zero()] * m
-        for r, c in pairs:
-            vec[r] = c
-        return tuple(vec)
-
-    refs = {name: dense(columns[k][0]) for k, name in enumerate(gb.variables)}
+    refs = {name: _combine(K, m, [(K.one(), column[0])])  # x_k * b_0, b_0 = 1
+            for name, column in zip(gb.variables, columns)}
     sample = MultiPoly.zero(K, gb.variables)
     labels = [sample.format_monomial(mono) for mono in monomials]
     return FiniteAlgebra(K, labels, generator_refs=refs, border=(columns, steps))

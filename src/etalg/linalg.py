@@ -1,12 +1,15 @@
 """Dense exact linear algebra over a FieldContext.
 
-Matrices are lists of row lists.  One forward elimination, pivoting on the
-first nonzero entry of each column and counting its row swaps, is exact and
-deterministic over Q and GF(p).  ``det`` and ``rank`` read it alone; ``rref``
-finishes it by back-substitution.  Sizes stay at desk scale.
+Matrices are lists of row lists; a row update reduces each entry once
+(``K.reduce_all``).  One forward elimination, pivoting on the first nonzero
+entry of each column and counting its row swaps, is exact and deterministic
+over Q and GF(p).  ``det`` and ``rank`` read it alone; ``rref`` finishes it
+by back-substitution.  Sizes stay at desk scale.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import DimensionMismatch
 
@@ -21,11 +24,7 @@ def _echelon(rows, K):
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots, swaps, r = [], 0, 0
     for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not K.is_zero(m[i][col]):
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:
@@ -34,9 +33,9 @@ def _echelon(rows, K):
         top = m[r][col:]
         inv = K.invert(top[0])
         for row in m[r + 1:]:
-            if not K.is_zero(row[col]):
-                f = K.mul(row[col], inv)
-                row[col:] = [K.sub(x, K.mul(f, y)) for x, y in zip(row[col:], top)]
+            if row[col]:
+                f = K.reduce(row[col] * inv)
+                row[col:] = K.reduce_all([x - f * y for x, y in zip(row[col:], top)])
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -50,11 +49,11 @@ def rref(rows, K):
     for r in reversed(range(len(pivots))):
         col = pivots[r]
         inv = K.invert(m[r][col])
-        m[r][col:] = top = [K.mul(inv, x) for x in m[r][col:]]
+        m[r][col:] = top = K.reduce_all([inv * x for x in m[r][col:]])
         for row in m[:r]:
-            if not K.is_zero(row[col]):
-                f = row[col]
-                row[col:] = [K.sub(x, K.mul(f, y)) for x, y in zip(row[col:], top)]
+            f = row[col]
+            if f:
+                row[col:] = K.reduce_all([x - f * y for x, y in zip(row[col:], top)])
     return m, pivots
 
 
@@ -67,10 +66,8 @@ def det(rows, K):
     m, pivots, swaps = _echelon(rows, K)
     if len(pivots) < len(m):
         return K.zero()
-    d = K.one()
-    for i in range(len(m)):
-        d = K.mul(d, m[i][i])
-    return K.neg(d) if swaps % 2 else d
+    d = prod((row[i] for i, row in enumerate(m)), start=K.one())
+    return K.reduce(-d if swaps % 2 else d)
 
 
 def solve(rows, rhs, K):
@@ -78,7 +75,7 @@ def solve(rows, rhs, K):
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
-        return [] if all(K.is_zero(b) for b in rhs) else None
+        return None if any(rhs) else []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug, K)
@@ -104,6 +101,6 @@ def kernel_basis(rows, K):
         vec = [K.zero()] * ncols
         vec[free] = K.one()
         for i, col in enumerate(pivots):
-            vec[col] = K.neg(red[i][free])
+            vec[col] = K.reduce(-red[i][free])
         basis.append(vec)
     return basis

@@ -6,10 +6,12 @@ remembers its ordered variable names; mixing rings raises RingMismatch.
 Two monomial orders are provided: graded reverse lexicographic (the default
 everywhere) and lexicographic.
 
-Arithmetic has one term loop, ``_plus`` (self + the sum of c * x^q * g, zeros
-dropped as they appear), behind every operation but powers, which go through
-``fields.power``.  It shares no code with the Groebner row kernel, so
-``groebner.one_certificate`` re-verifies Bezout identities independently.
+Sums and products have one term loop, ``_plus`` (self + the sum of c * x^q * g,
+each coefficient reduced once by the field's ``reduce``, zeros dropped as
+they appear); unary - and the partial derivatives map the terms directly,
+and powers go through ``fields.power``.  ``_plus`` shares no code with the
+Groebner row kernel, so ``groebner.one_certificate`` re-verifies Bezout
+identities independently.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class MultiPoly:
         for exps, c in terms.items():
             if len(exps) != len(self.variables):
                 raise RingMismatch("monomial length does not match variable count")
-            if not field.is_zero(c):
+            if c:
                 clean[tuple(exps)] = c
         self.terms = clean
 
@@ -146,21 +148,19 @@ class MultiPoly:
     # -- arithmetic ------------------------------------------------------
     def _plus(self, products):
         """self + the sum of c * x^q * g over the (c, q, g) triples, zeros dropped at once."""
-        K = self.field
-        add, mul, is_zero = K.add, K.mul, K.is_zero
+        reduce = self.field.reduce
         out = dict(self.terms)
         for c, q, g in products:
             for m, a in g.terms.items():
                 t = mono_mul(m, q)
-                s, old = mul(c, a), out.get(t)
-                if old is not None:
-                    s = add(old, s)
-                if is_zero(s):
-                    out.pop(t, None)
-                else:
+                old = out.get(t)
+                s = reduce(c * a if old is None else old + c * a)
+                if s:
                     out[t] = s
+                else:
+                    out.pop(t, None)
         result = object.__new__(MultiPoly)  # no zero terms: skip the constructor's validation
-        result.field, result.variables, result.terms = K, self.variables, out
+        result.field, result.variables, result.terms = self.field, self.variables, out
         return result
 
     def __add__(self, other):
@@ -169,12 +169,11 @@ class MultiPoly:
 
     def __sub__(self, other):
         self._same_ring(other)
-        K = self.field
-        return self._plus([(K.neg(K.one()), (0,) * len(self.variables), other)])
+        return self._plus([(-self.field.one(), (0,) * len(self.variables), other)])
 
     def __neg__(self):
         K = self.field
-        return self.scale(K.neg(K.one()))
+        return MultiPoly(K, self.variables, {m: K.reduce(-c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._same_ring(other)
@@ -205,10 +204,9 @@ class MultiPoly:
         if not 0 <= i < len(self.variables):
             raise IndexOutOfRange(f"variable index {i} out of range")
         K = self.field
-        unit = MultiPoly.one(K, self.variables)
-        return MultiPoly.zero(K, self.variables)._plus(
-            (K.mul(K.from_int(m[i]), c), m[:i] + (m[i] - 1,) + m[i + 1:], unit)
-            for m, c in self.terms.items() if m[i])
+        terms = {m[:i] + (m[i] - 1,) + m[i + 1:]: K.reduce(K.from_int(m[i]) * c)
+                 for m, c in self.terms.items() if m[i]}
+        return MultiPoly(K, self.variables, terms)
 
     # -- comparison / display ---------------------------------------------
     def __eq__(self, other):

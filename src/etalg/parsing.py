@@ -132,7 +132,7 @@ class _PolyParser:
                 if dkind != "int":
                     raise ParseError("'/' joins two integer literals", self.tokens.line, dcol)
                 try:
-                    c = self.field.div(c, self.field.from_int(dvalue))
+                    c = self.field.reduce(c * self.field.invert(self.field.from_int(dvalue)))
                 except ZeroNotInvertible:
                     raise ParseError(
                         f"coefficient denominator {dvalue} vanishes in {self.field!r}",

@@ -64,12 +64,12 @@ from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField, power
 from .finalg import (FiniteAlgebra, _combine, _coordinates, _embed, _support, _vector,
-                     split_by_idempotent)
+                     eval_in_algebra, split_by_idempotent)
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
 from .kaehler import (FLAGS, AlgebraPresentation, Decision, decide_all, omega_dimension,
                       omega_presentation, relation_basis)
 from .multipoly import GREVLEX
-from .unipoly import UniPoly, eval_in_algebra, gcd, is_separable, squarefree_part
+from .unipoly import UniPoly, gcd, is_separable, squarefree_part
 
 DEFAULT_PRIMITIVE_BUDGET = 1000
 
@@ -152,8 +152,7 @@ def _frobenius_images(A: FiniteAlgebra):
         images = [A.power(A.basis_element(i), p) for i in range(m)]
     else:
         columns, steps = A.border
-        zero = K.zero()
-        xs = [A.power(tuple(dict(column[0]).get(i, zero) for i in range(m)), p)
+        xs = [A.power(_combine(K, m, [(K.one(), column[0])]), p)
               for column in columns]  # x_k = x_k * e_0
         images = [A.unit]
         for k, prev in steps[1:]:
@@ -179,12 +178,9 @@ def _restricted_images(K, images, basis, pivots):
 
 def _fixed_space_idempotent(A: FiniteAlgebra, images):
     """``frobenius_split`` with F given by its images of A's basis, in A's coordinates."""
-    K = A.field
-    m = A.dimension
-    matrix = [
-        [K.sub(images[j][i], K.one() if i == j else K.zero()) for j in range(m)]
-        for i in range(m)
-    ]
+    K, m, one = A.field, A.dimension, A.field.one()
+    matrix = [[K.reduce(images[j][i] - one) if i == j else images[j][i] for j in range(m)]
+              for i in range(m)]
     fixed = linalg.kernel_basis(matrix, K)
     if len(fixed) <= 1:
         return None
@@ -206,10 +202,10 @@ def _smallest_root(g: UniPoly):
     Evaluating g at 0, 1, 2, ... takes about p operations, splitting g about d^2 log2(p)
     per attempt; the scan runs when p <= 16 d^2 log2(p), so always at p = 2.
     """
-    K, p = g.field, g.field.modulus
+    p = g.field.modulus
     if p > 16 * g.degree ** 2 * p.bit_length():
         return min(_split_roots(g, 0))
-    c = next((c for c in range(p) if K.is_zero(g(c))), None)
+    c = next((c for c in range(p) if not g(c)), None)
     if c is None:
         raise InternalContradiction("p-power-fixed element with no root in the prime field")
     return c
@@ -224,7 +220,7 @@ def _split_roots(g: UniPoly, start):
     """
     K, p, one = g.field, g.field.modulus, UniPoly.one(g.field)
     if g.degree == 1:
-        return [K.neg(g.coeff(0))]
+        return [K.reduce(-g.coeff(0))]
     for a in range(start, p):
         half = power(UniPoly(K, [K.from_int(a), K.one()]), (p - 1) // 2,
                      lambda x, y: x * y % g, one)
@@ -317,7 +313,7 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
     the certificate checks at the end of ``_decompose`` still verify every
     factor and raise InternalContradiction if the theory were broken.
     """
-    if A.field.is_zero(A.discriminant()):
+    if not A.discriminant():
         raise NotEtale("decompose_etale needs a nonzero discriminant")
     return _decompose(A, primitive_budget)
 
@@ -360,6 +356,9 @@ def find_nilpotent(A: FiniteAlgebra):
     Scans generators then basis elements: an element whose minimal
     polynomial g properly exceeds its squarefree part r yields the nilpotent
     r(a).  When the discriminant vanishes some generator is caught this way.
+    r(a) is nonzero, as deg r < deg g, and g divides r^k for some k <= deg g,
+    so dim A squarings make it zero; InternalContradiction is raised if
+    either fails.
     """
     for a in _candidates(A):
         g = A.minimal_polynomial(a)
@@ -370,12 +369,15 @@ def find_nilpotent(A: FiniteAlgebra):
             continue
         w = eval_in_algebra(r, a, A)
         if A.is_zero_element(w):
-            continue
+            raise InternalContradiction(f"the squarefree part {r.format()} of the minimal "
+                                        f"polynomial {g.format()} annihilates its element")
         square = w
         for _ in range(A.dimension):
             square = A.mul(square, square)
             if A.is_zero_element(square):
                 return w
+        raise InternalContradiction(f"r(a) for the squarefree part r = {r.format()} of "
+                                    f"{g.format()} survives {A.dimension} squarings")
     return None
 
 
@@ -536,7 +538,7 @@ def classify(
         return report
     disc = A.discriminant()
     report.discriminant = disc
-    report.etale = not P.field.is_zero(disc)
+    report.etale = bool(disc)
     if report.etale and "decomposition" in stages:
         cert = _decompose(A, primitive_budget)
         report.certificate = cert

@@ -4,10 +4,10 @@ Coefficients are stored ascending by degree with trailing zeros trimmed, so
 the zero polynomial has an empty coefficient tuple and its degree is the
 ``None`` sentinel (it never takes part in arithmetic).
 
-Arithmetic has one coefficient loop, ``_plus`` (self + the sum of c * T^q * g,
-with native + and * and each coefficient reduced once, at the end), behind
-+, -, unary -, *, ``scale`` and each step of long division; powers go through
-``fields.power``.  ``gcd`` runs the remainder sequence alone, while
+Arithmetic has one coefficient loop, ``_plus`` (self + the sum of c * T^q * g
+in native + and *, each coefficient reduced once by the field's ``reduce_all``),
+behind +, -, unary -, *, ``scale`` and each step of long division; powers go
+through ``fields.power``.  ``gcd`` runs the remainder sequence alone, while
 ``extended_gcd`` also carries the Bezout cofactors.  Over the perfect fields
 Q and GF(p) squarefree and separable (gcd(f, f') = 1) mean the same thing,
 so ``is_separable`` is the one test of both.
@@ -42,7 +42,7 @@ class UniPoly:
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -104,8 +104,7 @@ class UniPoly:
             out += [K.zero()] * (q + len(g.coeffs) - len(out))  # pads only when g reaches past out
             for i, a in enumerate(g.coeffs, q):
                 out[i] += c * a
-        p = K.modulus
-        return UniPoly(K, [x % p for x in out] if p else out)
+        return UniPoly(K, K.reduce_all(out))
 
     def __add__(self, other):
         self._same_field(other)
@@ -113,10 +112,10 @@ class UniPoly:
 
     def __sub__(self, other):
         self._same_field(other)
-        return self._plus([(self.field.neg(self.field.one()), 0, other)])
+        return self._plus([(-self.field.one(), 0, other)])
 
     def __neg__(self):
-        return self.scale(self.field.neg(self.field.one()))
+        return self.scale(-self.field.one())
 
     def __mul__(self, other):
         self._same_field(other)
@@ -140,8 +139,8 @@ class UniPoly:
         rem = self
         while len(rem.coeffs) >= n:
             k = len(rem.coeffs) - n
-            quo[k] = K.mul(rem.coeffs[-1], inv_lc)
-            rem = rem._plus([(K.neg(quo[k]), k, other)])
+            quo[k] = K.reduce(rem.coeffs[-1] * inv_lc)
+            rem = rem._plus([(-quo[k], k, other)])
         return UniPoly(K, quo), rem
 
     def __floordiv__(self, other):
@@ -155,7 +154,7 @@ class UniPoly:
         K = self.field
         acc = K.zero()
         for c in reversed(self.coeffs):
-            acc = K.add(K.mul(acc, x), c)
+            acc = K.reduce(acc * x + c)
         return acc
 
     # -- comparison / display ---------------------------------------------
@@ -210,7 +209,7 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 def derivative(f: UniPoly) -> UniPoly:
     """Formal derivative; in characteristic p multiples of p vanish."""
     K = f.field
-    return UniPoly(K, [K.mul(K.from_int(k), f.coeffs[k]) for k in range(1, len(f.coeffs))])
+    return UniPoly(K, K.reduce_all(K.from_int(k) * c for k, c in enumerate(f.coeffs[1:], 1)))
 
 
 # --------------------------------------------------------------------- resultants
@@ -245,9 +244,8 @@ def discriminant(f: UniPoly):
     if fp.is_zero:
         return K.zero()
     m = f.degree
-    r = resultant(f, fp)
-    r = K.div(r, f.lc())
-    return K.neg(r) if (m * (m - 1) // 2) % 2 == 1 else r
+    r = resultant(f, fp) * K.invert(f.lc())
+    return K.reduce(-r if (m * (m - 1) // 2) % 2 else r)
 
 
 # --------------------------------------------------------------------- separability
@@ -342,13 +340,3 @@ def coprime_split(f: UniPoly):
         raise InternalContradiction("coprime_split: a factor has the degree of f")
     return f1, f2
 
-
-def eval_in_algebra(f: UniPoly, a, algebra):
-    """Horner evaluation of f at an element of a finite algebra."""
-    if f.field != algebra.field:
-        raise FieldMismatch("polynomial and algebra live over different fields")
-    K = f.field
-    acc = algebra.zero_element()
-    for c in reversed(f.coeffs):
-        acc = algebra.add(algebra.mul(acc, a), algebra.scalar_mul(c, algebra.unit))
-    return acc

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt
 from time import perf_counter
@@ -5,10 +6,15 @@ from time import perf_counter
 import pytest
 from hypothesis import given, strategies as st
 
+from etalg import linalg
 from etalg.errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
 from etalg.fields import GF, PRIMALITY_BOUND, QQ, PrimeField, Rationals, _is_prime, power
+from etalg.finalg import eval_in_algebra, monogenic_from_poly, product
+from etalg.groebner import buchberger, quotient_algebra
+from etalg.multipoly import GREVLEX, MultiPoly
 from etalg.parsing import parse_input
-from util import power_products
+from etalg.unipoly import UniPoly, derivative, discriminant, gcd, resultant
+from util import is_element, power_products, random_monic, random_mpoly
 
 
 def test_power_by_repeated_squaring():
@@ -29,6 +35,8 @@ def test_power_by_repeated_squaring():
 
 def test_invert_examples():
     assert QQ.invert(Fraction(2, 3)) == Fraction(3, 2)
+    half = QQ.invert(2)  # an int, as native arithmetic can hand it over, still gives a Fraction
+    assert type(half) is Fraction and half == Fraction(1, 2)
     assert GF(5).invert(2) == 3
     with pytest.raises(ZeroNotInvertible):
         QQ.invert(Fraction(0))
@@ -125,32 +133,78 @@ rationals = st.builds(
 residues5 = st.integers(min_value=0, max_value=4)
 
 
+def field_axioms(K, a, b, c):
+    """The axioms under native operators with every result reduced at once."""
+    r = K.reduce
+    assert r(r(a + b) + c) == r(a + r(b + c))
+    assert r(r(a * b) * c) == r(a * r(b * c))
+    assert r(a * r(b + c)) == r(r(a * b) + r(a * c))
+    assert r(a - a) == K.zero() and r(a + r(-a)) == K.zero()
+    if a:
+        assert r(a * K.invert(a)) == K.one()
+        assert K.invert(K.invert(a)) == a
+
+
 @given(rationals, rationals, rationals)
 def test_field_axioms_rationals(a, b, c):
-    K = QQ
-    assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c))
-    assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
-    assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
-    if not K.is_zero(a):
-        assert K.mul(a, K.invert(a)) == K.one()
-        assert K.invert(K.invert(a)) == a
+    field_axioms(QQ, a, b, c)
 
 
 @given(residues5, residues5, residues5)
 def test_field_axioms_gf5(a, b, c):
-    K = GF(5)
-    assert K.add(K.add(a, b), c) == K.add(a, K.add(b, c))
-    assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
-    assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
-    if not K.is_zero(a):
-        assert K.mul(a, K.invert(a)) == K.one()
-        assert K.invert(K.invert(a)) == a
+    field_axioms(GF(5), a, b, c)
 
 
 def test_canonical_forms():
     # Q elements stay in lowest terms with positive denominator.
-    x = QQ.div(QQ.from_int(4), QQ.from_int(-6))
+    x = QQ.from_int(4) * QQ.invert(QQ.from_int(-6))
     assert (x.numerator, x.denominator) == (-2, 3)
     # GF(p) residues are fully reduced.
     assert GF(5).from_int(-3) == 2
     assert GF(5).from_int(12) == 2
+
+
+@pytest.mark.parametrize("K", [QQ, GF(2), GF(7), GF(32003)], ids=str)
+def test_every_result_is_an_element(K):
+    # native arithmetic reduced once: each value the package returns is a Fraction
+    # over Q and an int in [0, p) over GF(p), whatever the operands were
+    rng = random.Random(113)
+
+    def check(*values):
+        assert all(is_element(K, c) for c in values), values
+
+    def scalar():
+        return K.from_int(rng.randint(-40, 40)) * K.invert(K.from_int(rng.choice([1, 1, 3, 5])))
+
+    for _ in range(3):
+        rows = [[scalar() for _ in range(4)] for _ in range(3)]
+        rows.append([K.reduce(x + y) for x, y in zip(rows[0], rows[1])])  # a dependent row
+        check(linalg.det(rows, K), linalg.det(rows[:3] + [[scalar() for _ in range(4)]], K))
+        reduced, _ = linalg.rref(rows, K)
+        check(*(c for row in reduced for c in row))
+        check(*(c for vec in linalg.kernel_basis(rows, K) for c in vec))
+
+        f, g = random_monic(rng, K, 4), UniPoly(K, [scalar(), scalar(), K.one()])
+        for h in (f + g, f - g, -f, f * g, f.scale(scalar()), f ** 3, *divmod(f, g), gcd(f, g),
+                  derivative(f)):
+            check(*h.coeffs)
+        check(f(scalar()), discriminant(f), resultant(f, g))
+
+        names = ("X", "Y")
+        u, v = (random_mpoly(rng, K, names, terms=4) for _ in range(2))
+        c = scalar()
+        for h in (u + v, u - v, -u, u * v, u.scale(c), u.mul_term((1, 0), c), v ** 2,
+                  u.partial_derivative(0), *(w.monic(GREVLEX) for w in (u, v) if not w.is_zero)):
+            check(*h.terms.values())
+
+        B = quotient_algebra(buchberger([MultiPoly(K, names, {(2, 0): K.one(), (0, 0): scalar()}),
+                                         MultiPoly(K, names, {(0, 2): K.one(), (1, 0): scalar()})]))
+        for A in (monogenic_from_poly(f), B, product(monogenic_from_poly(f), B)):
+            x, y = (tuple(scalar() for _ in range(A.dimension)) for _ in range(2))
+            check(*A.unit, *A.zero_element(), *(c for row in A.table for v in row for c in v))
+            for z in (A.add(x, y), A.sub(x, y), A.scalar_mul(c, x), A.mul(x, y), A.power(x, 5),
+                      eval_in_algebra(f, x, A)):
+                check(*z)
+            check(A.trace(x), A.discriminant(), *A.minimal_polynomial(x).coeffs)
+            check(*(c for row in A.gram_matrix() for c in row))
+            check(*(c for row in A.mul_operator(x) for c in row))

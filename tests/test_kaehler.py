@@ -98,7 +98,7 @@ def test_leibniz_and_chain_rule_random():
             fg = fg + (g**k).scale(c)
         fprime_g = MultiPoly.zero(QQ, V)
         for k, c in enumerate(f.coeffs[1:], start=1):
-            fprime_g = fprime_g + (g ** (k - 1)).scale(QQ.mul(QQ.from_int(k), c))
+            fprime_g = fprime_g + (g ** (k - 1)).scale(QQ.from_int(k) * c)
         assert universal_derivation(fg, D) == tuple(fprime_g * a for a in dg)
 
 

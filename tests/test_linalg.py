@@ -32,7 +32,7 @@ def with_dependent_last_row(rng, K, rows):
     last = [K.zero()] * len(rows[0])
     for row in rows[:-1]:
         c = K.from_int(rng.randint(-2, 2))
-        last = [K.add(x, K.mul(c, y)) for x, y in zip(last, row)]
+        last = [K.reduce(x + c * y) for x, y in zip(last, row)]
     return rows[:-1] + [last]
 
 
@@ -48,7 +48,7 @@ def mat_vec(rows, x, K):
     for row in rows:
         acc = K.zero()
         for a, b in zip(row, x):
-            acc = K.add(acc, K.mul(a, b))
+            acc = K.reduce(acc + a * b)
         out.append(acc)
     return out
 

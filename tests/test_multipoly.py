@@ -94,7 +94,7 @@ def test_arithmetic_matches_sympy():
                 return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, gens, **domain)
 
             def check(got, want):
-                assert all(not K.is_zero(c) for c in got.terms.values())
+                assert all(got.terms.values())
                 assert theirs(got) == want
 
             zero = MultiPoly.zero(K, variables)

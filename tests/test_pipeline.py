@@ -60,7 +60,7 @@ def test_classify_circle_cross():
     assert report.standard_etale is True
     assert report.noether_dimension == 0
     assert report.vector_space_dimension == 4
-    assert not QQ.is_zero(report.discriminant)
+    assert report.discriminant
     assert report.etale is True
     assert sum(g.degree for g in report.decomposition) == 4
     assert all(is_separable(g) for g in report.decomposition)
@@ -144,7 +144,7 @@ def test_decompose_f2_four_points():
     prod = monogenic_from_poly(cert.factors[0].poly)
     for f in cert.factors[1:]:
         prod = product(prod, monogenic_from_poly(f.poly))
-    assert not F2.is_zero(prod.discriminant())
+    assert prod.discriminant()
 
 
 # Irreducible polynomials (ascending coefficients) of degree 1 to 3.
@@ -296,7 +296,7 @@ def test_roots_by_splitting_match_the_scan(p):
         for r in roots:
             g = g * upoly(K, [-r, 1])
         assert sorted(etalg.pipeline._split_roots(g, 0)) == sorted(roots)
-        scan = next(c for c in range(p) if K.is_zero(g(c)))
+        scan = next(c for c in range(p) if not g(c))
         assert etalg.pipeline._smallest_root(g) == scan == min(roots)
 
 
@@ -468,7 +468,7 @@ def test_inverse_in_subalgebra_is_the_witness_of_idempotent_of(case, rng):
     K = A.field
     for _ in range(12):
         a = tuple(K.from_int(rng.randrange(K.modulus)) for _ in range(A.dimension))
-        if K.is_zero(A.minimal_polynomial(a).coeff(0)):
+        if not A.minimal_polynomial(a).coeff(0):
             with pytest.raises(NotInvertible):
                 A.inverse_in_subalgebra(a)
             continue
@@ -488,6 +488,22 @@ def test_find_nilpotent():
     w2 = find_nilpotent(B)
     assert w2 is not None and B.is_zero_element(B.mul(w2, w2))
     assert find_nilpotent(monogenic_from_poly(upoly(QQ, [-1, 0, 1]))) is None
+
+
+def test_find_nilpotent_rejects_states_the_theory_rules_out(monkeypatch):
+    # on X^3 - X^2 the generator x has g = T^2 (T - 1) and squarefree part r = T (T - 1)
+    A = monogenic_from_poly(upoly(QQ, [0, 0, -1, 1]))
+    with monkeypatch.context() as patch:
+        # r(x) = 0 although deg r < deg g
+        patch.setattr(etalg.pipeline, "eval_in_algebra", lambda f, a, algebra: algebra.zero_element())
+        with pytest.raises(InternalContradiction, match="annihilates"):
+            find_nilpotent(A)
+    with monkeypatch.context() as patch:
+        # a stand-in r = g / (T - 1) = T^2 gives r(x) = x^2, a nonzero idempotent: never nilpotent
+        patch.setattr(etalg.pipeline, "squarefree_part", lambda g: g // upoly(QQ, [-1, 1]))
+        with pytest.raises(InternalContradiction, match="survives 3 squarings"):
+            find_nilpotent(A)
+    assert find_nilpotent(A) is not None
 
 
 # ------------------------------------------------------------------ reports
@@ -600,7 +616,7 @@ def test_every_report_keeps_the_invariants_of_the_theory(P):
     if A is None:
         return
     m = A.dimension
-    assert report.etale == (not P.field.is_zero(report.discriminant))
+    assert report.etale == bool(report.discriminant)
     if report.etale:
         assert sum(g.degree for g in report.decomposition) == m
     else:

@@ -5,6 +5,7 @@ the Gaussian elimination the package uses, so Sylvester/Gram assertions are
 genuine cross-checks.
 """
 
+from fractions import Fraction
 from itertools import permutations
 
 from etalg.fields import GF, QQ
@@ -26,6 +27,11 @@ def mpoly(field, variables, spec):
 def power_products(n):
     """Products repeated squaring takes for x^n: squarings, plus one per further set bit of n."""
     return n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+
+
+def is_element(K, c):
+    """c is what K's elements are: a Fraction over Q, an int residue in [0, p) over GF(p)."""
+    return type(c) is Fraction if K == QQ else type(c) is int and 0 <= c < K.modulus
 
 
 def perm_sign(perm):
@@ -52,8 +58,8 @@ def brute_det(rows, K):
     for perm in permutations(range(n)):
         prod = K.one()
         for i in range(n):
-            prod = K.mul(prod, rows[i][perm[i]])
-        total = K.add(total, prod if perm_sign(perm) > 0 else K.neg(prod))
+            prod = K.reduce(prod * rows[i][perm[i]])
+        total = K.reduce(total + prod if perm_sign(perm) > 0 else total - prod)
     return total
 
 
