@@ -22,12 +22,14 @@ check, whose failures raise InternalContradiction:
   on that many distinct triples fixed by m alone (the full sweep would cost
   m^5 field operations).  On a commutative table x * e_k is row k weighted
   by x, so both sides of a triple, and the unit law, are read off rows.
-* A split factor u*A (``split_by_idempotent``), whose table is derived from
-  its parent's.  ``_ideal_subalgebra`` checks that every product b_i * b_j
-  of its basis embeds back into u*A, so the table is the parent's product
-  restricted to a subspace closed under it; with the unit law and the
-  parent's own check this proves it commutative and associative, and no
-  triple is sampled.
+* A split factor u*A (``split_by_idempotent``), an ``_IdealFactor`` that
+  keeps its echelon basis in its parent's coordinates and its pivots:
+  ``embed`` writes its elements in the parent, and ``coordinates`` the
+  parent's on its basis, None outside u*A.  Its table comes through that
+  checked map, so every product b_i * b_j of the basis embeds back and the
+  table is the parent's product restricted to a subspace closed under it;
+  with the unit law and the parent's own check this proves it commutative
+  and associative, and no triple is sampled.
 * A ``border`` (``groebner.quotient_algebra``, and ``monogenic_from_poly``,
   which hands K[X]/<f> the one-variable border of <f>): columns[k][l] holds
   x_k * e_l as (index, scalar) pairs, the columns of the multiplication
@@ -437,74 +439,57 @@ def eval_in_algebra(f: UniPoly, a, algebra: FiniteAlgebra):
 
 @dataclass(frozen=True)
 class AlgebraSplit:
-    """A ~ first x second along an idempotent e: the factors and their bases in A.
-
-    ``first`` carries the product on (1-e)*A, ``second`` the one on e*A.  Each
-    factor's basis is an echelon basis of its ideal in the coordinates of A,
-    as _Vectors, with the pivot of each vector: a factor element v embeds as
-    ``_embed(K, basis, v)``, and an element w of the ideal has coordinates
-    ``_coordinates(K, basis, pivots, w)``, read at the pivots.
-    """
+    """A ~ first x second along an idempotent e: the _IdealFactors (1-e)*A and e*A."""
 
     first: FiniteAlgebra
     second: FiniteAlgebra
-    first_basis: tuple
-    second_basis: tuple
-    first_pivots: tuple
-    second_pivots: tuple
-
-
-def _embed(K, basis_vectors, v):
-    """The combination of basis vectors (_Vectors of one length) with coordinates v."""
-    return _combine(K, len(basis_vectors[0]),
-                    ((c, basis_vectors[i].support) for i, c in _support(v)))
-
-
-def _coordinates(K, basis_vectors, pivots, w):
-    """w on an echelon basis, read at its pivots; None unless w embeds back (w is in the span)."""
-    coords = tuple(w[p] for p in pivots)
-    return coords if _embed(K, basis_vectors, coords) == w else None
 
 
 class _IdealFactor(FiniteAlgebra):
-    """A split factor u*A whose basis ``_ideal_subalgebra`` found closed under A's product.
+    """The split factor u*A of an algebra A, with unit u, on an echelon basis in A's coordinates.
 
-    Its table is A's product restricted to that subspace, so the unit law,
-    checked on construction, and A's own check make it commutative and
-    associative: no triple is sampled.
+    ``basis`` holds that basis as _Vectors and ``pivots`` the pivot of each;
+    the table, the generators u*g and the unit come through ``coordinates``.
     """
 
-    __slots__ = ()
+    __slots__ = ("basis", "pivots")
+
+    def __init__(self, A, unit, labels_prefix):
+        K = self.field = A.field  # before the base constructor: ``coordinates`` reads it
+        unit = _vector(unit)
+        reduced, pivots = linalg.rref([A._times_basis(unit, i) for i in range(A.dimension)], K)
+        basis = self.basis = tuple(_vector(row) for row in reduced[: len(pivots)])
+        self.pivots = tuple(pivots)
+
+        def inside(w, what):
+            coords = self.coordinates(w)
+            if coords is None:
+                raise InternalContradiction(f"{what} leaves the ideal")
+            return coords
+
+        dim = len(basis)
+        table = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                table[i][j] = table[j][i] = inside(A.mul(basis[i], basis[j]),
+                                                    f"split basis not closed: b_{i} * b_{j}")
+        refs = {name: inside(A.mul(unit, vec), f"u * {name}")
+                for name, vec in A.generator_refs.items()}
+        super().__init__(K, [f"{labels_prefix}{k + 1}" for k in range(dim)], table,
+                         inside(unit, "the unit u"), generator_refs=refs)
+
+    def embed(self, v):
+        """The factor element v in the parent's coordinates: one combination of the basis."""
+        basis = self.basis
+        return _combine(self.field, len(basis[0]), ((c, basis[i].support) for i, c in _support(v)))
+
+    def coordinates(self, w):
+        """The parent element w on the basis, read at the pivots; None unless it embeds back."""
+        coords = tuple(w[p] for p in self.pivots)
+        return coords if self.embed(coords) == w else None
 
     def _check_associativity(self):
         pass
-
-
-def _ideal_subalgebra(A, unit_vec, labels_prefix):
-    """The ideal u*A as an algebra with unit u, on an echelonized basis closed under A's product."""
-    K = A.field
-    unit = _vector(unit_vec)
-    images = [A._times_basis(unit, i) for i in range(A.dimension)]
-    reduced, pivots = linalg.rref(images, K)
-    basis = [_vector(row) for row in reduced[: len(pivots)]]
-    dim = len(basis)
-
-    def project(w):
-        return tuple(w[p] for p in pivots)
-
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            vec = _coordinates(K, basis, pivots, A.mul(basis[i], basis[j]))
-            if vec is None:
-                raise InternalContradiction(
-                    f"split basis not closed: b_{i} * b_{j} leaves the ideal")
-            table[i][j] = vec
-            table[j][i] = vec
-    refs = {name: project(A.mul(unit_vec, vec)) for name, vec in A.generator_refs.items()}
-    labels = [f"{labels_prefix}{k + 1}" for k in range(dim)]
-    sub = _IdealFactor(K, labels, table, project(unit_vec), generator_refs=refs)
-    return sub, tuple(basis), tuple(pivots)
 
 
 def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
@@ -514,11 +499,49 @@ def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
         raise NotIdempotent("e^2 != e")
     if A.is_zero_element(e) or e == A.unit:
         raise TrivialIdempotent("e must differ from 0 and 1")
-    first, basis1, pivots1 = _ideal_subalgebra(A, A.sub(A.unit, e), "u")
-    second, basis2, pivots2 = _ideal_subalgebra(A, e, "v")
-    if first.dimension + second.dimension != A.dimension:
+    split = AlgebraSplit(_IdealFactor(A, A.sub(A.unit, e), "u"), _IdealFactor(A, e, "v"))
+    if split.first.dimension + split.second.dimension != A.dimension:
         raise InternalContradiction("split dimensions do not add up")
-    return AlgebraSplit(first, second, basis1, basis2, pivots1, pivots2)
+    return split
+
+
+def _frobenius_images(A: FiniteAlgebra):
+    """F(e_i) = e_i^p for every basis element, as _Vectors: the p-power map F, one linear map.
+
+    F is a ring map, so on a quotient it goes along the border steps,
+    F(e_i) = F(x_k) * F(e_i') for e_i = x_k * e_i': n powerings and m - 1
+    products.  An algebra without a border raises each basis element to the
+    p-th power.
+    """
+    K, m = A.field, A.dimension
+    p = K.modulus
+    if A.border is None:
+        images = [A.power(A.basis_element(i), p) for i in range(m)]
+    else:
+        columns, steps = A.border
+        xs = [A.power(_combine(K, m, [(K.one(), column[0])]), p)
+              for column in columns]  # x_k = x_k * e_0
+        images = [A.unit]
+        for k, prev in steps[1:]:
+            images.append(A.mul(xs[k], images[prev]))
+    return [_vector(image) for image in images]
+
+
+def _restricted_images(factor: _IdealFactor, images):
+    """F on a split factor u*A from ``images``, F on A: F(b) for each basis vector b, on the factor's basis.
+
+    F(u*a) = u^p * F(a) = u * F(a), so each F(b) lies in u*A; one outside it
+    raises InternalContradiction.  The result is the map that powering the
+    factor's own basis would give, in the same basis.
+    """
+    K, m = factor.field, len(images)
+    restricted = []
+    for b in factor.basis:
+        coords = factor.coordinates(_combine(K, m, ((c, images[i].support) for i, c in b.support)))
+        if coords is None:
+            raise InternalContradiction("a Frobenius image leaves its split factor")
+        restricted.append(_vector(coords))
+    return restricted
 
 
 def _padded(table, before, after):

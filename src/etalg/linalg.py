@@ -1,9 +1,10 @@
 """Dense exact linear algebra over a FieldContext.
 
-Matrices are lists of row lists; a row update reduces each entry once
-(``K.reduce_all``).  One forward elimination, pivoting on the first nonzero
-entry of each column and counting its row swaps, is exact and deterministic
-over Q and GF(p).  ``det`` and ``rank`` read it alone; ``rref`` finishes it
+Matrices are lists of row lists.  The elimination reduces its input rows
+once, so a caller may pass unreduced integers over GF(p), and a row update
+reduces each entry once (``K.reduce_all``).  One forward elimination,
+pivoting on the first nonzero entry of each column and counting its row
+swaps, is exact and deterministic over Q and GF(p).  ``det`` and ``rank`` read it alone; ``rref`` finishes it
 by back-substitution.  Sizes stay at desk scale.
 """
 
@@ -20,7 +21,7 @@ def _echelon(rows, K):
     Nothing above a pivot is cleared and no row is scaled, so over Q fewer
     entries grow than in Gauss-Jordan.
     """
-    m = [list(r) for r in rows]
+    m = [list(K.reduce_all(r)) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots, swaps, r = [], 0, 0
     for col in range(ncols):

@@ -1,17 +1,18 @@
 """Sparse multivariate polynomials and monomial orders.
 
 A monomial is a tuple of exponents, one per variable of the ambient ring.
-A MultiPoly maps monomials to nonzero coefficients over a FieldContext and
-remembers its ordered variable names; mixing rings raises RingMismatch.
-Two monomial orders are provided: graded reverse lexicographic (the default
-everywhere) and lexicographic.
+A MultiPoly maps monomials to nonzero coefficients over a FieldContext,
+reduced by the field's ``reduce`` on construction, and remembers its ordered
+variable names; mixing rings raises RingMismatch.  Two monomial orders are
+provided: graded reverse lexicographic (the default everywhere) and
+lexicographic.
 
 Sums and products have one term loop, ``_plus`` (self + the sum of c * x^q * g,
 each coefficient reduced once by the field's ``reduce``, zeros dropped as
-they appear); unary - and the partial derivatives map the terms directly,
-and powers go through ``fields.power``.  ``_plus`` shares no code with the
-Groebner row kernel, so ``groebner.one_certificate`` re-verifies Bezout
-identities independently.
+they appear); unary - and the partial derivatives map the terms directly
+and leave the reduction to the constructor, and powers go through
+``fields.power``.  ``_plus`` shares no code with the Groebner row kernel, so
+``groebner.one_certificate`` re-verifies Bezout identities independently.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ class MultiPoly:
         for exps, c in terms.items():
             if len(exps) != len(self.variables):
                 raise RingMismatch("monomial length does not match variable count")
+            c = field.reduce(c)
             if c:
                 clean[tuple(exps)] = c
         self.terms = clean
@@ -172,8 +174,7 @@ class MultiPoly:
         return self._plus([(-self.field.one(), (0,) * len(self.variables), other)])
 
     def __neg__(self):
-        K = self.field
-        return MultiPoly(K, self.variables, {m: K.reduce(-c) for m, c in self.terms.items()})
+        return MultiPoly(self.field, self.variables, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._same_ring(other)
@@ -204,7 +205,7 @@ class MultiPoly:
         if not 0 <= i < len(self.variables):
             raise IndexOutOfRange(f"variable index {i} out of range")
         K = self.field
-        terms = {m[:i] + (m[i] - 1,) + m[i + 1:]: K.reduce(K.from_int(m[i]) * c)
+        terms = {m[:i] + (m[i] - 1,) + m[i + 1:]: K.from_int(m[i]) * c
                  for m, c in self.terms.items() if m[i]}
         return MultiPoly(K, self.variables, terms)
 

@@ -221,8 +221,8 @@ def parse_file(path: str) -> AlgebraPresentation:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return parse_input(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:  # the text before the first bad byte decodes; "?" marks it
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
-        raise ParseError(f"not UTF-8 text (byte {data[exc.start]:#04x})",
+        return parse_input(data.decode("utf-8-sig"))  # a leading byte-order mark is dropped
+    except UnicodeDecodeError as exc:  # exc.object is the text after any byte-order mark
+        lines = (exc.object[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(f"not UTF-8 text (byte {exc.object[exc.start]:#04x})",
                          len(lines), len(lines[-1])) from None

@@ -33,9 +33,9 @@ p-power (Frobenius) operator until every leaf is a field, and each field
 leaf is generated by a single element by finite-field theory.  That
 operator F is one GF(p)-linear map, built once at the root (along the
 border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
-split factor u*A reads its map off its parent's at its pivots, and no
-factor powers its own basis.  Factors of dimension 1 are leaves without a
-split, and each factor keeps its basis in root coordinates.  A split takes
+split factor u*A restricts its parent's map, and no factor powers its own
+basis.  Factors of dimension 1 are leaves without a split, and a factor's
+element reaches the root by one embedding per split level.  A split takes
 the minimal polynomial g of a fixed element v, which divides T^p - T, and
 its smallest root c (at large p by equal-degree splitting), and reads the
 idempotent of <v - c> off them by the algebra's one idempotent formula, the
@@ -63,7 +63,7 @@ from itertools import chain as iter_chain, count, islice, product as iter_produc
 from . import linalg
 from .errors import InternalContradiction, NotEtale, SearchExhausted
 from .fields import PrimeField, power
-from .finalg import (FiniteAlgebra, _combine, _coordinates, _embed, _support, _vector,
+from .finalg import (FiniteAlgebra, _combine, _frobenius_images, _restricted_images, _support,
                      eval_in_algebra, split_by_idempotent)
 from .groebner import DEFAULT_PAIR_BUDGET, contains_one, noether_dimension, quotient_algebra
 from .kaehler import (FLAGS, AlgebraPresentation, Decision, decide_all, omega_dimension,
@@ -136,44 +136,6 @@ def frobenius_split(A: FiniteAlgebra):
     if not isinstance(A.field, PrimeField):
         raise NotEtale("frobenius_split is a GF(p) operation")
     return _fixed_space_idempotent(A, _frobenius_images(A))
-
-
-def _frobenius_images(A: FiniteAlgebra):
-    """F(e_i) = e_i^p for every basis element, as _Vectors: the p-power map F, one linear map.
-
-    F is a ring map, so on a quotient it goes along the border steps,
-    F(e_i) = F(x_k) * F(e_i') for e_i = x_k * e_i': n powerings and m - 1
-    products.  An algebra without a border raises each basis element to the
-    p-th power.
-    """
-    K, m = A.field, A.dimension
-    p = K.modulus
-    if A.border is None:
-        images = [A.power(A.basis_element(i), p) for i in range(m)]
-    else:
-        columns, steps = A.border
-        xs = [A.power(_combine(K, m, [(K.one(), column[0])]), p)
-              for column in columns]  # x_k = x_k * e_0
-        images = [A.unit]
-        for k, prev in steps[1:]:
-            images.append(A.mul(xs[k], images[prev]))
-    return [_vector(image) for image in images]
-
-
-def _restricted_images(K, images, basis, pivots):
-    """F on a split factor u*A from F on A: F(b) for each echelon basis vector b, read at the pivots.
-
-    F(u*a) = u^p * F(a) = u * F(a), so each F(b) lies in u*A; one that does
-    not embed back raises InternalContradiction.  The result is the map that
-    powering the factor's own basis would give, in the same basis.
-    """
-    restricted = []
-    for b in basis:
-        coords = _coordinates(K, basis, pivots, _embed(K, images, b))
-        if coords is None:
-            raise InternalContradiction("a Frobenius image leaves its split factor")
-        restricted.append(_vector(coords))
-    return restricted
 
 
 def _fixed_space_idempotent(A: FiniteAlgebra, images):
@@ -259,18 +221,20 @@ def _first_full_degree(A: FiniteAlgebra, candidates):
     return None
 
 
-def _frobenius_leaves(sub: FiniteAlgebra, basis, chain, budget, images):
+def _frobenius_leaves(sub: FiniteAlgebra, path, chain, budget, images):
     """The field factors of an etale GF(p)-algebra, split along Frobenius idempotents.
 
-    ``basis`` is sub's basis in root coordinates, as _Vectors, so an
-    embedding into the root is one combination.  ``images`` is F on sub's
-    basis, restricted from its parent's; it is None on dimension 1, where
-    sub is GF(p) itself and a leaf without a split.
+    ``path`` holds the split factors from sub up to the root, sub first, and
+    an element of sub reaches the root through their ``embed`` in a loop.
+    ``images`` is F on sub's basis, restricted from its parent's; it is None
+    on dimension 1, where sub is GF(p) itself and a leaf without a split.
     """
     K = sub.field
 
-    def embed(v):
-        return _embed(K, basis, v)
+    def to_root(v):
+        for factor in path:
+            v = factor.embed(v)
+        return v
 
     e = None if sub.dimension == 1 else _fixed_space_idempotent(sub, images)
     if e is None:
@@ -285,16 +249,13 @@ def _frobenius_leaves(sub: FiniteAlgebra, basis, chain, budget, images):
             # A finite field is generated by one element, so the full scan finds one.
             raise InternalContradiction("a finite-field leaf has no generating element")
         vec, g = found
-        return [DecompositionFactor(g, embed(vec), embed(sub.unit), chain)]
+        return [DecompositionFactor(g, to_root(vec), to_root(sub.unit), chain)]
     split = split_by_idempotent(e, sub)
-    chain = chain + (embed(e),)
+    chain = chain + (to_root(e),)
     leaves = []
-    for factor, factor_basis, pivots in ((split.first, split.first_basis, split.first_pivots),
-                                         (split.second, split.second_basis, split.second_pivots)):
-        factor_images = (None if factor.dimension == 1
-                         else _restricted_images(K, images, factor_basis, pivots))
-        leaves += _frobenius_leaves(factor, [_vector(embed(b)) for b in factor_basis], chain,
-                                    budget, factor_images)
+    for factor in (split.first, split.second):
+        factor_images = None if factor.dimension == 1 else _restricted_images(factor, images)
+        leaves += _frobenius_leaves(factor, (factor, *path), chain, budget, factor_images)
     return leaves
 
 
@@ -330,8 +291,7 @@ def _decompose(A: FiniteAlgebra, primitive_budget):
             raise
         notes.append(f"primitive-element search over {A.field!r}: {exc}; "
                      "splitting along the Frobenius fixed space instead")
-        identity = [_vector(A.basis_element(i)) for i in range(A.dimension)]
-        factors = _frobenius_leaves(A, identity, (), primitive_budget, _frobenius_images(A))
+        factors = _frobenius_leaves(A, (), (), primitive_budget, _frobenius_images(A))
 
     # Each e_k idempotent with (e_1 + ... + e_{k-1}) * e_k = 0 makes the
     # family pairwise orthogonal by induction, in 2r products.

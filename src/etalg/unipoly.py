@@ -1,11 +1,12 @@
 """Dense univariate polynomials over a discrete field.
 
-Coefficients are stored ascending by degree with trailing zeros trimmed, so
-the zero polynomial has an empty coefficient tuple and its degree is the
-``None`` sentinel (it never takes part in arithmetic).
+Coefficients are reduced by the field's ``reduce_all`` on construction and
+stored ascending by degree with trailing zeros trimmed, so the zero
+polynomial has an empty coefficient tuple and its degree is the ``None``
+sentinel (it never takes part in arithmetic).
 
 Arithmetic has one coefficient loop, ``_plus`` (self + the sum of c * T^q * g
-in native + and *, each coefficient reduced once by the field's ``reduce_all``),
+in native + and *, each coefficient reduced once by the constructor),
 behind +, -, unary -, *, ``scale`` and each step of long division; powers go
 through ``fields.power``.  ``gcd`` runs the remainder sequence alone, while
 ``extended_gcd`` also carries the Bezout cofactors.  Over the perfect fields
@@ -41,7 +42,7 @@ class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
+        cs = list(field.reduce_all(coeffs))
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -104,7 +105,7 @@ class UniPoly:
             out += [K.zero()] * (q + len(g.coeffs) - len(out))  # pads only when g reaches past out
             for i, a in enumerate(g.coeffs, q):
                 out[i] += c * a
-        return UniPoly(K, K.reduce_all(out))
+        return UniPoly(K, out)
 
     def __add__(self, other):
         self._same_field(other)
@@ -209,7 +210,7 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 def derivative(f: UniPoly) -> UniPoly:
     """Formal derivative; in characteristic p multiples of p vanish."""
     K = f.field
-    return UniPoly(K, K.reduce_all(K.from_int(k) * c for k, c in enumerate(f.coeffs[1:], 1)))
+    return UniPoly(K, (K.from_int(k) * c for k, c in enumerate(f.coeffs[1:], 1)))
 
 
 # --------------------------------------------------------------------- resultants

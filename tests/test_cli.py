@@ -136,16 +136,15 @@ def test_exit_code_internal_contradiction(monkeypatch, capsys):
 
 def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys, tmp_path):
     # GF(3)^9 has no primitive element, so classify splits along Frobenius idempotents
-    original = etalg.finalg._ideal_subalgebra
+    original = etalg.finalg._IdealFactor
 
-    def one_short(A, unit_vec, labels_prefix):
-        sub, basis, pivots = original(A, unit_vec, labels_prefix)
+    def one_short(A, unit, labels_prefix):
+        sub = original(A, unit, labels_prefix)
         if sub.dimension == 1:
-            return sub, basis, pivots
-        power = UniPoly.variable(A.field) ** (sub.dimension - 1)
-        return etalg.finalg.monogenic_from_poly(power), basis[:-1], pivots[:-1]
+            return sub
+        return etalg.finalg.monogenic_from_poly(UniPoly.variable(A.field) ** (sub.dimension - 1))
 
-    monkeypatch.setattr(etalg.finalg, "_ideal_subalgebra", one_short)
+    monkeypatch.setattr(etalg.finalg, "_IdealFactor", one_short)
     grid = tmp_path / "grid.alg"
     grid.write_text("field GF(3)\nvars X, Y\nrelations:\n  X^3 - X\n  Y^3 - Y\n")
     code, out, err = run_main(capsys, "classify", str(grid))
@@ -330,6 +329,13 @@ def test_non_utf8_file_is_an_input_error(tmp_path):
     code, out, err = run_process(tmp_path, NON_UTF8, "classify")
     assert code == 1 and out == ""
     assert err == "error: line 4, column 7: not UTF-8 text (byte 0xff)\n"
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    text = b"field Q\nvars X\nrelations:\n  X^2 - 2\n"
+    plain = run_process(tmp_path, text, "classify")
+    assert plain[0] == 0 and plain[2] == "" and "etale: true\n" in plain[1]
+    assert run_process(tmp_path, b"\xef\xbb\xbf" + text, "classify") == plain
 
 
 def test_parentheses_past_the_nesting_bound_are_an_input_error(tmp_path):

@@ -97,6 +97,11 @@ def test_kernel_rank_and_rref_identities_over_gf_p(K):
         assert not kernel or rank(kernel, K) == len(kernel)
         red = rref(rows, K)
         assert rref(red[0], K) == red
+    # unreduced integers enter the elimination as the elements they stand for
+    p = K.modulus
+    assert det([[p]], K) == 0 and rank([[p, 0], [0, 1]], K) == 1
+    assert kernel_basis([[p, p + 1]], K) == kernel_basis([[0, 1]], K)
+    assert solve([[p + 1]], [p + 2], K) == [K.from_int(2)]
 
 
 @pytest.mark.parametrize("K", [QQ, F5], ids=str)

@@ -71,12 +71,15 @@ def test_negative_exponent_raises():
 
 
 def test_zero_polynomial_has_no_leading_term():
-    zero = MultiPoly.zero(GF(5), V)
-    for order in (GREVLEX, LEX):
-        with pytest.raises(ZeroOperand):
-            zero.leading(order)
-        with pytest.raises(ZeroOperand):
-            zero.monic(order)
+    # an unreduced multiple of p is reduced to zero on construction
+    unreduced = MultiPoly(GF(7), ("X",), {(1,): 7})
+    for zero in (MultiPoly.zero(GF(5), V), unreduced):
+        assert zero.is_zero
+        for order in (GREVLEX, LEX):
+            with pytest.raises(ZeroOperand):
+                zero.leading(order)
+            with pytest.raises(ZeroOperand):
+                zero.monic(order)
 
 
 def test_arithmetic_matches_sympy():

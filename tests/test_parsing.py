@@ -111,11 +111,12 @@ def test_error_positions_reported():
 
 def test_parse_file_rejects_non_utf8_at_the_first_bad_byte(tmp_path):
     path = tmp_path / "bad.alg"
-    path.write_bytes("field Q\r\nvars X\nrelations:\n  \u00e9 X^2 ".encode() + b"\xff- 1\n")
-    with pytest.raises(ParseError) as raised:
-        parse_file(str(path))
-    assert (raised.value.line, raised.value.column) == (4, 9)  # columns count characters
-    assert "not UTF-8" in str(raised.value)
+    for mark in (b"", b"\xef\xbb\xbf"):  # a leading byte-order mark moves no position
+        path.write_bytes(mark + "field Q\r\nvars X\nrelations:\n  \u00e9 X^2 ".encode() + b"\xff- 1\n")
+        with pytest.raises(ParseError) as raised:
+            parse_file(str(path))
+        assert (raised.value.line, raised.value.column) == (4, 9)  # columns count characters
+        assert "not UTF-8 text (byte 0xff)" in str(raised.value)
 
 
 def test_parentheses_nest_up_to_the_bound():

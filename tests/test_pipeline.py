@@ -8,14 +8,15 @@ from itertools import product as iter_product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import etalg.pipeline
 from etalg import groebner, kaehler
 from etalg.cli import SUBCOMMAND_SECTIONS
 from etalg.errors import InternalContradiction, NotEtale, NotInvertible, SearchExhausted
 from etalg.fields import GF, QQ
-from etalg.finalg import FiniteAlgebra, monogenic_from_poly, product, split_by_idempotent
+from etalg.finalg import (FiniteAlgebra, _frobenius_images, _restricted_images, eval_in_algebra,
+                          monogenic_from_poly, product, split_by_idempotent)
 from etalg.groebner import buchberger, quotient_algebra
 from etalg.kaehler import AlgebraPresentation, relation_basis
 from etalg.multipoly import GREVLEX, LEX
@@ -154,15 +155,19 @@ IRREDUCIBLE = {
 }
 
 
-@st.composite
-def products_of_fields(draw):
-    p = draw(st.sampled_from(sorted(IRREDUCIBLE)))
-    polys = draw(st.lists(st.sampled_from(IRREDUCIBLE[p]), min_size=2, max_size=4))
+def product_of_fields(p, polys):
+    """(the product of the GF(p)[X]/<f> over the coefficient lists f, the sorted degrees)."""
     fields = [monogenic_from_poly(upoly(GF(p), coeffs)) for coeffs in polys]
     A = fields[0]
     for F in fields[1:]:
         A = product(A, F)
     return A, sorted(len(coeffs) - 1 for coeffs in polys)
+
+
+@st.composite
+def products_of_fields(draw):
+    p = draw(st.sampled_from(sorted(IRREDUCIBLE)))
+    return product_of_fields(p, draw(st.lists(st.sampled_from(IRREDUCIBLE[p]), min_size=2, max_size=4)))
 
 
 @settings(max_examples=25)
@@ -179,12 +184,32 @@ def test_decompose_products_of_finite_fields(case):
         assert sorted(f.poly.degree for f in cert.factors) == degrees
 
 
+@settings(max_examples=25, derandomize=True)
+@given(products_of_fields())
+@example(product_of_fields(3, [[0, 1]] * 9))  # GF(3)^9
+@example(product_of_fields(2, [[0, 1], [1, 1]] * 2 + [[1, 1, 1]] * 2))  # GF(2)^4 x GF(4)^2
+def test_frobenius_leaves_are_placed_in_the_root(case):
+    # on the Frobenius route, taken here whether or not a primitive element exists, a leaf's
+    # generator g and split chain reach the root through one embedding per level: g lies in
+    # e*A for the leaf's idempotent e, poly(g) vanishes there, and every chain idempotent c
+    # either holds e (c * e = e) or is orthogonal to it
+    A, degrees = case
+    leaves = etalg.pipeline._frobenius_leaves(A, (), (), 1000, _frobenius_images(A))
+    assert sorted(f.poly.degree for f in leaves) == degrees
+    for f in leaves:
+        e, g = f.idempotent, f.generator
+        assert A.mul(e, g) == g
+        assert A.is_zero_element(A.mul(e, eval_in_algebra(f.poly, g, A)))
+        for c in f.chain:
+            assert A.mul(c, c) == c and A.mul(c, e) in (e, A.zero_element())
+
+
 def tampered_leaves(monkeypatch, tamper):
     """Make the Frobenius route return its genuine factors with tampered idempotents."""
     genuine = etalg.pipeline._frobenius_leaves
 
-    def leaves(sub, basis, chain, budget, images):
-        factors = genuine(sub, basis, chain, budget, images)
+    def leaves(sub, path, chain, budget, images):
+        factors = genuine(sub, path, chain, budget, images)
         if chain:  # a recursive call on a split node
             return factors
         units = tamper(sub, [f.idempotent for f in factors])
@@ -393,14 +418,13 @@ def test_restricted_frobenius_matches_powering_on_every_node():
         if e is None:
             return
         split = split_by_idempotent(e, A)
-        for factor, basis, pivots in ((split.first, split.first_basis, split.first_pivots),
-                                      (split.second, split.second_basis, split.second_pivots)):
-            walk(factor, etalg.pipeline._restricted_images(A.field, images, basis, pivots))
+        for factor in (split.first, split.second):
+            walk(factor, _restricted_images(factor, images))
 
     borders = 0
     for A in frobenius_oracle_algebras(rng):
         borders += A.border is not None
-        walk(A, etalg.pipeline._frobenius_images(A))
+        walk(A, _frobenius_images(A))
     assert borders == 18 and nodes > 100
 
 
@@ -410,12 +434,11 @@ def test_a_frobenius_image_outside_its_factor_raises():
     A = product(product(point, point), point)
     e1 = A.basis_element(0)
     split = split_by_idempotent(e1, A)
-    images = etalg.pipeline._frobenius_images(A)
-    assert etalg.pipeline._restricted_images(F3, images, split.second_basis,
-                                             split.second_pivots) == [(1,)]
+    images = _frobenius_images(A)
+    assert _restricted_images(split.second, images) == [(1,)]
     swapped = [images[1], images[0], images[2]]
     with pytest.raises(InternalContradiction, match="Frobenius image"):
-        etalg.pipeline._restricted_images(F3, swapped, split.second_basis, split.second_pivots)
+        _restricted_images(split.second, swapped)
 
 
 def shifted(g, c):
@@ -446,13 +469,12 @@ def test_frobenius_idempotent_is_the_idempotent_of_the_shifted_fixed_element(cas
         if e is None:
             return
         split = split_by_idempotent(e, B)
-        for factor, basis, pivots in ((split.first, split.first_basis, split.first_pivots),
-                                      (split.second, split.second_basis, split.second_pivots)):
+        for factor in (split.first, split.second):
             if factor.dimension > 1:
-                walk(factor, etalg.pipeline._restricted_images(B.field, images, basis, pivots))
+                walk(factor, _restricted_images(factor, images))
 
     with mock.patch.object(FiniteAlgebra, "_idempotent", recording):
-        walk(A, etalg.pipeline._frobenius_images(A))
+        walk(A, _frobenius_images(A))
     assert seen
     for B, v, g, c, e in seen:
         shift = B.sub(v, B.scalar_mul(B.field.from_int(c), B.unit))

@@ -52,6 +52,8 @@ def test_zero_polynomial_degree_sentinel():
 def test_trailing_zeros_trimmed():
     assert upoly(QQ, [1, 2, 0, 0]) == upoly(QQ, [1, 2])
     assert upoly(F5, [5, 10]).is_zero
+    # unreduced integers are reduced on construction
+    assert UniPoly(GF(7), [0, 7]).is_zero and UniPoly(GF(7), [3, 8]) == upoly(GF(7), [3, 1])
 
 
 def test_power_takes_the_repeated_squaring_product_count(monkeypatch):
