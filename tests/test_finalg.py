@@ -21,14 +21,14 @@ import etalg.finalg
 from etalg import linalg
 from etalg.finalg import (
     FiniteAlgebra,
-    _associativity_triples,
     eval_in_algebra,
     monogenic_from_poly,
     product,
     split_by_idempotent,
 )
 from etalg.unipoly import UniPoly, discriminant, is_separable
-from util import brute_det, has_nonzero_nilpotent, is_element, random_monic, upoly
+from util import (brute_det, count_table_sweeps, has_nonzero_nilpotent, is_element, random_monic,
+                  upoly)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -586,21 +586,17 @@ def test_split_rejects_a_basis_not_closed_under_multiplication(monkeypatch):
         split_by_idempotent(e1, A)
 
 
-def test_split_factors_take_no_sampled_sweep(monkeypatch):
-    # a factor's table is checked closed instead; tables given whole keep the sweep
-    sweeps = []
-    original = etalg.finalg._associativity_triples
-
-    def counting(m):
-        sweeps.append(m)
-        return original(m)
-
-    monkeypatch.setattr(etalg.finalg, "_associativity_triples", counting)
+def test_only_a_raw_table_takes_the_full_sweep(monkeypatch):
+    # a product's blocks and a factor's closed subspace come from checked algebras;
+    # a table handed in whole is swept once
+    sweeps = count_table_sweeps(monkeypatch)
     A = product(alg(F5, [1, 0, 1]), alg(F5, [2, 1, 1]))  # factors from their border
-    assert sweeps == [4]
+    assert sweeps == []
     split = split_by_idempotent(A.sub(A.unit, A.basis_element(0)), A)
-    assert sweeps == [4]
+    assert sweeps == []
     assert (split.first.dimension, split.second.dimension) == (2, 2)
+    FiniteAlgebra(F5, A.basis_labels, A.table, A.unit)
+    assert sweeps == ["FiniteAlgebra"]
 
 
 def test_product_examples():
@@ -705,14 +701,6 @@ def test_full_associativity_sweep_small():
                     assert A.mul(A.mul(ei, ej), ek) == A.mul(ei, A.mul(ej, ek))
 
 
-@pytest.mark.parametrize("m", [1, 4, 5, 7, 14, 25, 49, 160])
-def test_associativity_triples_are_distinct_and_fixed_by_m(m):
-    triples = _associativity_triples(m)
-    assert len(set(triples)) == len(triples) == min(m ** 3, 96)
-    assert all(0 <= t < m for triple in triples for t in triple)
-    assert _associativity_triples(m) == triples
-
-
 def test_construction_rejects_a_non_commutative_table():
     K = QQ
     one, zero = K.one(), K.zero()
@@ -739,6 +727,52 @@ def test_construction_rejects_every_single_entry_corruption_at_dimension_7():
             table[i][j] = table[j][i] = tuple(v)
             with pytest.raises(InternalContradiction, match="not associative"):
                 FiniteAlgebra(F5, A.basis_labels, table, A.unit)
+
+
+# (m, a, c, b, d): each layout escaped the fixed sample of 96 basis triples that construction once took
+ONE_FAILING_PRODUCT = [(5, 1, 2, 4, 3), (6, 1, 2, 4, 3), (7, 1, 2, 3, 4), (8, 1, 2, 4, 3),
+                       (9, 1, 2, 4, 3), (10, 1, 2, 4, 3)]
+
+
+@pytest.mark.parametrize("m,a,c,b,d", ONE_FAILING_PRODUCT)
+def test_construction_rejects_a_table_with_one_failing_product(m, a, c, b, d):
+    # e_0 = 1, e_a^2 = e_c, e_c * e_b = e_d, every other product of non-units 0, over GF(7):
+    # commutative and unital, but (e_a * e_a) * e_b = e_d while e_a * (e_a * e_b) = 0
+    K = GF(7)
+    e = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    table = [[(0,) * m] * m for _ in range(m)]
+    for i in range(m):
+        table[0][i] = table[i][0] = e[i]
+    table[a][a] = e[c]
+    table[c][b] = table[b][c] = e[d]
+    with pytest.raises(InternalContradiction, match="not associative"):
+        FiniteAlgebra(K, [f"e{i}" for i in range(m)], table, e[0])
+
+
+def test_table_entries_unit_and_generators_are_reduced_as_they_enter():
+    F7 = GF(7)
+    labels, x = ("1", "x"), (0, 1)
+    dual = [[(1, 0), x], [x, (7, 0)]]  # x^2 = 7 = 0
+    A = FiniteAlgebra(F7, labels, dual, (1, 0), generator_refs={"x": (7, 8)})
+    assert A.mul(x, x) == (0, 0) and A.is_zero_element(A.mul(x, x))
+    assert A.generator_refs == {"x": x}
+    B = FiniteAlgebra(F7, labels, dual, (8, 0))
+    assert B.unit == (1, 0) and B.mul(B.unit, B.unit) == (1, 0) and B.power(x, 0) == (1, 0)
+    with pytest.raises(DimensionMismatch):
+        FiniteAlgebra(F7, labels, dual, (1, 0), generator_refs={"x": (0,)})
+    with pytest.raises(DimensionMismatch):
+        FiniteAlgebra(F7, labels, dual, (1, 0, 0))
+
+
+def test_border_scalars_are_reduced_as_they_enter():
+    # X^2 + 1 over GF(7) with 7 added to every scalar and a zero pair (0, 7) in the step column
+    F7 = GF(7)
+    A = alg(F7, [1, 0, 1])
+    (column,), steps = A.border
+    shifted = [[tuple((r, c + 7) for r, c in col) for col in column]]
+    shifted[0][0] = ((0, 7),) + shifted[0][0]
+    B = FiniteAlgebra(F7, A.basis_labels, border=(shifted, steps))
+    assert B.border == A.border and B.table == A.table
 
 
 GF5_GRID = "field GF(5)\nvars X, Y\nrelations:\n  X^5 - X\n  (Y+2*X+1)^5 - (Y+2*X+1)\n"

@@ -15,6 +15,9 @@ from io import StringIO
 
 import pytest
 
+from etalg.finalg import _DerivedAlgebra
+from util import count_table_sweeps
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "golden")
@@ -67,6 +70,23 @@ def test_output_matches_golden(name, path):
     with open(golden_path(name), encoding="utf-8", newline="") as handle:
         expected = handle.read()
     assert render_all(path) == expected
+
+
+def test_no_subcommand_sweeps_a_whole_table(monkeypatch):
+    # quotients come from a border, split factors and products from checked algebras:
+    # the full associativity sweep of a table handed in whole never runs on the CLI
+    sweeps, derived = count_table_sweeps(monkeypatch), []
+    skip = _DerivedAlgebra._check_associativity
+
+    def counting(self):
+        derived.append(type(self).__name__)
+        return skip(self)
+
+    monkeypatch.setattr(_DerivedAlgebra, "_check_associativity", counting)
+    for _, path in input_files():
+        render_all(path)
+    assert sweeps == []
+    assert "_IdealFactor" in derived  # the Frobenius route builds split factors
 
 
 if __name__ == "__main__":

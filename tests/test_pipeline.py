@@ -184,6 +184,30 @@ def test_decompose_products_of_finite_fields(case):
         assert sorted(f.poly.degree for f in cert.factors) == degrees
 
 
+@st.composite
+def products_without_a_primitive_element(draw):
+    """A product of fields that repeats one more often than GF(p) has monic irreducibles of its degree.
+
+    A primitive element needs distinct minimal polynomials on the factors of
+    each degree, so none exists.  IRREDUCIBLE lists every monic irreducible of
+    each degree it reaches.
+    """
+    p = draw(st.sampled_from(sorted(IRREDUCIBLE)))
+    f = draw(st.sampled_from(IRREDUCIBLE[p]))
+    same_degree = sum(len(g) == len(f) for g in IRREDUCIBLE[p])
+    others = draw(st.lists(st.sampled_from(IRREDUCIBLE[p]), max_size=2))
+    return product_of_fields(p, [f] * (same_degree + 1) + others)
+
+
+@settings(max_examples=25, derandomize=True)
+@given(products_without_a_primitive_element())
+def test_decompose_takes_the_frobenius_route_without_a_primitive_element(case):
+    A, degrees = case
+    cert = decompose_etale(A)
+    assert any("Frobenius" in note for note in cert.notes)
+    assert sorted(f.poly.degree for f in cert.factors) == degrees
+
+
 @settings(max_examples=25, derandomize=True)
 @given(products_of_fields())
 @example(product_of_fields(3, [[0, 1]] * 9))  # GF(3)^9

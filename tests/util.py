@@ -9,9 +9,24 @@ from fractions import Fraction
 from itertools import permutations
 
 from etalg.fields import GF, QQ
+from etalg.finalg import FiniteAlgebra
 from etalg.kaehler import AlgebraPresentation
 from etalg.multipoly import MultiPoly
 from etalg.unipoly import UniPoly
+
+
+def count_table_sweeps(monkeypatch):
+    """A list that gets the class name of every algebra that sweeps its whole table for associativity."""
+    sweeps = []
+    original = FiniteAlgebra._check_commuting
+
+    def counting(self, operators, times, failure):
+        if times.__name__ == "_times_basis":
+            sweeps.append(type(self).__name__)
+        return original(self, operators, times, failure)
+
+    monkeypatch.setattr(FiniteAlgebra, "_check_commuting", counting)
+    return sweeps
 
 
 def upoly(field, ints):
