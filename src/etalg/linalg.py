@@ -76,7 +76,7 @@ def solve(rows, rhs, K):
     if len(rhs) != len(rows):
         raise DimensionMismatch(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
-        return None if any(rhs) else []
+        return []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug, K)

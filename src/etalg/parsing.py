@@ -6,11 +6,13 @@
       X^2 + Y^2 - 1
       X*Y
 
-Comments run from '#' to end of line.  The polynomial grammar has integer
-and a/b rational literals, declared identifiers, + - * ^ and parentheses;
-'^' takes a nonnegative integer literal and there is no implicit
-multiplication.  Parentheses nest at most MAX_NESTING deep.  All rejections,
-a file that is not UTF-8 included, raise ParseError with line and column.
+Comments run from '#' to end of line.  One header check reads each of the
+three header lines.  Each relation line is split by one token scan and read
+by one recursive descent; its grammar has integer and a/b rational literals,
+declared identifiers, + - * ^ and parentheses; '^' takes a nonnegative
+integer literal and there is no implicit multiplication.  Parentheses nest
+at most MAX_NESTING deep.  All rejections, a file that is not UTF-8
+included, raise ParseError with line and column.
 """
 
 from __future__ import annotations
@@ -22,144 +24,112 @@ from .fields import PrimeField, Rationals
 from .kaehler import AlgebraPresentation
 from .multipoly import MultiPoly
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/]))")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S)")
 MAX_NESTING = 100  # parenthesis depth; inputs in practice nest a few levels
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int):
-        self.line = line
-        self.items = []  # (kind, value, column)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                col = len(text) - len(text[pos:].lstrip()) + 1
-                raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-            if m.group("int") is not None:
-                self.items.append(("int", int(m.group("int")), m.start("int") + 1))
-            elif m.group("ident") is not None:
-                self.items.append(("ident", m.group("ident"), m.start("ident") + 1))
-            else:
-                self.items.append(("op", m.group("op"), m.start("op") + 1))
-            pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.items):
-            return self.items[self.index]
-        return ("eof", None, len(self.items) and self.items[-1][2] + 1 or 1)
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, col = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", self.line, col)
-
-
 class _PolyParser:
-    """Recursive descent over one relation line."""
+    """Recursive descent over the tokens of one relation line."""
 
-    def __init__(self, tokens: _Tokens, field, variables):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int, field, variables):
+        self.line = line
+        self.tokens = []  # (kind, value, column), ending in an end-of-input token
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+            value = int(m.group()) if m.lastgroup == "int" else m.group()
+            self.tokens.append((m.lastgroup, value, m.start() + 1))
+        self.tokens.append(("eof", None, self.tokens[-1][2] + 1 if self.tokens else 1))
+        self.index = 0
         self.field = field
         self.variables = tuple(variables)
         self.var_index = {name: i for i, name in enumerate(self.variables)}
         self.depth = 0
 
+    def next(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def take(self, *ops):
+        """The next token's operator if it is one of ops, consumed; None, and nothing consumed, otherwise."""
+        kind, value, _ = self.tokens[self.index]
+        if kind == "op" and value in ops:
+            self.index += 1
+            return value
+        return None
+
+    def literal(self, message):
+        """The integer literal that must come next, and its column."""
+        kind, value, col = self.next()
+        if kind != "int":
+            raise ParseError(message, self.line, col)
+        return value, col
+
     def parse(self) -> MultiPoly:
         poly = self.expression()
-        kind, value, col = self.tokens.peek()
+        kind, value, col = self.tokens[self.index]
         if kind != "eof":
-            raise ParseError(f"trailing input starting at {value!r}", self.tokens.line, col)
+            raise ParseError(f"trailing input starting at {value!r}", self.line, col)
         return poly
 
     def expression(self) -> MultiPoly:
-        kind, value, _ = self.tokens.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.tokens.next()
-            negate = value == "-"
+        sign = self.take("+", "-")
         poly = self.term()
-        if negate:
+        if sign == "-":
             poly = -poly
-        while True:
-            kind, value, _ = self.tokens.peek()
-            if kind == "op" and value in "+-":
-                self.tokens.next()
-                rhs = self.term()
-                poly = poly - rhs if value == "-" else poly + rhs
-            else:
-                return poly
+        while op := self.take("+", "-"):
+            rhs = self.term()
+            poly = poly - rhs if op == "-" else poly + rhs
+        return poly
 
     def term(self) -> MultiPoly:
         poly = self.factor()
-        while True:
-            kind, value, _ = self.tokens.peek()
-            if kind == "op" and value == "*":
-                self.tokens.next()
-                poly = poly * self.factor()
-            else:
-                return poly
+        while self.take("*"):
+            poly = poly * self.factor()
+        return poly
 
     def factor(self) -> MultiPoly:
         base = self.atom()
-        kind, value, _ = self.tokens.peek()
-        if kind == "op" and value == "^":
-            self.tokens.next()
-            ekind, exponent, col = self.tokens.next()
-            if ekind != "int":
-                raise ParseError("'^' takes a nonnegative integer literal", self.tokens.line, col)
+        if self.take("^"):
+            exponent, _ = self.literal("'^' takes a nonnegative integer literal")
             return base ** exponent
         return base
 
     def atom(self) -> MultiPoly:
-        kind, value, col = self.tokens.next()
+        kind, value, col = self.next()
         if kind == "int":
             c = self.field.from_int(value)
-            nkind, nvalue, _ = self.tokens.peek()
-            if nkind == "op" and nvalue == "/":
-                self.tokens.next()
-                dkind, dvalue, dcol = self.tokens.next()
-                if dkind != "int":
-                    raise ParseError("'/' joins two integer literals", self.tokens.line, dcol)
+            if self.take("/"):
+                d, dcol = self.literal("'/' joins two integer literals")
                 try:
-                    c = self.field.reduce(c * self.field.invert(self.field.from_int(dvalue)))
+                    c = self.field.reduce(c * self.field.invert(self.field.from_int(d)))
                 except ZeroNotInvertible:
-                    raise ParseError(
-                        f"coefficient denominator {dvalue} vanishes in {self.field!r}",
-                        self.tokens.line, dcol,
-                    ) from None
+                    raise ParseError(f"coefficient denominator {d} vanishes in {self.field!r}",
+                                     self.line, dcol) from None
             return MultiPoly.constant(self.field, self.variables, c)
         if kind == "ident":
             if value not in self.var_index:
-                raise ParseError(f"unknown variable {value!r}", self.tokens.line, col)
+                raise ParseError(f"unknown variable {value!r}", self.line, col)
             return MultiPoly.variable(self.field, self.variables, self.var_index[value])
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
-                                 self.tokens.line, col)
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", self.line, col)
             self.depth += 1
             poly = self.expression()
-            self.tokens.expect_op(")")
+            if not self.take(")"):
+                raise ParseError("expected ')'", self.line, self.tokens[self.index][2])
             self.depth -= 1
             return poly
         raise ParseError(
             "expected a number, a variable, or '('" if kind != "eof" else "unexpected end of input",
-            self.tokens.line, col,
+            self.line, col,
         )
 
 
 def parse_polynomial(text: str, field, variables, line: int = 1) -> MultiPoly:
-    return _PolyParser(_Tokens(text, line), field, variables).parse()
+    return _PolyParser(text, line, field, variables).parse()
 
 
 _FIELD_RE = re.compile(r"^\s*field\s+(Q|GF\(\s*(\d+)\s*\))\s*$")
@@ -169,52 +139,40 @@ _RELS_RE = re.compile(r"^\s*relations\s*:\s*$")
 
 def parse_input(text: str) -> AlgebraPresentation:
     """Parse the declarative input format into an algebra presentation."""
-    lines = text.splitlines()
-    body = [(i + 1, raw.partition("#")[0]) for i, raw in enumerate(lines)]
-    body = [(no, content) for no, content in body if content.strip()]
-    if not body:
-        raise ParseError("empty input", 1, 1)
+    body = [(no, content) for no, raw in enumerate(text.splitlines(), 1)
+            if (content := raw.partition("#")[0]).strip()]
 
-    no, content = body[0]
-    m = _FIELD_RE.match(content)
-    if m is None:
-        raise ParseError("expected 'field Q' or 'field GF(p)'", no, 1)
-    if m.group(1) == "Q":
-        field = Rationals()
-    else:
-        p = int(m.group(2))
-        try:
-            field = PrimeField(p)
-        except CompositeModulus as exc:
-            raise ParseError(str(exc), no, content.find(m.group(2)) + 1) from None
+    def header(k, pattern, missing, malformed):
+        """The k-th content line's number and match; ParseError(missing) if absent, (malformed) if unmatched."""
+        if len(body) <= k:
+            raise ParseError(missing, body[k - 1][0] + 1 if k else 1, 1)
+        no, content = body[k]
+        m = pattern.match(content)
+        if m is None:
+            raise ParseError(malformed, no, 1)
+        return no, m
 
-    if len(body) < 2:
-        raise ParseError("expected a 'vars' line", no + 1, 1)
-    no, content = body[1]
-    m = _VARS_RE.match(content)
-    if m is None:
-        raise ParseError("expected 'vars NAME, NAME, ...'", no, 1)
+    no, m = header(0, _FIELD_RE, "empty input", "expected 'field Q' or 'field GF(p)'")
+    try:
+        field = Rationals() if m.group(2) is None else PrimeField(int(m.group(2)))
+    except CompositeModulus as exc:
+        raise ParseError(str(exc), no, m.start(2) + 1) from None
+
+    no, m = header(1, _VARS_RE, "expected a 'vars' line", "expected 'vars NAME, NAME, ...'")
     if not m.group(1).strip():
         raise ParseError("empty variable list", no, 1)
     names = [v.strip() for v in m.group(1).split(",")]
     seen = set()
     for name in names:
-        if not _IDENT.match(name):
+        if not _NAME.fullmatch(name):
             raise ParseError(f"bad variable name {name!r}", no, 1)
         if name in seen:
             raise ParseError(f"duplicate variable {name!r}", no, 1)
         seen.add(name)
 
-    if len(body) < 3:
-        raise ParseError("expected a 'relations:' line", no + 1, 1)
-    no, content = body[2]
-    if _RELS_RE.match(content) is None:
-        raise ParseError("expected 'relations:'", no, 1)
-
-    relations = []
-    for no, content in body[3:]:
-        relations.append(parse_polynomial(content, field, names, line=no))
-    return AlgebraPresentation(field=field, variables=tuple(names), relations=tuple(relations))
+    header(2, _RELS_RE, "expected a 'relations:' line", "expected 'relations:'")
+    relations = tuple(parse_polynomial(content, field, names, line=no) for no, content in body[3:])
+    return AlgebraPresentation(field=field, variables=tuple(names), relations=relations)
 
 
 def parse_file(path: str) -> AlgebraPresentation:

@@ -322,8 +322,6 @@ def find_nilpotent(A: FiniteAlgebra):
     """
     for a in _candidates(A):
         g = A.minimal_polynomial(a)
-        if g.degree < 1:
-            continue
         r = squarefree_part(g)
         if r.degree == g.degree:
             continue

@@ -13,10 +13,10 @@ import etalg.cli
 import etalg.finalg
 import etalg.pipeline
 from etalg.cli import SUBCOMMAND_SECTIONS, main
-from etalg.errors import RingMismatch
+from etalg.errors import ParseError, RingMismatch
 from etalg.fields import PRIMALITY_BOUND
 from etalg.multipoly import LEX
-from etalg.parsing import parse_input
+from etalg.parsing import parse_file, parse_input
 from etalg.unipoly import UniPoly
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -358,9 +358,16 @@ ARGVS = tuple([command, *flags] for command in SUBCOMMAND_SECTIONS
               for flags in ((), ("--certificates",))) + (["classify", "--json"],)
 
 
+JUNK = ("@", "\u00e9", "+", "-", "*", "^", "/", "(", "(", ")", "2", "1/0", "W")
+
+
 @st.composite
 def presentations(draw):
-    """Small presentation texts: 1-3 variables, 0-3 relations of at most 4 terms."""
+    """Small presentation texts: 1-3 variables, 0-3 relations of at most 4 terms.
+
+    Half of them get one more relation line drawn from rejected characters,
+    stray operators and unbalanced parentheses among the variables.
+    """
     names = VARIABLES[:draw(st.integers(1, len(VARIABLES)))]
     relations = []
     for _ in range(draw(st.integers(0, 3))):
@@ -371,11 +378,14 @@ def presentations(draw):
             line += ("-" if c < 0 else "") if k == 0 else (" - " if c < 0 else " + ")
             line += "*".join(factors)
         relations.append(f"  {line}\n")
+    if draw(st.booleans()):
+        junk = draw(st.lists(st.sampled_from(JUNK + names), min_size=1, max_size=8))
+        relations.insert(draw(st.integers(0, len(relations))), f"  {' '.join(junk)}\n")
     text = f"field {draw(st.sampled_from(FIELDS))}\nvars {', '.join(names)}\nrelations:\n"
     return (text + "".join(relations)).encode()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=presentations(), argv=st.sampled_from(ARGVS))
 @example(data=MALFORMED[0], argv=["classify"])
 @example(data=MALFORMED[1], argv=["classify"])
@@ -385,7 +395,10 @@ def test_cli_lets_no_exception_escape(tmp_path_factory, data, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, str(path), "--budget-pairs", "2000"])
-    if data in MALFORMED:
-        assert code == 1 and err.getvalue().startswith("error: line 4, column ")
+    try:
+        parse_file(str(path))
+    except ParseError as exc:  # exit 1 with the one-line message of the rejection, and nothing on stdout
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {exc}\n")
+        assert re.fullmatch(r"error: line \d+, column \d+: [^\n]+\n", err.getvalue())
     else:
-        assert code in (0, 2), err.getvalue()
+        assert data not in MALFORMED and code in (0, 2), err.getvalue()
