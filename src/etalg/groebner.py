@@ -11,9 +11,20 @@ returned GroebnerBasis).  Each element is a list of rows,
 term dicts that one kernel updates in place (row -= c * x^q * g, dropping
 zeros): its polynomial and, in a tracked run, its cofactors over the
 original generators, which the printable Bezout certificates of the
-classification pipeline are made of.  Division, S-polynomials and monic
-scaling treat every row alike, and an untracked run has one row per
-element.  Rows become polynomials once, in the returned basis.
+classification pipeline are made of.  Division, S-polynomials and scaling
+treat every row alike, and an untracked run has one row per element.
+
+Over GF(p) an element joins monic.  Over Q the rows hold integers and the
+kernel never divides: an input row's denominators are cleared as it
+enters, an element joins primitive (its content divided out, its leading
+coefficient positive), and a step by an element whose leading coefficient
+is not 1 first multiplies the rows it reduces (cross-multiplication).  At
+every step an integer row is a nonzero multiple of the Fraction row a
+dividing engine would hold, so the reducers, the pairs and the reduced
+basis are the same.  Rows become polynomials once, in the returned basis,
+each divided by its leading coefficient: values leave the module as field
+elements, Fractions over Q.  The basis keeps its integer rows, and
+``normal_form`` divides its remainder by the scale it accumulated.
 
 On top of the basis sit the staircase queries: ideal triviality,
 invertibility modulo the ideal, Noether dimension via independent variable
@@ -27,8 +38,10 @@ product of standard monomials from it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceeded,
@@ -56,9 +69,12 @@ class GroebnerBasis:
     """Reduced monic basis, its order, and the originating generators.
 
     ``lms`` holds the leading monomial of each generator, in the same order.
+    Each generator is also kept as a kernel row (its primitive integer
+    multiple over Q), which ``normal_form`` divides by.
     """
 
-    __slots__ = ("field", "variables", "order", "generators", "lms", "original", "cofactors")
+    __slots__ = ("field", "variables", "order", "generators", "lms", "original", "cofactors",
+                 "_rows")
 
     def __init__(self, field, variables, order, generators, lms, original, cofactors=None):
         self.field = field
@@ -68,6 +84,7 @@ class GroebnerBasis:
         self.lms = tuple(lms)
         self.original = tuple(original)
         self.cofactors = cofactors
+        self._rows = tuple((_integer_row(g.terms, field)[0],) for g in self.generators)
 
     def __repr__(self):
         gens = ", ".join(g.format(self.order) for g in self.generators)
@@ -81,12 +98,31 @@ def _check_ring(polys):
             raise RingMismatch("generators live in different polynomial rings")
 
 
+def _integer_row(terms, K):
+    """(row, d): a kernel row copy of terms and the factor d it was multiplied by.
+
+    Over Q the row is terms times the lcm d of their denominators, an int
+    dict; over GF(p) it is a plain copy and d is 1.
+    """
+    if K.characteristic():
+        return dict(terms), 1
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {exps: c.numerator * (d // c.denominator) for exps, c in terms.items()}, d
+
+
+def _field_row(row, d, K):
+    """The kernel row divided by d as field elements: Fractions over Q (d is 1 over GF(p))."""
+    if K.characteristic():
+        return row
+    return {exps: Fraction(a, d) for exps, a in row.items()}
+
+
 def _subtract(row, c, q, g, K):
     """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients."""
-    reduce, zero = K.reduce, K.zero()
+    reduce = K.reduce
     for exps, a in g.items():
         t = mono_mul(exps, q)
-        s = reduce(row.get(t, zero) - c * a)
+        s = reduce(row.get(t, 0) - c * a)
         if s:
             row[t] = s
         else:
@@ -94,16 +130,22 @@ def _subtract(row, c, q, g, K):
 
 
 def _reduce(rows, basis, lms, order, K):
-    """Divide rows[0] by the monic basis in place; rows[0] ends as the remainder.
+    """Divide rows[0] by the basis in place; return the scale s of the remainder.
 
     ``rows`` are term dicts: the polynomial, then its cofactors over the
     original generators in a tracked run.  Each basis element has the same
     rows, and ``lms`` holds their leading monomials.  A step by basis[k]
-    subtracts one multiple of each of its rows from the matching row.
+    subtracts one multiple of each of its rows from the matching row.  Its
+    leading coefficient L is 1 over GF(p); over Q it is a positive integer,
+    and the step first multiplies every row, and the remainder collected so
+    far, by L / gcd(c, L), so that no coefficient leaves Z.  rows[0] ends
+    as s times the remainder on division by the monic basis, the other rows
+    as s times their cofactors.
     """
     key = order.key
     p = rows[0]
     remainder = {}
+    scale = 1
     while p:
         lm = max(p, key=key)
         for hit, glm in enumerate(lms):
@@ -112,10 +154,21 @@ def _reduce(rows, basis, lms, order, K):
         else:
             remainder[lm] = p.pop(lm)
             continue
-        c, q = p[lm], mono_div(lm, glm)
-        for row, g in zip(rows, basis[hit]):
-            _subtract(row, c, q, g, K)
+        g = basis[hit]
+        c, leading = p[lm], g[0][glm]
+        if leading != 1:
+            d = gcd(c, leading)
+            c, m = c // d, leading // d
+            if m != 1:
+                scale *= m
+                for row in (*rows, remainder):
+                    for exps in row:
+                        row[exps] *= m
+        q = mono_div(lm, glm)
+        for row, h in zip(rows, g):
+            _subtract(row, c, q, h, K)
     rows[0] = remainder
+    return scale
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False):
@@ -135,7 +188,6 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     _check_ring(gens)
     K = gens[0].field
     variables = gens[0].variables
-    one, minus_one = K.one(), K.reduce(-K.one())
     unit = (0,) * len(variables)
 
     basis = []   # rows of each basis element: its terms, then its cofactors when tracking
@@ -147,15 +199,25 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     pairs = []
 
     def add(rows):
-        """Append rows, scaled so that the polynomial is monic, and update the pairs.
+        """Append rows, scaled to their normal form, and update the pairs.
 
-        Every term of rows[0] is reduced, so no earlier leading monomial
-        divides the new one.
+        Over GF(p) the polynomial is made monic.  Over Q the rows are
+        divided by the gcd of all their coefficients, signed so that the
+        leading one is positive.  Every term of rows[0] is reduced, so no
+        earlier leading monomial divides the new one.
         """
         lm = max(rows[0], key=order.key)
-        if rows[0][lm] != one:
-            inv = K.invert(rows[0][lm])
-            rows = [{exps: K.reduce(inv * a) for exps, a in row.items()} for row in rows]
+        lc = rows[0][lm]
+        if K.characteristic():
+            if lc != 1:
+                inv = K.invert(lc)
+                rows = [{exps: K.reduce(inv * a) for exps, a in row.items()} for row in rows]
+        else:
+            d = gcd(*(a for row in rows for a in row.values()))
+            if lc < 0:
+                d = -d
+            if d != 1:
+                rows = [{exps: a // d for exps, a in row.items()} for row in rows]
         t = len(basis)
         basis.append(rows)
         lms.append(lm)
@@ -181,9 +243,10 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         active[:] = [i for i in active if not mono_divides(lm, lms[i])] + [t]
 
     for idx, g in enumerate(gens):
-        rows = [dict(g.terms)]
+        row, d = _integer_row(g.terms, K)
+        rows = [row]
         if track:
-            rows += [{unit: one} if k == idx else {} for k in range(len(gens))]
+            rows += [{unit: d} if k == idx else {} for k in range(len(gens))]
         _reduce(rows, basis, lms, order, K)
         if rows[0]:
             add(rows)
@@ -194,29 +257,35 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         if processed > pair_budget:
             raise BudgetExceeded(f"Groebner pair budget of {pair_budget} exceeded")
         _, _, i, j, l = heappop(pairs)
-        # basis elements are monic: S = (l / lm_i) * g_i - (l / lm_j) * g_j
+        # S = L_j * (l / lm_i) * g_i - L_i * (l / lm_j) * g_j over the gcd of the
+        # leading coefficients L_i, L_j, which are 1 over GF(p)
         ui, uj = mono_div(l, lms[i]), mono_div(l, lms[j])
+        li, lj = basis[i][0][lms[i]], basis[j][0][lms[j]]
+        d = gcd(li, lj)
+        ci, cj = K.reduce(-lj // d), li // d
         rows = [{} for _ in basis[i]]
         for row, gi, gj in zip(rows, basis[i], basis[j]):
-            _subtract(row, minus_one, ui, gi, K)
-            _subtract(row, one, uj, gj, K)
+            _subtract(row, ci, ui, gi, K)
+            _subtract(row, cj, uj, gj, K)
         _reduce(rows, basis, lms, order, K)
         if rows[0]:
             add(rows)
 
     # Minimalize: the active elements are the minimal set, since no leading
     # monomial divides a later one.  Tail-reduce each (a copy of its rows)
-    # against the others.  Tail reduction keeps each leading term, so the
-    # result is monic and ascending.  It is the unique reduced basis,
-    # independent of scheduling.
+    # against the others.  Tail reduction keeps each leading term, so
+    # dividing by it leaves the element monic, in ascending order.  It is
+    # the unique reduced basis, independent of scheduling.
     minimal = sorted(active, key=lambda k: order.key(lms[k]))
     generators, cofactors = [], []
     for k in minimal:
         others = [m for m in minimal if m != k]
         rows = [dict(row) for row in basis[k]]
         _reduce(rows, [basis[m] for m in others], [lms[m] for m in others], order, K)
-        generators.append(MultiPoly(K, variables, rows[0]))
-        cofactors.append(tuple(MultiPoly(K, variables, row) for row in rows[1:]))
+        lc = rows[0][lms[k]]
+        generators.append(MultiPoly(K, variables, _field_row(rows[0], lc, K)))
+        cofactors.append(tuple(MultiPoly(K, variables, _field_row(row, lc, K))
+                               for row in rows[1:]))
     return GroebnerBasis(K, variables, order, generators, [lms[k] for k in minimal], gens,
                          tuple(cofactors) if track else None)
 
@@ -227,9 +296,11 @@ def normal_form(f, gb: GroebnerBasis):
     """Remainder of f on division by the basis; zero iff f is in the ideal."""
     if f.field != gb.field or f.variables != gb.variables:
         raise RingMismatch("polynomial lives in a different ring than the basis")
-    rows = [dict(f.terms)]
-    _reduce(rows, [(g.terms,) for g in gb.generators], gb.lms, gb.order, gb.field)
-    return MultiPoly(gb.field, gb.variables, rows[0])
+    K = gb.field
+    row, d = _integer_row(f.terms, K)
+    rows = [row]
+    scale = _reduce(rows, gb._rows, gb.lms, gb.order, K)
+    return MultiPoly(K, gb.variables, _field_row(rows[0], scale * d, K))
 
 
 def contains_one(gb: GroebnerBasis) -> bool:

@@ -8,11 +8,12 @@
 
 Comments run from '#' to end of line.  One header check reads each of the
 three header lines.  Each relation line is split by one token scan and read
-by one recursive descent; its grammar has integer and a/b rational literals,
-declared identifiers, + - * ^ and parentheses; '^' takes a nonnegative
-integer literal and there is no implicit multiplication.  Parentheses nest
-at most MAX_NESTING deep.  All rejections, a file that is not UTF-8
-included, raise ParseError with line and column.
+by one recursive descent; its grammar has integer literals of the ASCII
+digits 0-9 and a/b rational literals, declared identifiers, + - * ^ and
+parentheses; '^' takes a nonnegative integer literal and there is no
+implicit multiplication.  Parentheses nest at most MAX_NESTING deep.  All
+rejections, a file that is not UTF-8 included, raise ParseError with line
+and column.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .kaehler import AlgebraPresentation
 from .multipoly import MultiPoly
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S)")
+_TOKEN = re.compile(rf"(?P<int>[0-9]+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*^()/])|(?P<bad>\S)")
 MAX_NESTING = 100  # parenthesis depth; inputs in practice nest a few levels
 
 
@@ -35,12 +36,14 @@ class _PolyParser:
     def __init__(self, text: str, line: int, field, variables):
         self.line = line
         self.tokens = []  # (kind, value, column), ending in an end-of-input token
+        end = 0
         for m in _TOKEN.finditer(text):
             if m.lastgroup == "bad":
                 raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
             value = int(m.group()) if m.lastgroup == "int" else m.group()
             self.tokens.append((m.lastgroup, value, m.start() + 1))
-        self.tokens.append(("eof", None, self.tokens[-1][2] + 1 if self.tokens else 1))
+            end = m.end()
+        self.tokens.append(("eof", None, end + 1))  # one past the last token
         self.index = 0
         self.field = field
         self.variables = tuple(variables)
@@ -132,7 +135,7 @@ def parse_polynomial(text: str, field, variables, line: int = 1) -> MultiPoly:
     return _PolyParser(text, line, field, variables).parse()
 
 
-_FIELD_RE = re.compile(r"^\s*field\s+(Q|GF\(\s*(\d+)\s*\))\s*$")
+_FIELD_RE = re.compile(r"^\s*field\s+(Q|GF\(\s*([0-9]+)\s*\))\s*$")
 _VARS_RE = re.compile(r"^\s*vars\b(.*)$")
 _RELS_RE = re.compile(r"^\s*relations\s*:\s*$")
 
@@ -161,14 +164,16 @@ def parse_input(text: str) -> AlgebraPresentation:
     no, m = header(1, _VARS_RE, "expected a 'vars' line", "expected 'vars NAME, NAME, ...'")
     if not m.group(1).strip():
         raise ParseError("empty variable list", no, 1)
-    names = [v.strip() for v in m.group(1).split(",")]
-    seen = set()
-    for name in names:
+    names, start = [], m.start(1)
+    for segment in m.group(1).split(","):
+        name = segment.strip()
+        col = start + len(segment) - len(segment.lstrip()) + 1  # where the name starts
         if not _NAME.fullmatch(name):
-            raise ParseError(f"bad variable name {name!r}", no, 1)
-        if name in seen:
-            raise ParseError(f"duplicate variable {name!r}", no, 1)
-        seen.add(name)
+            raise ParseError(f"bad variable name {name!r}", no, col)
+        if name in names:
+            raise ParseError(f"duplicate variable {name!r}", no, col)
+        names.append(name)
+        start += len(segment) + 1
 
     header(2, _RELS_RE, "expected a 'relations:' line", "expected 'relations:'")
     relations = tuple(parse_polynomial(content, field, names, line=no) for no, content in body[3:])

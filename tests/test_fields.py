@@ -10,7 +10,7 @@ from etalg import linalg
 from etalg.errors import CharacteristicZero, CompositeModulus, ZeroNotInvertible
 from etalg.fields import GF, PRIMALITY_BOUND, QQ, PrimeField, Rationals, _is_prime, power
 from etalg.finalg import eval_in_algebra, monogenic_from_poly, product
-from etalg.groebner import buchberger, quotient_algebra
+from etalg.groebner import buchberger, normal_form, one_certificate, quotient_algebra
 from etalg.multipoly import GREVLEX, MultiPoly
 from etalg.parsing import parse_input
 from etalg.unipoly import UniPoly, derivative, discriminant, gcd, resultant
@@ -197,8 +197,17 @@ def test_every_result_is_an_element(K):
                   u.partial_derivative(0), *(w.monic(GREVLEX) for w in (u, v) if not w.is_zero)):
             check(*h.terms.values())
 
-        B = quotient_algebra(buchberger([MultiPoly(K, names, {(2, 0): K.one(), (0, 0): scalar()}),
-                                         MultiPoly(K, names, {(0, 2): K.one(), (1, 0): scalar()})]))
+        ideal = [MultiPoly(K, names, {(2, 0): K.one(), (0, 0): scalar()}),
+                 MultiPoly(K, names, {(0, 2): K.one(), (1, 0): scalar()})]
+        w = ideal[0].mul_term((1, 0), c) + MultiPoly.one(K, names)  # 1 = w - c*X*ideal[0]
+        proper, unit = buchberger(ideal, track=True), buchberger(ideal + [w], track=True)
+        for run in (proper, unit):
+            check(*(a for h in run.generators for a in h.terms.values()),
+                  *(a for row in run.cofactors for h in row for a in h.terms.values()),
+                  *normal_form(u.scale(c) * v, run).terms.values())
+        check(*(a for h in one_certificate(unit) for a in h.terms.values()))
+
+        B = quotient_algebra(buchberger(ideal))
         for A in (monogenic_from_poly(f), B, product(monogenic_from_poly(f), B)):
             x, y = (tuple(scalar() for _ in range(A.dimension)) for _ in range(2))
             check(*A.unit, *A.zero_element(), *(c for row in A.table for v in row for c in v))

@@ -140,7 +140,7 @@ REJECTIONS = [  # (file contents, message, line, column)
     (HEAD + "  X^", "'^' takes a nonnegative integer literal", 4, 5),
     (HEAD + "  1/X", "'/' joins two integer literals", 4, 5),
     (HEAD + "  X*Z", "unknown variable 'Z'", 4, 5),
-    (HEAD + "  (X + 10", "expected ')'", 4, 9),  # end of input sits one past the last token's column
+    (HEAD + "  (X + 10", "expected ')'", 4, 10),  # end of input sits one past the last token's end
     (HEAD + "  X +   # comment", "unexpected end of input", 4, 6),
     (HEAD + "  X * * Y", "expected a number, a variable, or '('", 4, 7),
     (HEAD + "  " + DEEP, f"parentheses nested more than {MAX_NESTING} deep", 4, MAX_NESTING + 3),
@@ -154,12 +154,15 @@ REJECTIONS = [  # (file contents, message, line, column)
     ("# c\n\nfield Q\n", "expected a 'vars' line", 4, 1),
     ("field Q\nvariables X\n", "expected 'vars NAME, NAME, ...'", 2, 1),
     ("field Q\nvars  # none\n", "empty variable list", 2, 1),
-    ("field Q\nvars X, 2Y\n", "bad variable name '2Y'", 2, 1),
-    ("field Q\nvars X,\n", "bad variable name ''", 2, 1),
-    ("field Q\nvars X, Y, X\n", "duplicate variable 'X'", 2, 1),
+    ("field Q\nvars X, 2Y\n", "bad variable name '2Y'", 2, 9),  # a name sits at its own column
+    ("field Q\nvars X,\n", "bad variable name ''", 2, 8),
+    ("field Q\nvars X, Y, X\n", "duplicate variable 'X'", 2, 12),
     ("field Q\nvars X\n\n# c\n", "expected a 'relations:' line", 3, 1),
     ("field Q\nvars X\nrelations\n", "expected 'relations:'", 3, 1),
     (b"field Q\nvars X\nrelations:\n  X^2 \xff- 1\n", "not UTF-8 text (byte 0xff)", 4, 7),
+    # integer literals are ASCII digits: Arabic-Indic 7, 3, 1 and 2 are rejected
+    ("field GF(\u0667)\n", "expected 'field Q' or 'field GF(p)'", 1, 1),
+    (HEAD + "  X^\u0663 - \u0661\u0662", "unexpected character '\u0663'", 4, 5),
 ]
 
 

@@ -99,7 +99,8 @@ def random_monic(rng, field, degree, lo=-5, hi=5):
     return UniPoly(field, coeffs)
 
 
-def random_mpoly(rng, field, variables, max_degree=3, terms=3, lo=-3, hi=3):
+def random_mpoly(rng, field, variables, max_degree=3, terms=3, lo=-3, hi=3, denominator=1):
+    """Up to ``terms`` terms with coefficients a/b, a in [lo, hi] and b in [1, denominator]."""
     n = len(variables)
     spec = {}
     for _ in range(terms):
@@ -108,7 +109,8 @@ def random_mpoly(rng, field, variables, max_degree=3, terms=3, lo=-3, hi=3):
             continue
         c = rng.randint(lo, hi)
         if c:
-            spec[exps] = field.from_int(c)
+            b = rng.randint(1, denominator) if denominator > 1 else 1
+            spec[exps] = field.reduce(field.from_int(c) * field.invert(field.from_int(b)))
     return MultiPoly(field, variables, {e: c for e, c in spec.items()})
 
 
