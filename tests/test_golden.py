@@ -16,13 +16,9 @@ from io import StringIO
 import pytest
 
 from etalg.finalg import _DerivedAlgebra
-from util import count_table_sweeps
+from util import count_table_sweeps, input_files
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
-GOLDEN = os.path.join(HERE, "golden")
-SAMPLES = os.path.join(ROOT, "samples")
-INPUTS = os.path.join(GOLDEN, "inputs")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 COMMANDS = (
     ("classify",),
@@ -33,16 +29,6 @@ COMMANDS = (
     ("decompose",),
     ("differentials",),
 )
-
-
-def input_files():
-    """(name, path) of every pinned input: the samples, then the extra inputs."""
-    out = []
-    for folder in (SAMPLES, INPUTS):
-        for entry in sorted(os.listdir(folder)):
-            if entry.endswith(".alg"):
-                out.append((entry[: -len(".alg")], os.path.join(folder, entry)))
-    return out
 
 
 def render_all(path):

@@ -196,3 +196,7 @@ def test_decide_all_expands_det_ja_once_on_the_tower(monkeypatch):
     assert all(d.value for d in decisions.values())
     assert decisions["standard_etale"].certificate[0] == decisions["nette"].basis.original[-1]
     assert sum(top) == 1
+    monkeypatch.setattr(kaehler, "buchberger", None)  # an unknown flag fails before any run
+    with pytest.raises(ValueError, match="unknown flag 'etale'"):
+        decide_all(P, flags=("nette", "etale", "smooth"))
+    assert sum(top) == 1

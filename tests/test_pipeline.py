@@ -4,7 +4,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from unittest import mock
 
 import pytest
@@ -18,8 +18,8 @@ from etalg.fields import GF, QQ
 from etalg.finalg import (FiniteAlgebra, _frobenius_images, _restricted_images, eval_in_algebra,
                           monogenic_from_poly, product, split_by_idempotent)
 from etalg.groebner import buchberger, quotient_algebra
-from etalg.kaehler import AlgebraPresentation, relation_basis
-from etalg.multipoly import GREVLEX, LEX
+from etalg.kaehler import FLAGS, AlgebraPresentation, decide_all, relation_basis
+from etalg.multipoly import GREVLEX, LEX, MultiPoly
 from etalg.parsing import parse_input
 from etalg.pipeline import (
     STAGES,
@@ -31,7 +31,7 @@ from etalg.pipeline import (
     render_report,
 )
 from etalg.unipoly import is_separable
-from util import mpoly, random_monic, random_presentations, upoly
+from util import brute_det, input_files, mpoly, random_monic, random_presentations, upoly
 
 F2 = GF(2)
 F3 = GF(3)
@@ -673,6 +673,48 @@ def test_every_report_keeps_the_invariants_of_the_theory(P):
         assert A.is_zero_element(power)  # w^m = 0
 
 
+def recombined(P, rng):
+    """The relations M*f for a random invertible constant s x s matrix M."""
+    K = P.field
+    while True:
+        M = [[K.from_int(rng.randint(-2, 2)) for _ in range(P.s)] for _ in range(P.s)]
+        if brute_det(M, K):
+            break
+    relations = tuple(sum((f.scale(c) for c, f in zip(row, P.relations)), P.ring_zero()) for row in M)
+    return AlgebraPresentation(K, P.variables, relations)
+
+
+def permuted(P, rng):
+    """The same relations in a random order of the variables."""
+    order = rng.sample(range(P.n), P.n)
+    variables = tuple(P.variables[i] for i in order)
+    return AlgebraPresentation(P.field, variables, tuple(
+        MultiPoly(P.field, variables, {tuple(e[i] for i in order): c for e, c in f.terms.items()})
+        for f in P.relations))
+
+
+def test_reports_are_invariant_under_the_presentation():
+    # M*f spans the same ideal, its n x n and s x s minors span the same ideals as f's
+    # (Cauchy-Binet), and its leading minor is f's times det M: every line after the
+    # relations stays.  A permutation of the variables keeps every flag but standard
+    # smooth, whose leading minor takes rows X_1..X_s.
+    def invariants(report):
+        return (report.trivial, report.nette, report.elementary_smooth, report.standard_etale,
+                report.noether_dimension, report.vector_space_dimension, report.etale,
+                None if report.discriminant is None else not report.discriminant)
+
+    def after_relations(text):
+        return text[text.index("\ntrivial: "):]
+
+    inputs = [parse_input(read_input(path)) for _, path in input_files()]
+    rng = random.Random(97)
+    for P in inputs + random_presentations(rng, 80):
+        report = classify(P)
+        assert after_relations(render_report(classify(recombined(P, rng)))) == \
+            after_relations(render_report(report))
+        assert invariants(classify(permuted(P, rng))) == invariants(report)
+
+
 def count_buchberger(monkeypatch):
     """Replace buchberger wherever etalg binds it; returns the list of ``track`` flags."""
     original = groebner.buchberger
@@ -697,36 +739,70 @@ COMPLETE_INTERSECTION = (
 )
 
 
+def count_decision_work(monkeypatch):
+    """(buchberger's ``track`` flags, Bezout checks, normal forms taken in kaehler), as they happen."""
+    counters = count_buchberger(monkeypatch), [], []
+    for name, seen in zip(("one_certificate", "normal_form"), counters[1:]):
+        def counting(*args, original=getattr(kaehler, name), seen=seen):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kaehler, name, counting)
+    return counters
+
+
+def assert_flag_subsets_share_runs(P, ideals, certificates, counters):
+    """Every non-empty subset of FLAGS decides as the full call does, sharing its runs.
+
+    ``ideals`` names the ideal each flag adjoins, None when its size
+    precondition fails.  A subset runs Groebner once per distinct ideal among
+    its flags, checks each tracked run once, and normalises the inverse of
+    the single minor once if a single-minor flag of the subset prints it
+    (with certificates, on a run that holds 1), else never.
+    """
+    def fields(d):
+        return d.value, d.trivial, d.detail, d.labels, d.certificate, d.basis.generators
+
+    calls, checks, inverses = counters
+    gb = relation_basis(P)
+    full = decide_all(P, certificates=certificates, gb=gb)
+    for size in range(1, len(FLAGS) + 1):
+        for subset in combinations(FLAGS, size):
+            for counter in counters:
+                counter.clear()
+            decisions = decide_all(P, certificates=certificates, gb=gb, flags=subset)
+            assert {name: fields(d) for name, d in decisions.items()} == \
+                {name: fields(full[name]) for name in subset}
+            runs = len({ideals[name] for name in subset} - {None})
+            assert len(calls) == runs and sum(calls) == len(checks) == runs * certificates
+            assert len(inverses) == (certificates and any(
+                full[name].value for name in subset if name in ("standard_smooth", "standard_etale")))
+
+
 @pytest.mark.parametrize("certificates,tracked", [(False, 0), (True, 1)])
 def test_tower_runs_groebner_once_per_ideal(monkeypatch, certificates, tracked):
     # s = n: the four flags share one run on det(Ja), its identity is checked once,
     # and the inverse of det(Ja) that both single-minor flags print is normalised once
-    calls = count_buchberger(monkeypatch)
-    original, original_nf = kaehler.one_certificate, kaehler.normal_form
-    checks, inverses = [], []
-
-    def counting(gb):
-        checks.append(gb)
-        return original(gb)
-
-    def counting_nf(f, gb):
-        inverses.append(f)
-        return original_nf(f, gb)
-
-    monkeypatch.setattr(kaehler, "one_certificate", counting)
-    monkeypatch.setattr(kaehler, "normal_form", counting_nf)
+    counters = calls, checks, inverses = count_decision_work(monkeypatch)
     report = classify(parse_input(TOWER), certificates=certificates)
     assert report.nette and report.standard_etale and report.etale
     assert len(calls) == 2 and sum(calls) == tracked
     assert len(checks) == len(inverses) == tracked
     assert all((d.certificate is not None) == certificates for d in report.decisions.values())
+    assert_flag_subsets_share_runs(parse_input(TOWER), dict.fromkeys(FLAGS, "det(Ja)"),
+                                   certificates, counters)
 
 
 def test_complete_intersection_runs_groebner_three_times(monkeypatch):
-    calls = count_buchberger(monkeypatch)
+    counters = calls, _, _ = count_decision_work(monkeypatch)
     report = classify(parse_input(COMPLETE_INTERSECTION))
     assert report.noether_dimension == 2 and not report.nette
     assert len(calls) == 3 and sum(calls) == 0
+    ideals = {"nette": None, "standard_smooth": "leading minor", "elementary_smooth": "2 x 2 minors",
+              "standard_etale": None}
+    for certificates in (False, True):
+        assert_flag_subsets_share_runs(parse_input(COMPLETE_INTERSECTION), ideals, certificates,
+                                       counters)
 
 
 SHIFTED_POWER = "field GF(3)\nvars X\nrelations:\n  (X + 1)^30 + X\n"

@@ -5,6 +5,7 @@ the Gaussian elimination the package uses, so Sylvester/Gram assertions are
 genuine cross-checks.
 """
 
+import os
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,19 @@ from etalg.finalg import FiniteAlgebra
 from etalg.kaehler import AlgebraPresentation
 from etalg.multipoly import MultiPoly
 from etalg.unipoly import UniPoly
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def input_files():
+    """(name, path) of every pinned input: the samples, then the golden files' extra inputs."""
+    out = []
+    for folder in (os.path.join(os.path.dirname(HERE), "samples"), os.path.join(HERE, "golden", "inputs")):
+        for entry in sorted(os.listdir(folder)):
+            if entry.endswith(".alg"):
+                out.append((entry[: -len(".alg")], os.path.join(folder, entry)))
+    return out
 
 
 def count_table_sweeps(monkeypatch):
