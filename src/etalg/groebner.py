@@ -13,6 +13,10 @@ zeros): its polynomial and, in a tracked run, its cofactors over the
 original generators, which the printable Bezout certificates of the
 classification pipeline are made of.  Division, S-polynomials and scaling
 treat every row alike, and an untracked run has one row per element.
+Division finds each leading term on a heap of the row's monomials, pushed
+once with their order key as the kernel creates them (Monagan & Pearce,
+CASC 2007), and builds the remainder largest term first, so a new element's
+leading monomial is the first key of its row.
 
 Over GF(p) an element joins monic.  Over Q the rows hold integers and the
 kernel never divides: an input row's denominators are cleared as it
@@ -39,7 +43,7 @@ product of standard monomials from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 
@@ -118,15 +122,26 @@ def _field_row(row, d, K):
 
 
 def _subtract(row, c, q, g, K):
-    """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients."""
+    """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients.
+
+    Returns the monomials it adds to row.  c is nonzero, so each product
+    c * a of nonzero field elements is nonzero.
+    """
     reduce = K.reduce
+    created = []
     for exps, a in g.items():
         t = mono_mul(exps, q)
-        s = reduce(row.get(t, 0) - c * a)
-        if s:
-            row[t] = s
+        b = row.get(t)
+        if b is None:
+            row[t] = reduce(-c * a)
+            created.append(t)
         else:
-            row.pop(t, None)
+            s = reduce(b - c * a)
+            if s:
+                row[t] = s
+            else:
+                del row[t]
+    return created
 
 
 def _reduce(rows, basis, lms, order, K):
@@ -140,14 +155,25 @@ def _reduce(rows, basis, lms, order, K):
     and the step first multiplies every row, and the remainder collected so
     far, by L / gcd(c, L), so that no coefficient leaves Z.  rows[0] ends
     as s times the remainder on division by the monic basis, the other rows
-    as s times their cofactors.
+    as s times their cofactors; the remainder's terms are in descending
+    order.
+
+    The leading term comes off a heap of rows[0]'s monomials under
+    ``order.heap_key`` (Monagan & Pearce, CASC 2007): each monomial is
+    pushed with its key when it enters the row, never rescanned.  A popped
+    monomial that a step has cancelled is skipped.  It cannot come back,
+    since every monomial a step creates is smaller than the one it cancels.
     """
-    key = order.key
+    heap_key = order.heap_key
     p = rows[0]
+    heap = [(heap_key(t), t) for t in p]
+    heapify(heap)
     remainder = {}
     scale = 1
     while p:
-        lm = max(p, key=key)
+        lm = heappop(heap)[1]
+        if lm not in p:
+            continue
         for hit, glm in enumerate(lms):
             if mono_divides(glm, lm):
                 break
@@ -165,7 +191,9 @@ def _reduce(rows, basis, lms, order, K):
                     for exps in row:
                         row[exps] *= m
         q = mono_div(lm, glm)
-        for row, h in zip(rows, g):
+        for t in _subtract(p, c, q, g[0], K):
+            heappush(heap, (heap_key(t), t))
+        for row, h in zip(rows[1:], g[1:]):
             _subtract(row, c, q, h, K)
     rows[0] = remainder
     return scale
@@ -204,9 +232,10 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         Over GF(p) the polynomial is made monic.  Over Q the rows are
         divided by the gcd of all their coefficients, signed so that the
         leading one is positive.  Every term of rows[0] is reduced, so no
-        earlier leading monomial divides the new one.
+        earlier leading monomial divides the new one.  ``_reduce`` leaves
+        rows[0] in descending order, so its first monomial is the leading one.
         """
-        lm = max(rows[0], key=order.key)
+        lm = next(iter(rows[0]))
         lc = rows[0][lm]
         if K.characteristic():
             if lc != 1:

@@ -45,7 +45,8 @@ def mono_degree(a):
     return sum(a)
 
 def mono_is_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    """True iff no variable occurs in both: exponents are >= 0, so iff every a_i * b_i is 0."""
+    return not any(map(mul, a, b))
 
 
 class MonomialOrder:
@@ -61,6 +62,12 @@ class MonomialOrder:
         if self.kind == "lex":
             return exps
         return (sum(exps), tuple(map(neg, reversed(exps))))
+
+    def heap_key(self, exps):
+        """Min-heap key: bigger monomial, smaller key, so ``heapq`` pops the largest first."""
+        if self.kind == "lex":
+            return tuple(map(neg, exps))
+        return (-sum(exps),) + exps[::-1]
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.kind == self.kind

@@ -115,6 +115,31 @@ def test_normal_form_linear_and_idempotent():
         assert normal_form(normal_form(f, gb), gb) == normal_form(f, gb)
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_normal_form_and_basis_terms_come_in_descending_order(field, order):
+    """The kernel builds each remainder largest term first; ``buchberger`` reads
+    a new element's leading monomial as the first key of its row."""
+    rng = random.Random(281 + field.characteristic())
+    variables = ("X", "Y", "Z")
+    checked = 0
+    while checked < 15:
+        gens = [random_mpoly(rng, field, variables, max_degree=2, terms=3) for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        gb = buchberger(gens, order)
+        if contains_one(gb):
+            continue
+        f = random_mpoly(rng, field, variables, max_degree=5, terms=20, denominator=3)
+        remainder = normal_form(f, gb)
+        for p in (remainder, *gb.generators):
+            keys = [order.key(m) for m in p.terms]
+            assert keys == sorted(keys, reverse=True)
+        assert [next(iter(g.terms)) for g in gb.generators] == list(gb.lms)
+        checked += len(remainder.terms) > 2
+
+
 def test_contains_one():
     assert contains_one(
         buchberger([mpoly(QQ, ("X",), {(1,): 1}), mpoly(QQ, ("X",), {(1,): 1, (0,): 1})])

@@ -12,11 +12,13 @@ Skipped when sympy is not installed.
 
 import random
 from fractions import Fraction
+from heapq import heappop
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from etalg import groebner
 from etalg.fields import GF, QQ
 from etalg.groebner import buchberger, contains_one, normal_form
 from etalg.multipoly import GREVLEX, LEX, MultiPoly
@@ -141,4 +143,58 @@ def test_normal_forms_agree_with_sympy_mod_p(p):
         f = random_mpoly(rng, K, V, max_degree=3, terms=5)
         _, remainder = theirs.reduce(to_sympy(f))
         assert normal_form(f, mine) == from_sympy(remainder, K)
+        checked += 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_normal_form_skips_a_cancelled_term_that_a_later_step_makes_again(field, monkeypatch):
+    """In grevlex X > Y > Z > 1.  Dividing 2X + Y - 3Z + 1 by {2X - 3Z, Y - Z}:
+    the step on X cancels the row's -3Z, and the step on Y makes Z again, so
+    the heap holds Z twice and skips the second, stale entry."""
+    X, Y, Z = (MultiPoly.variable(field, V, i) for i in range(3))
+    one = MultiPoly.one(field, V)
+    two, three = field.from_int(2), field.from_int(3)
+    gb = buchberger([X.scale(two) - Z.scale(three), Y - Z], GREVLEX)
+    f = X.scale(two) + Y - Z.scale(three) + one
+    popped = []
+
+    def recording_heappop(heap):
+        entry = heappop(heap)
+        popped.append(entry[1])
+        return entry
+
+    monkeypatch.setattr(groebner, "heappop", recording_heappop)
+    assert normal_form(f, gb) == Z + one
+    assert popped == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (0, 0, 0)]
+    p = field.characteristic()
+    modulus = {"modulus": p} if p else {}
+    theirs = sympy.groebner([to_sympy(g) for g in gb.original], *SYMS, order="grevlex", **modulus)
+    _, remainder = sympy.reduced(to_sympy(f), list(theirs.exprs), *SYMS, order="grevlex", **modulus)
+    assert from_sympy(remainder, field) == Z + one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)])
+@pytest.mark.parametrize("order_pair", [(GREVLEX, "grevlex"), (LEX, "lex")])
+def test_normal_forms_of_long_polynomials_agree_with_sympy_reduced(order_pair, field):
+    ours_order, sympy_order = order_pair
+    p = field.characteristic()
+    modulus = {"modulus": p} if p else {}
+    denominator = 1 if p else 7
+    rng = random.Random(3000 + p + len(sympy_order))
+    checked = 0
+    while checked < 5:
+        gens = [random_mpoly(rng, field, V, max_degree=2, terms=4, denominator=denominator)
+                for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        mine = buchberger(gens, ours_order)
+        if contains_one(mine):
+            continue
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=sympy_order, **modulus)
+        f = random_mpoly(rng, field, V, max_degree=7, terms=300, denominator=denominator)
+        assert len(f.terms) >= 30
+        _, remainder = sympy.reduced(to_sympy(f), list(theirs.exprs), *SYMS, order=sympy_order,
+                                     **modulus)
+        assert normal_form(f, mine) == from_sympy(remainder, field)
         checked += 1

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from etalg.errors import IndexOutOfRange, RingMismatch, ZeroOperand
 from etalg.fields import GF, QQ
-from etalg.multipoly import GREVLEX, LEX, MonomialOrder, MultiPoly
+from etalg.multipoly import GREVLEX, LEX, MonomialOrder, MultiPoly, mono_is_coprime
 from util import mpoly, power_products, random_mpoly
 
 V = ("X", "Y")
@@ -150,6 +151,35 @@ def test_order_axioms_sampled():
                 ac = tuple(i + j for i, j in zip(a, c))
                 bc = tuple(i + j for i, j in zip(b, c))
                 assert order.key(ac) < order.key(bc)
+
+
+def _monomial_pairs(n):
+    """Two exponent tuples of length n; the second is often the first itself."""
+    monomial = st.tuples(*[st.integers(0, 5)] * n)
+    return monomial.flatmap(lambda a: st.tuples(st.just(a), st.just(a) | monomial))
+
+
+@settings(derandomize=True)
+@given(st.integers(1, 4).flatmap(_monomial_pairs))
+@example(((2, 0, 1), (2, 0, 1)))
+@example(((0, 0, 0), (0, 0, 0)))
+def test_heap_key_reverses_key(pair):
+    a, b = pair
+    for order in (GREVLEX, LEX):
+        assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+        assert (order.heap_key(a) == order.heap_key(b)) == (a == b) == (order.key(a) == order.key(b))
+
+
+def test_mono_is_coprime_matches_its_definition():
+    rng = random.Random(29)
+    coprime = 0
+    for _ in range(2000):
+        n = rng.randint(0, 5)
+        a, b = (tuple(rng.choice((0, 0, 0, 1, 2, 9)) for _ in range(n)) for _ in range(2))
+        expected = all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert mono_is_coprime(a, b) == expected
+        coprime += expected
+    assert 200 < coprime < 1800
 
 
 def test_order_parse():
