@@ -15,20 +15,22 @@ classification pipeline are made of.  Division, S-polynomials and scaling
 treat every row alike, and an untracked run has one row per element.
 Division finds each leading term on a heap of the row's monomials, pushed
 once with their order key as the kernel creates them (Monagan & Pearce,
-CASC 2007), and builds the remainder largest term first, so a new element's
-leading monomial is the first key of its row.
+CASC 2007), and returns the remainder's leading monomial.  ``add`` reduces
+input rows and S-polynomials alike and joins a nonzero remainder.
 
-Over GF(p) an element joins monic.  Over Q the rows hold integers and the
+``_normalized`` makes an element monic over GF(p) as it joins, and the
+reduced basis as it is returned.  Over Q the rows hold integers and the
 kernel never divides: an input row's denominators are cleared as it
-enters, an element joins primitive (its content divided out, its leading
-coefficient positive), and a step by an element whose leading coefficient
-is not 1 first multiplies the rows it reduces (cross-multiplication).  At
-every step an integer row is a nonzero multiple of the Fraction row a
-dividing engine would hold, so the reducers, the pairs and the reduced
-basis are the same.  Rows become polynomials once, in the returned basis,
-each divided by its leading coefficient: values leave the module as field
-elements, Fractions over Q.  The basis keeps its integer rows, and
-``normal_form`` divides its remainder by the scale it accumulated.
+enters, ``_normalized`` makes a row primitive (its content divided out,
+its leading coefficient positive), and a step by an element whose leading
+coefficient is not 1 first multiplies the rows it reduces
+(cross-multiplication).  At every step an integer row is a nonzero multiple
+of the Fraction row a dividing engine would hold, so the reducers, the
+pairs and the reduced basis are the same.  The returned basis keeps its
+normalized rows for ``normal_form``, which divides its remainder by the
+scale it accumulated, and turns each into a polynomial once, divided by
+its leading coefficient: values leave the module as field elements,
+Fractions over Q.
 
 On top of the basis sit the staircase queries: ideal triviality,
 invertibility modulo the ideal, Noether dimension via independent variable
@@ -72,23 +74,25 @@ DEFAULT_PAIR_BUDGET = 50_000
 class GroebnerBasis:
     """Reduced monic basis, its order, and the originating generators.
 
-    ``lms`` holds the leading monomial of each generator, in the same order.
-    Each generator is also kept as a kernel row (its primitive integer
-    multiple over Q), which ``normal_form`` divides by.
+    ``buchberger`` passes the normalized kernel rows of the reduced basis.
+    Each is kept, as a 1-tuple of rows for ``normal_form`` to divide by, and
+    divided by its leading coefficient into a generator; ``lms`` holds their
+    leading monomials.
     """
 
     __slots__ = ("field", "variables", "order", "generators", "lms", "original", "cofactors",
                  "_rows")
 
-    def __init__(self, field, variables, order, generators, lms, original, cofactors=None):
+    def __init__(self, field, variables, order, rows, lms, original, cofactors=None):
         self.field = field
         self.variables = tuple(variables)
         self.order = order
-        self.generators = tuple(generators)
+        self._rows = tuple((row,) for row in rows)
         self.lms = tuple(lms)
+        self.generators = tuple(MultiPoly(field, variables, _field_row(row, row[lm], field))
+                                for row, lm in zip(rows, self.lms))
         self.original = tuple(original)
         self.cofactors = cofactors
-        self._rows = tuple((_integer_row(g.terms, field)[0],) for g in self.generators)
 
     def __repr__(self):
         gens = ", ".join(g.format(self.order) for g in self.generators)
@@ -121,6 +125,20 @@ def _field_row(row, d, K):
     return {exps: Fraction(a, d) for exps, a in row.items()}
 
 
+def _normalized(rows, lm, K):
+    """rows scaled so that rows[0] is monic over GF(p); over Q, primitive together, rows[0][lm] > 0."""
+    lc = rows[0][lm]
+    if K.characteristic():
+        if lc == 1:
+            return rows
+        inv = K.invert(lc)
+        return [{exps: K.reduce(inv * a) for exps, a in row.items()} for row in rows]
+    d = gcd(*(a for row in rows for a in row.values()))
+    if lc < 0:
+        d = -d
+    return rows if d == 1 else [{exps: a // d for exps, a in row.items()} for row in rows]
+
+
 def _subtract(row, c, q, g, K):
     """row -= c * x^q * g on dicts of terms, in place, dropping zero coefficients.
 
@@ -145,7 +163,8 @@ def _subtract(row, c, q, g, K):
 
 
 def _reduce(rows, basis, lms, order, K):
-    """Divide rows[0] by the basis in place; return the scale s of the remainder.
+    """Divide rows[0] by the basis in place; return (s, lm): the remainder's scale and
+    leading monomial, None for a zero remainder.
 
     ``rows`` are term dicts: the polynomial, then its cofactors over the
     original generators in a tracked run.  Each basis element has the same
@@ -155,8 +174,8 @@ def _reduce(rows, basis, lms, order, K):
     and the step first multiplies every row, and the remainder collected so
     far, by L / gcd(c, L), so that no coefficient leaves Z.  rows[0] ends
     as s times the remainder on division by the monic basis, the other rows
-    as s times their cofactors; the remainder's terms are in descending
-    order.
+    as s times their cofactors.  The remainder is collected largest term
+    first, so lm is the first monomial it takes.
 
     The leading term comes off a heap of rows[0]'s monomials under
     ``order.heap_key`` (Monagan & Pearce, CASC 2007): each monomial is
@@ -169,7 +188,7 @@ def _reduce(rows, basis, lms, order, K):
     heap = [(heap_key(t), t) for t in p]
     heapify(heap)
     remainder = {}
-    scale = 1
+    scale, lead = 1, None
     while p:
         lm = heappop(heap)[1]
         if lm not in p:
@@ -179,6 +198,7 @@ def _reduce(rows, basis, lms, order, K):
                 break
         else:
             remainder[lm] = p.pop(lm)
+            lead = lm if lead is None else lead
             continue
         g = basis[hit]
         c, leading = p[lm], g[0][glm]
@@ -196,7 +216,7 @@ def _reduce(rows, basis, lms, order, K):
         for row, h in zip(rows[1:], g[1:]):
             _subtract(row, c, q, h, K)
     rows[0] = remainder
-    return scale
+    return scale, lead
 
 
 def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False):
@@ -227,26 +247,15 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
     pairs = []
 
     def add(rows):
-        """Append rows, scaled to their normal form, and update the pairs.
+        """Reduce rows by the basis; join a nonzero remainder, normalized, and update the pairs.
 
-        Over GF(p) the polynomial is made monic.  Over Q the rows are
-        divided by the gcd of all their coefficients, signed so that the
-        leading one is positive.  Every term of rows[0] is reduced, so no
-        earlier leading monomial divides the new one.  ``_reduce`` leaves
-        rows[0] in descending order, so its first monomial is the leading one.
+        Every term of the remainder is reduced, so no earlier leading
+        monomial divides the new one.
         """
-        lm = next(iter(rows[0]))
-        lc = rows[0][lm]
-        if K.characteristic():
-            if lc != 1:
-                inv = K.invert(lc)
-                rows = [{exps: K.reduce(inv * a) for exps, a in row.items()} for row in rows]
-        else:
-            d = gcd(*(a for row in rows for a in row.values()))
-            if lc < 0:
-                d = -d
-            if d != 1:
-                rows = [{exps: a // d for exps, a in row.items()} for row in rows]
+        lm = _reduce(rows, basis, lms, order, K)[1]
+        if lm is None:
+            return
+        rows = _normalized(rows, lm, K)
         t = len(basis)
         basis.append(rows)
         lms.append(lm)
@@ -273,12 +282,7 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
 
     for idx, g in enumerate(gens):
         row, d = _integer_row(g.terms, K)
-        rows = [row]
-        if track:
-            rows += [{unit: d} if k == idx else {} for k in range(len(gens))]
-        _reduce(rows, basis, lms, order, K)
-        if rows[0]:
-            add(rows)
+        add([row] + ([{unit: d} if k == idx else {} for k in range(len(gens))] if track else []))
 
     processed = 0
     while pairs:
@@ -296,26 +300,24 @@ def buchberger(gens, order=GREVLEX, pair_budget=DEFAULT_PAIR_BUDGET, track=False
         for row, gi, gj in zip(rows, basis[i], basis[j]):
             _subtract(row, ci, ui, gi, K)
             _subtract(row, cj, uj, gj, K)
-        _reduce(rows, basis, lms, order, K)
-        if rows[0]:
-            add(rows)
+        add(rows)
 
     # Minimalize: the active elements are the minimal set, since no leading
     # monomial divides a later one.  Tail-reduce each (a copy of its rows)
-    # against the others.  Tail reduction keeps each leading term, so
-    # dividing by it leaves the element monic, in ascending order.  It is
-    # the unique reduced basis, independent of scheduling.
+    # against the others.  Tail reduction keeps each leading term, so the
+    # normalized polynomial row is an element of the unique reduced basis,
+    # independent of scheduling.
     minimal = sorted(active, key=lambda k: order.key(lms[k]))
-    generators, cofactors = [], []
+    reduced, cofactors = [], []
     for k in minimal:
         others = [m for m in minimal if m != k]
         rows = [dict(row) for row in basis[k]]
         _reduce(rows, [basis[m] for m in others], [lms[m] for m in others], order, K)
+        reduced.append(_normalized(rows[:1], lms[k], K)[0])
         lc = rows[0][lms[k]]
-        generators.append(MultiPoly(K, variables, _field_row(rows[0], lc, K)))
         cofactors.append(tuple(MultiPoly(K, variables, _field_row(row, lc, K))
                                for row in rows[1:]))
-    return GroebnerBasis(K, variables, order, generators, [lms[k] for k in minimal], gens,
+    return GroebnerBasis(K, variables, order, reduced, [lms[k] for k in minimal], gens,
                          tuple(cofactors) if track else None)
 
 
@@ -328,7 +330,7 @@ def normal_form(f, gb: GroebnerBasis):
     K = gb.field
     row, d = _integer_row(f.terms, K)
     rows = [row]
-    scale = _reduce(rows, gb._rows, gb.lms, gb.order, K)
+    scale = _reduce(rows, gb._rows, gb.lms, gb.order, K)[0]
     return MultiPoly(K, gb.variables, _field_row(rows[0], scale * d, K))
 
 
@@ -385,9 +387,7 @@ def noether_dimension(gb: GroebnerBasis) -> int:
     if contains_one(gb):
         raise TrivialIdeal("the ideal contains 1")
     n = len(gb.variables)
-    supports = []
-    for lm in gb.lms:
-        supports.append(frozenset(i for i, e in enumerate(lm) if e > 0))
+    supports = [frozenset(i for i, e in enumerate(lm) if e > 0) for lm in gb.lms]
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             s = set(subset)
@@ -398,8 +398,6 @@ def noether_dimension(gb: GroebnerBasis) -> int:
 
 def standard_monomials(gb: GroebnerBasis):
     """Monomials outside the leading-term ideal, ascending in the basis order."""
-    if contains_one(gb):
-        raise TrivialIdeal("the ideal contains 1")
     if noether_dimension(gb) != 0:
         raise NotZeroDimensional("the quotient is not finite-dimensional")
     # Walk the staircase up from 1: it is closed under division, so each

@@ -25,8 +25,9 @@ certificates, the Bezout identity of each distinct run is checked once and
 kept with its basis.  When s = n all four flags adjoin det(Ja), so they
 share one run and one check.
 
-Minor enumeration is combinatorial; sizes stay small here.  A presentation
-whose ideal contains 1 (the zero ring) satisfies every test vacuously and is
+A k x k minor expands 2^k sub-minors, shared within a ``minors`` call, but
+nothing bounds the count of minors, C(n, k) * C(s, k).  A presentation whose
+ideal contains 1 (the zero ring) satisfies every test vacuously and is
 flagged as trivial so callers can surface that instead of hiding it.
 """
 
@@ -119,34 +120,33 @@ def universal_derivation(g: MultiPoly, D: DifferentialPresentation):
 
 # ------------------------------------------------------------------ minors
 
-def det_poly_matrix(rows, ring_zero):
-    """Cofactor-expansion determinant of a square polynomial matrix."""
-    n = len(rows)
-    if n == 0:
-        return MultiPoly.one(ring_zero.field, ring_zero.variables)
-    if n == 1:
-        return rows[0][0]
-    total = ring_zero
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * det_poly_matrix(minor, ring_zero)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def minors(matrix, k, ring_zero):
-    """All k x k minors with their row/column index sets, deterministically."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    out = []
-    for rows_idx in combinations(range(nrows), k):
-        for cols_idx in combinations(range(ncols), k):
-            sub = [[matrix[i][j] for j in cols_idx] for i in rows_idx]
-            out.append((rows_idx, cols_idx, det_poly_matrix(sub, ring_zero)))
-    return out
+    """All k x k minors with their row/column index sets, deterministically.
+
+    Each minor is a Laplace expansion along its first row into the minors
+    on the remaining rows, indexed by row and column sets into ``matrix``.
+    A table local to the call expands each of those once, so a k x k
+    determinant takes at most k * 2^(k-1) entry-by-minor products, over its
+    2^k sub-minors.  Nothing bounds the number of minors, C(rows, k) * C(cols, k).
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    table = {}
+
+    def det(rows, cols):
+        if len(rows) < 2:
+            return matrix[rows[0]][cols[0]] if rows else MultiPoly.one(ring_zero.field, ring_zero.variables)
+        if (rows, cols) not in table:
+            total = ring_zero
+            for j, col in enumerate(cols):
+                entry = matrix[rows[0]][col]
+                if not entry.is_zero:
+                    term = entry * det(rows[1:], cols[:j] + cols[j + 1:])
+                    total = total + term if j % 2 == 0 else total - term
+            table[rows, cols] = total
+        return table[rows, cols]
+
+    return [(rows, cols, det(rows, cols)) for rows in combinations(range(len(matrix)), k)
+            for cols in combinations(range(ncols), k)]
 
 
 # ------------------------------------------------------------------ decisions

@@ -20,16 +20,22 @@ the relation ideal.  Under each of the four flags:
     print I; 1 is then checked not to be in I + <M>).  An empty list is <0>.
 
 The ``trivial:`` line is checked as 1 in I, and a flag of a trivial report
-as true with the detail ``the relation ideal contains 1``.  ``check_report``
-returns how many lines of each kind it checked and raises AssertionError,
-naming the line, on the first claim that fails.
+as true with the detail ``the relation ideal contains 1``.  Of a
+zero-dimensional quotient, the ``basis:`` line must list exactly the
+standard monomials of sympy's reduced grevlex basis of I, ascending in
+grevlex, and each ``structure constants:`` line ``b_i * b_j = v`` must have
+v on those monomials and b_i*b_j - v reducing to 0 by that basis, one line
+for each i <= j.  ``check_report`` returns how many lines of each kind it
+checked and raises AssertionError, naming the line, on the first claim that
+fails.
 """
 
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product, takewhile
 
 import sympy
+from sympy.polys.orderings import grevlex
 
 FLAG_LINE = re.compile(r"(nette|standard-smooth|elementary-smooth|standard-etale): (true|false)")
 TERM = re.compile(r"\(([^()]*)\)\*(f\d+|minor\[[^\]]*\])")
@@ -100,6 +106,23 @@ class Ring:
                 self._bases[key] = frozenset(self.convert(g.as_expr()) for g in G.polys)
         return self._bases[key]
 
+    def remainder(self, f):
+        """f reduced by sympy's reduced grevlex basis of I."""
+        options = {"modulus": self.modulus} if self.modulus else {}
+        G = [g.as_expr() for g in self.basis()]
+        return self.convert(sympy.reduced(f.as_expr(), G, *self.gens, order="grevlex", **options)[1])
+
+    def standard_monomials(self):
+        """The exponents outside the leading monomials of I's reduced grevlex basis.
+
+        The pure powers among them bound each exponent; the set is empty when
+        some variable has none, that is when I is not zero-dimensional.
+        """
+        leading = [g.monoms(order="grevlex")[0] for g in self.basis()]
+        bounds = [min((m[i] for m in leading if sum(m) == m[i]), default=0) for i in range(self.n)]
+        return {e for e in product(*map(range, bounds))
+                if not any(all(map(int.__le__, m, e)) for m in leading)}
+
     def printed_basis(self, text):
         return frozenset(self.poly(g) for g in text.split("; ")) if text else frozenset()
 
@@ -124,6 +147,28 @@ def flag_blocks(report_text):
                     break
                 body.append(follow[4:])
             yield match[1], match[2] == "true", body
+
+
+def check_quotient(R, report_text, checked):
+    """The ``basis:`` line and the ``structure constants:`` lines under it."""
+    labels = re.search(r"^basis: (.*)$", report_text, re.M)[1].split(", ")
+    monomials = [R.poly(label).monoms()[0] for label in labels]
+    standard = R.standard_monomials()
+    assert len(set(monomials)) == len(monomials) and set(monomials) == standard, labels
+    assert monomials == sorted(monomials, key=grevlex), labels
+    checked["basis"] += 1
+    lines = report_text.splitlines()
+    pairs = []
+    for line in takewhile(lambda text: text.startswith("  "),
+                          lines[lines.index("structure constants:") + 1:]):
+        product_txt, value_txt = line[2:].split(" = ")
+        pairs.append(tuple(product_txt.split(" * ")))
+        bi, bj = (R.poly(label) for label in pairs[-1])
+        v = R.poly(value_txt)
+        assert set(v.monoms()) <= standard or v.is_zero, line
+        assert R.remainder(bi * bj - v).is_zero, line
+        checked["structure constants"] += 1
+    assert pairs == list(combinations_with_replacement(labels, 2)), "the table is not every b_i * b_j"
 
 
 def check_report(input_text, report_text):
@@ -185,4 +230,6 @@ def check_report(input_text, report_text):
             printed = R.printed_basis(body[0].removeprefix(FAILED))
             assert printed == R.basis(R.minors(min(R.s, R.n))) and printed != one, where
             checked["failed ideal"] += 1
+    if re.search(r"^basis: ", report_text, re.M):
+        check_quotient(R, report_text, checked)
     return checked

@@ -18,7 +18,7 @@ from etalg.cli import main
 from util import input_files, random_presentations
 
 INPUTS = dict(input_files())
-KINDS = {"trivial", "bezout", "minor", "inverse", "failed ideal"}
+KINDS = {"trivial", "bezout", "minor", "inverse", "failed ideal", "basis", "structure constants"}
 
 
 def certified_report(path):
@@ -60,6 +60,11 @@ def test_random_presentation_decision_lines_check(tmp_path):
      "failed ideal (reduced basis): \n"),                         # a dropped generator
     ("dual_numbers", "nette: false", "nette: true"),
     ("unit_gf3", "trivial: true", "trivial: false"),
+    ("circle_cross", "  X * X = 1 - Y^2\n", "  X * X = 1 + Y^2\n"),     # a table entry
+    ("circle_cross", "  Y * X = 0\n", "  Y * X = X*Y\n"),              # off the basis
+    ("gf4", "  X * X = 1 + X\n", "  X * X = X\n"),
+    ("circle_cross", "basis: 1, Y, X, Y^2\n", "basis: 1, Y, X, X^2\n"),
+    ("sqrt2_sqrt3", "basis: 1, Y, X, X*Y\n", "basis: 1, X, Y, X*Y\n"),  # out of order
 ])
 def test_checker_rejects_a_corrupted_line(name, old, new):
     path = INPUTS[name]

@@ -15,6 +15,8 @@ from etalg.errors import (
 )
 from etalg.fields import GF, QQ
 from etalg.groebner import (
+    _integer_row,
+    _reduce,
     buchberger,
     contains_one,
     inverse_mod,
@@ -118,8 +120,8 @@ def test_normal_form_linear_and_idempotent():
 @pytest.mark.parametrize("order", [GREVLEX, LEX])
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_normal_form_and_basis_terms_come_in_descending_order(field, order):
-    """The kernel builds each remainder largest term first; ``buchberger`` reads
-    a new element's leading monomial as the first key of its row."""
+    """The kernel builds each remainder largest term first, so the first term of
+    a generator is its leading monomial."""
     rng = random.Random(281 + field.characteristic())
     variables = ("X", "Y", "Z")
     checked = 0
@@ -138,6 +140,31 @@ def test_normal_form_and_basis_terms_come_in_descending_order(field, order):
             assert keys == sorted(keys, reverse=True)
         assert [next(iter(g.terms)) for g in gb.generators] == list(gb.lms)
         checked += len(remainder.terms) > 2
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_kernel_rows_round_trip_and_reduce_reports_the_leading_monomial(field, order, track):
+    """The basis keeps each generator as the row it would convert back to, and
+    ``_reduce`` returns its remainder's largest monomial, None for zero."""
+    p = field.characteristic()
+    denominator = 1 if p else 5
+    rng = random.Random(307 + p + 2 * track + (order == LEX))
+    variables = ("X", "Y", "Z")
+    for _ in range(12):
+        gens = [random_mpoly(rng, field, variables, max_degree=2, terms=4, denominator=denominator)
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero] or [MultiPoly.zero(field, variables)]
+        gb = buchberger(gens, order, track=track)
+        assert gb._rows == tuple((_integer_row(g.terms, field)[0],) for g in gb.generators)
+        f = random_mpoly(rng, field, variables, max_degree=4, terms=8, denominator=denominator)
+        multiple = f * gens[0]
+        for h, zero in ((f, False), (multiple, True)):
+            rows = [_integer_row(h.terms, field)[0]]
+            lm = _reduce(rows, gb._rows, gb.lms, order, field)[1]
+            assert lm == (max(rows[0], key=order.key) if rows[0] else None)
+            assert zero <= (lm is None)
 
 
 def test_contains_one():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -21,7 +22,7 @@ from etalg.kaehler import (
 from etalg.multipoly import MultiPoly
 from etalg.parsing import parse_input
 from etalg.unipoly import UniPoly, is_separable
-from util import mpoly, random_mpoly, random_monic
+from util import mpoly, perm_sign, random_mpoly, random_monic
 
 V = ("X", "Y")
 
@@ -184,19 +185,67 @@ def test_monogenic_bridge_nette_iff_separable():
 def test_decide_all_expands_det_ja_once_on_the_tower(monkeypatch):
     # s = n = 3: all four flags adjoin the one 3 x 3 minor, det(Ja)
     P = parse_input("field Q\nvars X, Y, Z\nrelations:\n  X^3 - 2\n  Y^2 - X - 1\n  Z^2 - Y - 3\n")
-    original = kaehler.det_poly_matrix
-    top = []
+    original = kaehler.minors
+    calls = []
 
-    def counting(rows, ring_zero):
-        top.append(len(rows) == 3)
-        return original(rows, ring_zero)
+    def counting(matrix, k, ring_zero):
+        calls.append(k)
+        return original(matrix, k, ring_zero)
 
-    monkeypatch.setattr(kaehler, "det_poly_matrix", counting)
+    monkeypatch.setattr(kaehler, "minors", counting)
     decisions = decide_all(P, certificates=True)
     assert all(d.value for d in decisions.values())
     assert decisions["standard_etale"].certificate[0] == decisions["nette"].basis.original[-1]
-    assert sum(top) == 1
+    assert calls == [3]
     monkeypatch.setattr(kaehler, "buchberger", None)  # an unknown flag fails before any run
     with pytest.raises(ValueError, match="unknown flag 'etale'"):
         decide_all(P, flags=("nette", "etale", "smooth"))
-    assert sum(top) == 1
+    assert calls == [3]
+
+
+def brute_minor(matrix, rows, cols, one):
+    """The determinant of a submatrix as a sum over permutations (1 when empty)."""
+    total = one - one
+    for perm in permutations(range(len(rows))):
+        term = one
+        for i, j in zip(rows, perm):
+            term = term * matrix[i][cols[j]]
+        total = total + term if perm_sign(perm) > 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
+def test_minors_match_the_permutation_sum(field):
+    rng = random.Random(97)
+    names = ("X", "Y")
+    one = MultiPoly.one(field, names)
+    shapes = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+    for nrows, ncols in shapes:
+        matrix = [[random_mpoly(rng, field, names, max_degree=2, terms=rng.randint(0, 3))
+                   for _ in range(ncols)] for _ in range(nrows)]
+        for k in range(min(nrows, ncols) + 1):
+            found = kaehler.minors(matrix, k, MultiPoly.zero(field, names))
+            expected = [(r, c) for r in combinations(range(nrows), k)
+                        for c in combinations(range(ncols), k)]
+            assert [(r, c) for r, c, _ in found] == expected
+            for rows, cols, m in found:
+                assert m == brute_minor(matrix, rows, cols, one), (nrows, ncols, rows, cols)
+
+
+def test_minors_expand_each_sub_minor_once(monkeypatch):
+    # an 8 x 8 determinant with no zero entry: at most 8 * 2^7 products, where
+    # a cofactor expansion that copies sub-matrices makes about 8! of them
+    rng = random.Random(101)
+    names = ("X",)
+    matrix = [[MultiPoly(QQ, names, {(rng.randint(0, 2),): QQ.from_int(rng.randint(1, 9))})
+               for _ in range(8)] for _ in range(8)]
+    products = []
+    original = MultiPoly.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    [(_, _, det)] = kaehler.minors(matrix, 8, MultiPoly.zero(QQ, names))
+    assert 0 < len(products) <= 8 * 2 ** 7 and not det.is_zero
