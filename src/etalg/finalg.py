@@ -32,7 +32,10 @@ construction check, whose failures raise InternalContradiction:
   checked map, so every product b_i * b_j of the basis embeds back and the
   table is the parent's product restricted to a subspace closed under it;
   with the unit law and the parent's own check this proves it commutative
-  and associative, and as a ``_DerivedAlgebra`` it skips the sweep.
+  and associative, and as a ``_DerivedAlgebra`` it skips the sweep.  The
+  split forms each e * e_i once, for the spans of both factors, and each
+  table entry is read at the pivots once, as a _Vector whose support the
+  embed-back check reuses; the table enters as it is built.
 * A ``border`` (``groebner.quotient_algebra``, and ``monogenic_from_poly``,
   which hands K[X]/<f> the one-variable border of <f>): columns[k][l] holds
   x_k * e_l as (index, scalar) pairs, the columns of the multiplication
@@ -454,19 +457,23 @@ class _IdealFactor(_DerivedAlgebra):
 
     ``basis`` holds that basis as _Vectors and ``pivots`` the pivot of each;
     the table, the generators u*g and the unit come through ``coordinates``.
+    Each table entry is read at the pivots once, as a _Vector whose support
+    the embed-back check reuses, and the table enters the base constructor as
+    it is built (``_shared_vectors``).
     """
 
     __slots__ = ("basis", "pivots")
 
-    def __init__(self, A, unit, labels_prefix):
+    def __init__(self, A, unit, rows, labels_prefix):
+        """u*A from ``rows``, the products u * e_i for every basis element e_i of A."""
         K = self.field = A.field  # before the base constructor: ``coordinates`` reads it
-        unit = _vector(unit)
-        reduced, pivots = linalg.rref([A._times_basis(unit, i) for i in range(A.dimension)], K)
+        reduced, pivots = linalg.rref(rows, K)
         basis = self.basis = tuple(_vector(row) for row in reduced[: len(pivots)])
         self.pivots = tuple(pivots)
+        pairs = {}  # one for the whole table, as ``FiniteAlgebra._shared_vectors`` keeps
 
         def inside(w, what):
-            coords = self.coordinates(w)
+            coords = self.coordinates(w, pairs)
             if coords is None:
                 raise InternalContradiction(f"{what} leaves the ideal")
             return coords
@@ -481,25 +488,39 @@ class _IdealFactor(_DerivedAlgebra):
         super().__init__(K, [f"{labels_prefix}{k + 1}" for k in range(dim)], table,
                          inside(unit, "the unit u"), generator_refs=refs)
 
+    def _shared_vectors(self, table):
+        """The table as ``__init__`` built it: d x d, its entries reduced, shared _Vectors."""
+        return tuple(map(tuple, table))
+
     def embed(self, v):
         """The factor element v in the parent's coordinates: one combination of the basis."""
         basis = self.basis
         return _combine(self.field, len(basis[0]), ((c, basis[i].support) for i, c in _support(v)))
 
-    def coordinates(self, w):
-        """The parent element w on the basis, read at the pivots; None unless it embeds back."""
-        coords = tuple(w[p] for p in self.pivots)
+    def coordinates(self, w, pairs=None):
+        """The reduced parent element w on the basis as a _Vector, read at the pivots once;
+        None unless it embeds back.  ``pairs`` shares its support's pairs as in ``_vector``."""
+        coords = _vector(tuple(w[p] for p in self.pivots), pairs)
         return coords if self.embed(coords) == w else None
 
 
 def split_by_idempotent(e, A: FiniteAlgebra) -> AlgebraSplit:
-    """Split A as (1-e)*A x e*A along an idempotent e distinct from 0 and 1."""
+    """Split A as (1-e)*A x e*A along an idempotent e distinct from 0 and 1.
+
+    Each e*e_i is formed once: the e*e_i span e*A, and the e_i - e*e_i span (1-e)*A.
+    """
     A._check_element(e)
     if A.mul(e, e) != e:
         raise NotIdempotent("e^2 != e")
     if A.is_zero_element(e) or e == A.unit:
         raise TrivialIdempotent("e must differ from 0 and 1")
-    split = AlgebraSplit(_IdealFactor(A, A.sub(A.unit, e), "u"), _IdealFactor(A, e, "v"))
+    K, e = A.field, _vector(e)
+    one, zero = K.one(), K.zero()
+    second = [A._times_basis(e, i) for i in range(A.dimension)]
+    first = [K.reduce_all([(one if k == i else zero) - a for k, a in enumerate(row)])
+             for i, row in enumerate(second)]
+    split = AlgebraSplit(_IdealFactor(A, A.sub(A.unit, e), first, "u"),
+                         _IdealFactor(A, e, second, "v"))
     if split.first.dimension + split.second.dimension != A.dimension:
         raise InternalContradiction("split dimensions do not add up")
     return split
@@ -539,7 +560,7 @@ def _restricted_images(factor: _IdealFactor, images):
         coords = factor.coordinates(_combine(K, m, ((c, images[i].support) for i, c in b.support)))
         if coords is None:
             raise InternalContradiction("a Frobenius image leaves its split factor")
-        restricted.append(_vector(coords))
+        restricted.append(coords)
     return restricted
 
 

@@ -28,10 +28,16 @@ Route 1 returns a single factor: the first generator or basis element whose
 minimal polynomial has full degree, else a primitive element, which an
 infinite base field guarantees among deterministic scalar combinations of
 the generators.  Over GF(p) that bounded search can run out of candidates;
-route 2 then splits along idempotents read off the fixed space of the
-p-power (Frobenius) operator until every leaf is a field, and each field
-leaf is generated by a single element by finite-field theory.  That
-operator F is one GF(p)-linear map, built once at the root (along the
+it cannot succeed at all when every generator's minimal polynomial divides
+T^p - T and dim A > p: F(x) = x^p then fixes the generators, so F is the
+identity on A and every minimal polynomial has degree at most p.  That test
+(``_fixed_by_frobenius``) reads the generators' minimal polynomials, which
+the generator candidates have just taken; when it holds the basis elements
+and the combinations are not scanned, and the note is the one the scan
+would end with.  Route 2 then splits along idempotents read off the fixed
+space of the p-power (Frobenius) operator until every leaf is a field, and
+each field leaf is generated by a single element by finite-field theory.
+That operator F is one GF(p)-linear map, built once at the root (along the
 border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
 split factor u*A restricts its parent's map, and no factor powers its own
 basis.  Factors of dimension 1 are leaves without a split, and a factor's
@@ -86,7 +92,8 @@ def _generators(A: FiniteAlgebra):
 
 
 def _candidates(A: FiniteAlgebra):
-    """Generators, then basis elements: the scan order of decomposition and witness search."""
+    """Generators, then basis elements: the scan order of the witness search and, unless
+    ``_fixed_by_frobenius`` stops it after the generators, of the decomposition."""
     return [*A.generator_refs.values(), *_basis(A)]
 
 
@@ -106,23 +113,47 @@ def _combinations(A: FiniteAlgebra):
                 yield _combine(K, A.dimension, [(scalars[i], s) for i, s in zip(indices, supports)])
 
 
-def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET):
+def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET, *,
+                      generator_polys=None):
     """Search b = sum lambda_i * gen_i with minimal polynomial of full degree.
 
     Holds on any finite algebra, reduced or not: a minimal polynomial g of
     degree dim A makes A = K[b] = K[T]/<g>, so the answer proves itself.
     ``_first_full_degree``, the one scan loop, reads at most ``budget``
     combinations; SearchExhausted is raised when they are spent, or when a
-    finite field runs out of tuples first.
+    finite field runs out of tuples first.  Over GF(p) no scan runs when
+    ``_fixed_by_frobenius`` holds, as none can succeed, and the note is the
+    one the scan would end with: the budget's when p^r > budget, else the
+    count's.  ``generator_polys``, the minimal polynomials of the generators
+    in order, spares computing them again where a caller has them.
     """
-    scan = _combinations(A)
-    found = _first_full_degree(A, islice(scan, budget))
-    if found is None and next(scan, None) is not None:
+    K, gens = A.field, _generators(A)
+    polys = map(A.minimal_polynomial, gens) if generator_polys is None else generator_polys
+    if not _fixed_by_frobenius(A, polys):
+        found = _first_full_degree(A, islice(_combinations(A), budget))
+        if found is not None:
+            return found
+    if not isinstance(K, PrimeField) or K.modulus ** len(gens) > budget:
         raise SearchExhausted(f"primitive-element budget of {budget} exhausted")
-    if found is None:  # over GF(p), after all p^r combinations
-        tried = A.field.modulus ** len(_generators(A))
-        raise SearchExhausted(f"no primitive element among the {tried} candidate combinations")
-    return found
+    # over GF(p), after all p^r combinations
+    raise SearchExhausted(f"no primitive element among the {K.modulus ** len(gens)} "
+                          "candidate combinations")
+
+
+def _fixed_by_frobenius(A: FiniteAlgebra, generator_polys):
+    """Whether A is over GF(p), dim A > p, and each of ``generator_polys`` divides T^p - T.
+
+    Those are the minimal polynomials of A's generators, so then F(x) = x^p
+    fixes every generator, and F, a ring map, is the identity on A: every
+    element's minimal polynomial divides T^p - T, of degree at most p < dim A,
+    and A has no primitive element.  The polynomials are read only past the
+    first two tests, and only until one fails.
+    """
+    K = A.field
+    if not isinstance(K, PrimeField) or A.dimension <= K.modulus:
+        return False
+    p, T, one = K.modulus, UniPoly.variable(K), UniPoly.one(K)
+    return all(power(T, p, lambda x, y: x * y % g, one) == T % g for g in generator_polys)
 
 
 def frobenius_split(A: FiniteAlgebra):
@@ -212,10 +243,15 @@ class DecompositionCertificate:
     notes: tuple
 
 
-def _first_full_degree(A: FiniteAlgebra, candidates):
-    """(element, minimal polynomial) of the first candidate that generates A, or None."""
+def _first_full_degree(A: FiniteAlgebra, candidates, polys=None):
+    """(element, minimal polynomial) of the first candidate that generates A, or None.
+
+    ``polys``, a list when given, collects each minimal polynomial taken.
+    """
     for vec in candidates:
         g = A.minimal_polynomial(vec)
+        if polys is not None:
+            polys.append(g)
         if g.degree == A.dimension:
             return vec, g
     return None
@@ -265,10 +301,13 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
     Raises NotEtale on zero discriminant, the one etale check of the
     decomposition.  Route 1 gives a single factor: the first generator or
     basis element of full degree, else a primitive element from the bounded
-    search.  Route 2 runs over GF(p) only, when that search is exhausted: it
-    splits along Frobenius idempotents into field leaves, each generated by
-    one element that a scan of at most ``primitive_budget`` elements per leaf
-    finds.  Over Q an exhausted search propagates.
+    search; over GF(p) both the basis elements and the search are skipped
+    when the generators' minimal polynomials rule a primitive element out
+    (``_fixed_by_frobenius``).  Route 2 runs over GF(p) only, when that
+    search is exhausted: it splits along Frobenius idempotents into field
+    leaves, each generated by one element that a scan of at most
+    ``primitive_budget`` elements per leaf finds.  Over Q an exhausted
+    search propagates.
 
     No generator can need a non-separable split (see the module docstring);
     the certificate checks at the end of ``_decompose`` still verify every
@@ -282,9 +321,12 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
 def _decompose(A: FiniteAlgebra, primitive_budget):
     """decompose_etale on an algebra whose discriminant the caller found nonzero."""
     notes = []
-    found = _first_full_degree(A, _candidates(A))
+    polys = []  # the generators' minimal polynomials, for ``_fixed_by_frobenius``
+    found = _first_full_degree(A, _generators(A), polys)
+    if found is None and A.generator_refs and not _fixed_by_frobenius(A, polys):
+        found = _first_full_degree(A, _basis(A))
     try:
-        vec, g = found or primitive_element(A, budget=primitive_budget)
+        vec, g = found or primitive_element(A, primitive_budget, generator_polys=polys)
         factors = [DecompositionFactor(g, vec, A.unit, ())]
     except SearchExhausted as exc:
         if not isinstance(A.field, PrimeField):

@@ -138,8 +138,8 @@ def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys, tmp_path):
     # GF(3)^9 has no primitive element, so classify splits along Frobenius idempotents
     original = etalg.finalg._IdealFactor
 
-    def one_short(A, unit, labels_prefix):
-        sub = original(A, unit, labels_prefix)
+    def one_short(A, unit, rows, labels_prefix):
+        sub = original(A, unit, rows, labels_prefix)
         if sub.dimension == 1:
             return sub
         return etalg.finalg.monogenic_from_poly(UniPoly.variable(A.field) ** (sub.dimension - 1))

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import etalg.pipeline
-from etalg import groebner, kaehler
+from etalg import groebner, kaehler, linalg
 from etalg.cli import SUBCOMMAND_SECTIONS
 from etalg.errors import InternalContradiction, NotEtale, NotInvertible, SearchExhausted
 from etalg.fields import GF, QQ
-from etalg.finalg import (FiniteAlgebra, _frobenius_images, _restricted_images, eval_in_algebra,
-                          monogenic_from_poly, product, split_by_idempotent)
+from etalg.finalg import (FiniteAlgebra, _frobenius_images, _restricted_images, _Vector,
+                          eval_in_algebra, monogenic_from_poly, product, split_by_idempotent)
 from etalg.groebner import buchberger, quotient_algebra
 from etalg.kaehler import FLAGS, AlgebraPresentation, decide_all, relation_basis
 from etalg.multipoly import GREVLEX, LEX, MultiPoly
@@ -310,13 +310,17 @@ def test_primitive_element_budget():
     (4, "no primitive element among the 4 candidate combinations"),
     (5, "no primitive element among the 4 candidate combinations"),
 ])
-def test_primitive_scan_boundaries(monkeypatch, budget, note):
+def test_primitive_scan_boundaries(monkeypatch, capsys, budget, note):
     # GF(2)^4 has 2^2 combinations of X and Y, none primitive: a budget below 4 is spent
-    # first, and from 4 on the field runs out of tuples; each candidate takes one
-    # minimal polynomial
+    # first, and from 4 on the field runs out of tuples.  X^2 = X and Y^2 = Y with
+    # dim 4 > 2, so no combination is scanned: the generators' two minimal polynomials
+    # decide it, and the note is the one the scan ends with
+    path = os.path.join(os.path.dirname(__file__), "..", "samples", "four_points_gf2.alg")
     text = read_input("..", "samples", "four_points_gf2.alg")
     report = classify(parse_input(text), primitive_budget=budget)
     assert report.notes[0].startswith(f"primitive-element search over GF(2): {note}; ")
+    assert etalg.cli.main(["classify", path, "--budget-primitive", str(budget)]) == 0
+    assert f"  - primitive-element search over GF(2): {note}; " in capsys.readouterr().out
     A = quotient_algebra(relation_basis(parse_input(text)))
     original = FiniteAlgebra.minimal_polynomial
     seen = []
@@ -328,7 +332,72 @@ def test_primitive_scan_boundaries(monkeypatch, budget, note):
     monkeypatch.setattr(FiniteAlgebra, "minimal_polynomial", counting)
     with pytest.raises(SearchExhausted, match=f"^{note}$"):
         primitive_element(A, budget=budget)
+    assert seen == [(0, 0, 1, 0), (0, 1, 0, 0)]  # X, Y
+    # the scan itself, with the rule off, ends with the same note after min(budget, 4)
+    # candidates, each taking one minimal polynomial
+    seen.clear()
+    monkeypatch.setattr(etalg.pipeline, "_fixed_by_frobenius", lambda A, polys: False)
+    with pytest.raises(SearchExhausted, match=f"^{note}$"):
+        primitive_element(A, budget=budget)
     assert seen == [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)][:budget]  # 0, Y, X, X + Y
+
+
+def grid_text(p, S, T):
+    """The split grid prod_{c in S} (X - c), prod_{d in T} (Y - d) over GF(p)."""
+    def product_of(name, roots):
+        return " * ".join(f"({name} + {-c % p})" for c in roots)
+    return f"field GF({p})\nvars X, Y\nrelations:\n  {product_of('X', S)}\n  {product_of('Y', T)}\n"
+
+
+def grid_cases():
+    rng = random.Random(30)
+    for p in (2, 3, 5):
+        for a, b in iter_product(range(1, p + 1), repeat=2):
+            yield p, sorted(rng.sample(range(p), a)), sorted(rng.sample(range(p), b))
+
+
+UNIVARIATE_CASES = [
+    "field GF(2)\nvars X\nrelations:\n  X^2 + X\n",
+    "field GF(3)\nvars X\nrelations:\n  (X^2 + 1) * (X - 1)\n",
+    "field GF(5)\nvars X\nrelations:\n  X^5 - X\n",
+    "field GF(5)\nvars X\nrelations:\n  (X^2 + 2) * (X^3 + X + 1)\n",
+]
+
+
+# three points of the GF(3)-plane: X and Y are fixed by x -> x^3, neither generates, and
+# dim = p = 3, so the rule must not fire; the scan finds the primitive element X + 2*Y
+THREE_POINTS_GF3 = "field GF(3)\nvars X, Y\nrelations:\n  X^2 - X\n  Y^2 - Y\n  X*Y\n"
+
+
+def test_the_frobenius_rule_changes_no_report(monkeypatch, capsys, tmp_path):
+    # the rule fires exactly when the grid has |S| * |T| > p points, and skipping the scan
+    # it proves futile leaves the classify and decompose --certificates reports unchanged
+    cases = [(grid_text(p, S, T), len(S) * len(T) > p) for p, S, T in grid_cases()]
+    cases += [(text, False) for text in UNIVARIATE_CASES + [THREE_POINTS_GF3]]
+    original = etalg.pipeline._fixed_by_frobenius
+    fired = []
+
+    def recording(A, polys):
+        answer = original(A, polys)
+        fired.append(answer)
+        return answer
+
+    path = tmp_path / "case.alg"
+    for text, fires in cases:
+        path.write_text(text)
+        reports = {}
+        for rule in ("on", "off"):
+            fired.clear()
+            monkeypatch.setattr(etalg.pipeline, "_fixed_by_frobenius",
+                                recording if rule == "on" else lambda A, polys: False)
+            for argv in (["classify"], ["decompose", "--certificates"]):
+                assert etalg.cli.main([argv[0], str(path), *argv[1:]]) == 0, text
+                reports[rule, argv[0]] = capsys.readouterr().out
+            if rule == "on":
+                assert any(fired) == fires, text
+        assert reports["on", "classify"] == reports["off", "classify"], text
+        assert reports["on", "decompose"] == reports["off", "decompose"], text
+    assert sum(fires for _, fires in cases) == 1 + 4 + 15  # of the 4, 9 and 25 grids
 
 
 # ------------------------------------------------------------------ frobenius splitting
@@ -450,6 +519,77 @@ def test_restricted_frobenius_matches_powering_on_every_node():
         borders += A.border is not None
         walk(A, _frobenius_images(A))
     assert borders == 18 and nodes > 100
+
+
+def reference_factor(A, u):
+    """u*A built directly: u times each basis element of A, echelon form, then each
+    product read at the pivots and checked by embedding it back."""
+    K = A.field
+    rows, pivots = linalg.rref([A.mul(u, A.basis_element(i)) for i in range(A.dimension)], K)
+    basis = [tuple(row) for row in rows[: len(pivots)]]
+
+    def coordinates(w):
+        coords = tuple(w[p] for p in pivots)
+        back = [K.zero()] * A.dimension
+        for c, b in zip(coords, basis):
+            back = [K.reduce(x + c * y) for x, y in zip(back, b)]
+        assert tuple(back) == w
+        return coords
+
+    table = tuple(tuple(coordinates(A.mul(b, c)) for c in basis) for b in basis)
+    refs = {name: coordinates(A.mul(u, g)) for name, g in A.generator_refs.items()}
+    return basis, table, coordinates(u), refs
+
+
+def test_split_factors_match_the_reference_construction():
+    # on random GF(p) algebras, every split along a Frobenius idempotent gives the bases,
+    # tables, units and generators of the reference, and each table entry carries its support
+    rng = random.Random(30)
+    splits = 0
+
+    def walk(A, images):
+        nonlocal splits
+        e = etalg.pipeline._fixed_space_idempotent(A, images)
+        if e is None:
+            return
+        split = split_by_idempotent(e, A)
+        splits += 1
+        for factor, u in ((split.first, A.sub(A.unit, e)), (split.second, e)):
+            basis, table, unit, refs = reference_factor(A, u)
+            assert factor.basis == tuple(basis)
+            assert factor.table == table
+            assert factor.unit == unit and factor.generator_refs == refs
+            for v in (v for row in factor.table for v in row):
+                assert v.support == tuple((k, a) for k, a in enumerate(v) if a)
+            walk(factor, _restricted_images(factor, images))
+
+    for A in frobenius_oracle_algebras(rng):
+        walk(A, _frobenius_images(A))
+    assert splits > 50
+
+
+def test_a_corrupted_parent_product_does_not_close_the_split(monkeypatch):
+    # a parent product that leaves (1-e)*A by e is caught as the table is read back
+    rng = random.Random(31)
+    splits = [(A, etalg.pipeline._fixed_space_idempotent(A, _frobenius_images(A)))
+              for A in frobenius_oracle_algebras(rng)]
+    splits = [(A, e) for A, e in splits if e is not None]
+    assert len(splits) >= 10
+    original = FiniteAlgebra.mul
+    for A, e in splits:
+        assert split_by_idempotent(e, A)
+
+        def corrupted(self, x, y):
+            product = original(self, x, y)
+            # only products of two basis vectors of a factor are hit
+            if self is A and type(x) is type(y) is _Vector:
+                return self.add(product, e)
+            return product
+
+        monkeypatch.setattr(FiniteAlgebra, "mul", corrupted)
+        with pytest.raises(InternalContradiction, match="split basis not closed: b_0 \\* b_0"):
+            split_by_idempotent(e, A)
+        monkeypatch.setattr(FiniteAlgebra, "mul", original)
 
 
 def test_a_frobenius_image_outside_its_factor_raises():
@@ -856,7 +996,7 @@ def read_input(*parts):
 @pytest.mark.parametrize("text,calls", [
     (read_input("golden", "inputs", "gf4_squared.alg"), 15),
     (read_input("golden", "inputs", "gf64_leaf.alg"), 31),
-    (GF5_SQUARED_GRID, 101),
+    (GF5_SQUARED_GRID, 51),
 ], ids=["gf4_squared", "gf64_leaf", "gf5_grid"])
 def test_frobenius_split_reuses_the_minimal_polynomial_of_its_fixed_element(monkeypatch, text,
                                                                            calls):
