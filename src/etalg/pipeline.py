@@ -92,8 +92,7 @@ def _generators(A: FiniteAlgebra):
 
 
 def _candidates(A: FiniteAlgebra):
-    """Generators, then basis elements: the scan order of the witness search and, unless
-    ``_fixed_by_frobenius`` stops it after the generators, of the decomposition."""
+    """Generators, then basis elements: the scan order of the witness search."""
     return [*A.generator_refs.values(), *_basis(A)]
 
 
@@ -113,8 +112,7 @@ def _combinations(A: FiniteAlgebra):
                 yield _combine(K, A.dimension, [(scalars[i], s) for i, s in zip(indices, supports)])
 
 
-def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET, *,
-                      generator_polys=None):
+def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET):
     """Search b = sum lambda_i * gen_i with minimal polynomial of full degree.
 
     Holds on any finite algebra, reduced or not: a minimal polynomial g of
@@ -124,19 +122,23 @@ def primitive_element(A: FiniteAlgebra, budget=DEFAULT_PRIMITIVE_BUDGET, *,
     finite field runs out of tuples first.  Over GF(p) no scan runs when
     ``_fixed_by_frobenius`` holds, as none can succeed, and the note is the
     one the scan would end with: the budget's when p^r > budget, else the
-    count's.  ``generator_polys``, the minimal polynomials of the generators
-    in order, spares computing them again where a caller has them.
+    count's.
     """
-    K, gens = A.field, _generators(A)
-    polys = map(A.minimal_polynomial, gens) if generator_polys is None else generator_polys
-    if not _fixed_by_frobenius(A, polys):
+    fixed = _fixed_by_frobenius(A, map(A.minimal_polynomial, _generators(A)))
+    return _primitive_search(A, budget, fixed)
+
+
+def _primitive_search(A: FiniteAlgebra, budget, fixed):
+    """``primitive_element`` once ``fixed``, the value of ``_fixed_by_frobenius``, is known."""
+    K, r = A.field, len(_generators(A))
+    if not fixed:
         found = _first_full_degree(A, islice(_combinations(A), budget))
         if found is not None:
             return found
-    if not isinstance(K, PrimeField) or K.modulus ** len(gens) > budget:
+    if not isinstance(K, PrimeField) or K.modulus ** r > budget:
         raise SearchExhausted(f"primitive-element budget of {budget} exhausted")
     # over GF(p), after all p^r combinations
-    raise SearchExhausted(f"no primitive element among the {K.modulus ** len(gens)} "
+    raise SearchExhausted(f"no primitive element among the {K.modulus ** r} "
                           "candidate combinations")
 
 
@@ -323,10 +325,11 @@ def _decompose(A: FiniteAlgebra, primitive_budget):
     notes = []
     polys = []  # the generators' minimal polynomials, for ``_fixed_by_frobenius``
     found = _first_full_degree(A, _generators(A), polys)
-    if found is None and A.generator_refs and not _fixed_by_frobenius(A, polys):
+    fixed = found is None and _fixed_by_frobenius(A, polys)
+    if found is None and A.generator_refs and not fixed:
         found = _first_full_degree(A, _basis(A))
     try:
-        vec, g = found or primitive_element(A, primitive_budget, generator_polys=polys)
+        vec, g = found or _primitive_search(A, primitive_budget, fixed)
         factors = [DecompositionFactor(g, vec, A.unit, ())]
     except SearchExhausted as exc:
         if not isinstance(A.field, PrimeField):
