@@ -85,21 +85,6 @@ class DimensionMismatch(EtalgError):
     """Element coordinates do not match the algebra dimension."""
 
 
-class RepeatedZeroRoot(EtalgError):
-    """Minimal polynomial divisible by T^2: non-reduced situation.
-
-    Carries a nonzero nilpotent ``witness`` (coordinate tuple).
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NotInvertible(EtalgError):
-    """Element with vanishing minimal-polynomial constant term."""
-
-
 class NotIdempotent(EtalgError):
     """split_by_idempotent called on e with e^2 != e."""
 

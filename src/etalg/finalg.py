@@ -10,8 +10,9 @@ accumulation loop behind sums, scalar multiples, products, Horner steps and
 Krylov rows, walks supports, so it skips zero coordinates.  It accumulates
 with native + and * and reduces each output coordinate once, at the end, by
 the field's ``reduce_all``, so its results are elements like any other.
-Traces are native sums, reduced once.  Equal products share one vector, so
-the trace-form Gram matrix takes one trace per distinct vector.
+Traces are native sums over the Tr(e_k) that the table's rows give, each
+reduced once.  Equal products share one vector, so the trace-form Gram
+matrix takes one trace per distinct vector.
 
 An algebra comes from one of three inputs, reduced once as they enter (an
 unreduced GF(p) integer stands for its residue), each with its own
@@ -52,7 +53,8 @@ construction check, whose failures raise InternalContradiction:
 
 Minimal polynomials come from one echelon form over the powers 1, a, a^2,
 ..., extended power by power (Krylov), whose row updates go through
-``_combine`` as well.
+``_combine`` as well.  The Frobenius split reads the idempotent of <a - c>
+off the minimal polynomial of a by one formula (``_idempotent``).
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
-from operator import mul
 
 from . import fields, linalg
 from .errors import (
@@ -68,9 +69,7 @@ from .errors import (
     FieldMismatch,
     InternalContradiction,
     NotIdempotent,
-    NotInvertible,
     NotMonic,
-    RepeatedZeroRoot,
     TrivialIdempotent,
     ZeroOperand,
 )
@@ -283,19 +282,6 @@ class FiniteAlgebra:
         return not any(x)
 
     # -- trace form --------------------------------------------------------
-    def mul_operator(self, a):
-        """Matrix of b -> a*b in the basis; entry (i, j) is (a*e_j)_i."""
-        self._check_element(a)
-        a = _vector(a)  # its support, once for all the columns
-        cols = [self._times_basis(a, j) for j in range(self.dimension)]
-        return [[cols[j][i] for j in range(self.dimension)] for i in range(self.dimension)]
-
-    def trace(self, a):
-        """Trace of b -> a*b: the sum of a_k * Tr(e_k), with the Tr(e_k) read off the table."""
-        self._check_element(a)
-        K = self.field
-        return K.reduce(sum(map(mul, a, self._basis_traces()), K.zero()))
-
     def gram_matrix(self):
         """Trace-form Gram table G[i][j] = Tr(e_i * e_j), the trace of table[i][j].
 
@@ -358,53 +344,16 @@ class FiniteAlgebra:
             power = _vector(self.mul(power, a))
         raise InternalContradiction(f"minimal_polynomial: 1, a, ..., a^{m} are independent")
 
-    def idempotent_of(self, a, return_witness=False):
-        """The unique idempotent e in K[a] with <a> = <e>: 1 - h(a)/h(0) by ``_idempotent`` at c = 0.
-
-        Defined when the minimal polynomial g of a has at most a simple root
-        at 0.  A repeated zero root means a generates a non-reduced
-        situation; RepeatedZeroRoot then carries the nilpotent witness
-        (g/T)(a) = a^(k-1) * h(a) for g = T^k * h.
-        """
-        self._check_element(a)
-        K = self.field
-        g = self.minimal_polynomial(a)
-        if not g.coeff(0) and not g.coeff(1):
-            raise RepeatedZeroRoot(f"minimal polynomial {g.format()} is divisible by T^2",
-                                   witness=eval_in_algebra(UniPoly(K, g.coeffs[1:]), a, self))
-        e, h = self._idempotent(a, g, K.zero())
-        # q = (h - h(0)) / T, so that e = a * (-q(a)/h(0)) witnesses e in <a>.
-        w = self.scalar_mul(-K.invert(h.coeff(0)),
-                            eval_in_algebra(UniPoly(K, h.coeffs[1:]), a, self))
-        if self.mul(e, e) != e:
-            raise InternalContradiction("idempotent_of: e * e != e")
-        if self.mul(a, e) != a:
-            raise InternalContradiction("idempotent_of: a * e != a")
-        if self.mul(a, w) != e:
-            raise InternalContradiction("idempotent_of: the witness w has a * w != e")
-        if return_witness:
-            return e, w
-        return e
-
     def _idempotent(self, a, g, c):
         """(e, h) with e = 1 - h(a)/h(c), for h = g/(T - c), or h = g when c is no root of g.
 
         For g the minimal polynomial of a and c at most a simple root of g, e
-        is idempotent_of(a - c), as a - c has minimal polynomial g(T + c).
+        generates <a - c>: e^2 = e, (a - c) * e = a - c, and (a - c) + (1 - e)
+        is a unit; at a root c, K[a] = K[T]/<T - c> x K[T]/<h> puts e at (0, 1).
         """
         K = self.field
         h = g if g(c) else g // UniPoly(K, [K.reduce(-c), K.one()])
         return self.sub(self.unit, self.scalar_mul(K.invert(h(c)), eval_in_algebra(h, a, self))), h
-
-    def inverse_in_subalgebra(self, a):
-        """a^(-1) inside K[a]: for invertible a, idempotent_of(a) is 1 and its witness is a^(-1)."""
-        try:
-            e, w = self.idempotent_of(a, return_witness=True)
-        except RepeatedZeroRoot as exc:
-            raise NotInvertible("minimal polynomial has zero constant term") from exc
-        if e != self.unit:
-            raise NotInvertible("minimal polynomial has zero constant term")
-        return w
 
     # -- display -----------------------------------------------------------
     def format_table(self):

@@ -23,6 +23,8 @@ def _echelon(rows, K):
     """
     m = [list(K.reduce_all(r)) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise DimensionMismatch("matrix rows differ in length")
     pivots, swaps, r = [], 0, 0
     for col in range(ncols):
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
@@ -64,6 +66,8 @@ def rank(rows, K) -> int:
 
 def det(rows, K):
     """Determinant of a square matrix; det of the 0x0 matrix is 1."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatch(f"det of a matrix that is not square ({len(rows)} rows)")
     m, pivots, swaps = _echelon(rows, K)
     if len(pivots) < len(m):
         return K.zero()

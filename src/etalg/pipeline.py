@@ -44,9 +44,9 @@ basis.  Factors of dimension 1 are leaves without a split, and a factor's
 element reaches the root by one embedding per split level.  A split takes
 the minimal polynomial g of a fixed element v, which divides T^p - T, and
 its smallest root c (at large p by equal-degree splitting), and reads the
-idempotent of <v - c> off them by the algebra's one idempotent formula, the
-one ``idempotent_of`` takes at c = 0.  Every generator search is a lazy
-stream read by one loop under its budget.
+idempotent of <v - c> off them by the algebra's one idempotent formula,
+``FiniteAlgebra._idempotent``.  Every generator search is a lazy stream read
+by one loop under its budget.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,

@@ -43,6 +43,18 @@ def test_readme_sample_report_is_the_classify_output(capsys):
     assert out == block.group(1)
 
 
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    block = re.search(r"Quick library example:\n\n```python\n(.*?)```\n", readme, re.S)
+    assert block is not None
+    code = block.group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    comments = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert comments == ["True", "T^2 - 2"]
+    assert capsys.readouterr().out == "".join(f"{c}\n" for c in comments)
+
+
 def test_classify_text(capsys):
     code, out, err = run_main(capsys, "classify", sample("circle_cross.alg"))
     assert code == 0 and err == ""

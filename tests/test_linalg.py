@@ -127,6 +127,29 @@ def test_edge_shapes(K):
     assert det([[zero] * 3 for _ in range(3)], K) == zero
 
 
+def as_matrix(K, ints):
+    return [[K.from_int(c) for c in row] for row in ints]
+
+
+@pytest.mark.parametrize("K", [QQ, F5], ids=str)
+def test_det_rejects_a_matrix_that_is_not_square(K):
+    for ints in ([[1, 2, 3]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1]] * 2):
+        with pytest.raises(DimensionMismatch, match="not square"):
+            det(as_matrix(K, ints), K)
+
+
+@pytest.mark.parametrize("K", [QQ, F5], ids=str)
+def test_ragged_rows_raise_dimension_mismatch(K):
+    # checked once, where rows enter the elimination, for every reader of it
+    for ints in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 2], [3, 4], [5]]):
+        rows = as_matrix(K, ints)
+        for op in (rank, rref, kernel_basis):
+            with pytest.raises(DimensionMismatch, match="differ in length"):
+                op(rows, K)
+        with pytest.raises(DimensionMismatch, match="differ in length"):
+            solve(rows, [K.zero()] * len(rows), K)
+
+
 @pytest.mark.parametrize("K", [QQ, F5], ids=str)
 def test_solve_consistent_and_inconsistent(K):
     rng = random.Random(89)

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import etalg.pipeline
 from etalg import groebner, kaehler, linalg
 from etalg.cli import SUBCOMMAND_SECTIONS
-from etalg.errors import InternalContradiction, NotEtale, NotInvertible, SearchExhausted
+from etalg.errors import InternalContradiction, NotEtale, SearchExhausted
 from etalg.fields import GF, QQ
 from etalg.finalg import (FiniteAlgebra, _frobenius_images, _restricted_images, _Vector,
                           eval_in_algebra, monogenic_from_poly, product, split_by_idempotent)
@@ -617,8 +617,9 @@ def shifted(g, c):
 @settings(max_examples=25)
 @given(products_of_fields())
 def test_frobenius_idempotent_is_the_idempotent_of_the_shifted_fixed_element(case):
-    # at every split node, the idempotent read off the fixed element v and the smallest root c
-    # of its minimal polynomial g is idempotent_of(v - c), and v - c has minimal polynomial g(T + c)
+    # at every split node, the idempotent e read off the fixed element v and the smallest root c
+    # of its minimal polynomial g generates <v - c>: e^2 = e, (v - c) * e = v - c, and
+    # (v - c) + (1 - e) is a unit; and v - c has minimal polynomial g(T + c)
     A, _ = case
     seen = []
     original = FiniteAlgebra._idempotent
@@ -643,24 +644,8 @@ def test_frobenius_idempotent_is_the_idempotent_of_the_shifted_fixed_element(cas
     for B, v, g, c, e in seen:
         shift = B.sub(v, B.scalar_mul(B.field.from_int(c), B.unit))
         assert B.minimal_polynomial(shift) == shifted(g, c)
-        assert B.idempotent_of(shift) == e
-
-
-@settings(max_examples=25)
-@given(products_of_fields(), st.randoms(use_true_random=False))
-def test_inverse_in_subalgebra_is_the_witness_of_idempotent_of(case, rng):
-    # for invertible a, idempotent_of(a) is 1 and its witness is a^(-1)
-    A, _ = case
-    K = A.field
-    for _ in range(12):
-        a = tuple(K.from_int(rng.randrange(K.modulus)) for _ in range(A.dimension))
-        if not A.minimal_polynomial(a).coeff(0):
-            with pytest.raises(NotInvertible):
-                A.inverse_in_subalgebra(a)
-            continue
-        e, w = A.idempotent_of(a, return_witness=True)
-        assert e == A.unit and A.inverse_in_subalgebra(a) == w
-        assert A.mul(a, w) == A.unit
+        assert B.mul(e, e) == e and B.mul(shift, e) == shift
+        assert B.minimal_polynomial(B.add(shift, B.sub(B.unit, e))).coeff(0)
 
 
 # ------------------------------------------------------------------ nilpotent witnesses

@@ -63,6 +63,39 @@ def is_element(K, c):
     return type(c) is Fraction if K == QQ else type(c) is int and 0 <= c < K.modulus
 
 
+def reference_product(A, x, y):
+    """x * y by the triple loop over A's table, reduced after every single field operation."""
+    K, m = A.field, A.dimension
+    r = K.reduce
+    out = [K.zero()] * m
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                out[k] = r(out[k] + r(r(x[i] * y[j]) * A.table[i][j][k]))
+    return tuple(out)
+
+
+def reference_operator(A, a):
+    """The matrix of b -> a*b read off A's table: entry (r, j) is the sum of a_i * (e_i * e_j)_r."""
+    K, m = A.field, A.dimension
+    op = [[K.zero()] * m for _ in range(m)]
+    for i, c in enumerate(a):
+        if c:
+            for j, v in enumerate(A.table[i]):
+                for r in range(m):
+                    op[r][j] = K.reduce(op[r][j] + K.reduce(c * v[r]))
+    return op
+
+
+def reference_trace(A, a):
+    """Tr(a) as the diagonal sum of ``reference_operator``."""
+    K, op = A.field, reference_operator(A, a)
+    t = K.zero()
+    for i in range(A.dimension):
+        t = K.reduce(t + op[i][i])
+    return t
+
+
 def perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)
