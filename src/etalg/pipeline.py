@@ -32,21 +32,30 @@ it cannot succeed at all when every generator's minimal polynomial divides
 T^p - T and dim A > p: F(x) = x^p then fixes the generators, so F is the
 identity on A and every minimal polynomial has degree at most p.  That test
 (``_fixed_by_frobenius``) reads the generators' minimal polynomials, which
-the generator candidates have just taken; when it holds the basis elements
-and the combinations are not scanned, and the note is the one the scan
-would end with.  Route 2 then splits along idempotents read off the fixed
-space of the p-power (Frobenius) operator until every leaf is a field, and
-each field leaf is generated by a single element by finite-field theory.
-That operator F is one GF(p)-linear map, built once at the root (along the
-border steps on a quotient) and restricted below it: F(u*a) = u*F(a), so a
-split factor u*A restricts its parent's map, and no factor powers its own
-basis.  Factors of dimension 1 are leaves without a split, and a factor's
-element reaches the root by one embedding per split level.  A split takes
-the minimal polynomial g of a fixed element v, which divides T^p - T, and
-its smallest root c (at large p by equal-degree splitting), and reads the
-idempotent of <v - c> off them by the algebra's one idempotent formula,
-``FiniteAlgebra._idempotent``.  Every generator search is a lazy stream read
-by one loop under its budget.
+the generator candidates have just taken, and trusts only generators that
+generate A by construction: a quotient's variables, or the basis of a table
+that records none.  When it holds the basis elements and the combinations
+are not scanned, and the note is the one the scan would end with.
+Route 2 then splits along idempotents read off the fixed space of the
+p-power (Frobenius) operator F until every leaf is a field, and each field
+leaf is generated by a single element by finite-field theory.  A split
+takes the minimal polynomial g of a fixed element v, which divides
+T^p - T, and its smallest root c (at large p by equal-degree splitting),
+and reads the idempotent of <v - c> off them by the algebra's one
+idempotent formula, ``FiniteAlgebra._idempotent``.  Factors of dimension 1
+are leaves without a split.  Two ways walk that recursion:
+  * A split algebra, where ``_fixed_by_frobenius`` holds: F is the identity,
+    A = GF(p)^m, and its m primitive idempotents, the nonzero products of
+    the generators' Lagrange idempotents, decide every split.
+    ``_split_leaves`` replays the recursion on sets of them; one elimination
+    per node gives its basis, its v and the values of v at its points, so
+    it builds no F, no split factor and no minimal polynomial.
+  * Any other GF(p)-algebra: F is one GF(p)-linear map, built once at the
+    root (along the border steps on a quotient) and restricted below it:
+    F(u*a) = u*F(a), so a split factor u*A restricts its parent's map, and
+    no factor powers its own basis.  A factor's element reaches the root by
+    one embedding per split level.
+Every generator search is a lazy stream read by one loop under its budget.
 
 Stages and sections: ``classify`` takes the names of the report sections
 to compute and runs only the stages they read (``STAGES``): the base basis,
@@ -145,17 +154,34 @@ def _primitive_search(A: FiniteAlgebra, budget, fixed):
 def _fixed_by_frobenius(A: FiniteAlgebra, generator_polys):
     """Whether A is over GF(p), dim A > p, and each of ``generator_polys`` divides T^p - T.
 
-    Those are the minimal polynomials of A's generators, so then F(x) = x^p
-    fixes every generator, and F, a ring map, is the identity on A: every
-    element's minimal polynomial divides T^p - T, of degree at most p < dim A,
-    and A has no primitive element.  The polynomials are read only past the
-    first two tests, and only until one fails.
+    Those are the minimal polynomials of ``_generators(A)``, which must
+    generate A by construction (``_generated_by_construction``), so then
+    F(x) = x^p fixes a set of algebra generators, and F, a ring map, is the
+    identity on A: A = GF(p)^m, every element's minimal polynomial divides
+    T^p - T, of degree at most p < dim A, and A has no primitive element.
+    The polynomials are read only past the first three tests, and only until
+    one fails.
     """
     K = A.field
-    if not isinstance(K, PrimeField) or A.dimension <= K.modulus:
+    if (not isinstance(K, PrimeField) or A.dimension <= K.modulus
+            or not _generated_by_construction(A)):
         return False
     p, T, one = K.modulus, UniPoly.variable(K), UniPoly.one(K)
     return all(power(T, p, lambda x, y: x * y % g, one) == T % g for g in generator_polys)
+
+
+def _generated_by_construction(A: FiniteAlgebra):
+    """Whether ``_generators(A)`` generate A by construction: A's basis, or its border's x_k * e_0.
+
+    Recorded generators of a table are the caller's word only, so they never count.
+    """
+    if not A.generator_refs:
+        return True
+    if A.border is None:
+        return False
+    K, m = A.field, A.dimension
+    return list(A.generator_refs.values()) == [_combine(K, m, [(K.one(), column[0])])
+                                               for column in A.border[0]]
 
 
 def frobenius_split(A: FiniteAlgebra):
@@ -297,6 +323,94 @@ def _frobenius_leaves(sub: FiniteAlgebra, path, chain, budget, images):
     return leaves
 
 
+def _split_leaves(A: FiniteAlgebra, polys):
+    """``_frobenius_leaves`` of A when ``_fixed_by_frobenius`` holds, replayed with no split factor.
+
+    Then A = GF(p)^m, and its primitive idempotents eps_j fix the whole
+    recursion, which the replay walks on index sets S in the same order.  The
+    node of S is span{eps_j : j in S}, on the reduced echelon basis of that
+    span in A's coordinates: it is unique, so it is the basis the chain of
+    split factors has.  F is the identity there, so v is the first basis
+    element not proportional to the node's unit.  One elimination of
+    [eps_j | I] gives that basis and, beside each row, its values lambda_j,
+    as v = sum lambda_j(v) eps_j.  The smallest root of v's minimal
+    polynomial is c = min lambda_j(v); the idempotent of <v - c>, the sum of
+    the eps_j with lambda_j(v) != c, joins the chain, and the replay goes on
+    with lambda_j(v) = c, then with the rest.  A leaf eps_j is generated by
+    its first generator candidate: lambda_j(x_1) * eps_j for A's first
+    recorded generator x_1, or the echelon basis element when A records none.
+    ``polys`` holds the minimal polynomials of ``_generators(A)``.
+    """
+    K, m, one, zero = A.field, A.dimension, A.field.one(), A.field.zero()
+    pairs = _primitive_idempotents(A, polys)
+    if len(pairs) != m:
+        raise InternalContradiction(f"{len(pairs)} primitive idempotents in a split algebra "
+                                    f"of dimension {m}")
+    eps = [e for e, _ in pairs]
+    leaves = []
+
+    def replay(S, chain):
+        if len(S) == 1:
+            j = S[0]
+            a = pairs[j][1] if A.generator_refs else K.invert(next(x for x in eps[j] if x))
+            leaves.append(DecompositionFactor(UniPoly(K, [-a, one]), A.scalar_mul(a, eps[j]),
+                                              eps[j], chain))
+            return
+        d = len(S)
+        rows = [[*eps[j], *(one if i == k else zero for i in range(d))] for k, j in enumerate(S)]
+        reduced, pivots = linalg.rref(rows, K)
+        if len(pivots) < d or pivots[-1] >= m:
+            raise InternalContradiction("the primitive idempotents are linearly dependent")
+        unit = K.reduce_all([sum(eps[j][q] for j in S) for q in pivots])  # on the node's basis
+        values = reduced[0 if any(unit[1:]) else 1][m:]
+        c = min(values)
+        rest = [j for j, value in zip(S, values) if value != c]
+        chain += (_combine(K, m, [(one, _support(eps[j])) for j in rest]),)
+        replay([j for j, value in zip(S, values) if value == c], chain)
+        replay(rest, chain)
+
+    replay(range(m), ())
+    return leaves
+
+
+def _primitive_idempotents(A: FiniteAlgebra, polys):
+    """(eps, lambda(x_1)) for each primitive idempotent eps of A = GF(p)^m, x_1 the first generator.
+
+    An eps is a nonzero product, over the generators x_k of ``_generators(A)``,
+    of Lagrange idempotents h(x_k)/h(c), for h = g_k/(T - c) and c a root of
+    g_k, the minimal polynomial of x_k in ``polys``; c is eps's value lambda(x_k).
+    The products are formed a generator at a time, e * h(x_k)/h(c) as a
+    combination of e, e * x_k, e * x_k^2, ..., and stop at m: then they are
+    the primitive ones.
+    """
+    K, m, one = A.field, A.dimension, A.field.one()
+    parts = [(A.unit, None)]
+    for x, g in zip(_generators(A), polys):
+        if len(parts) == m:
+            break
+        roots = [c for c in range(K.modulus) if not g(c)]
+        if len(roots) != g.degree:
+            raise InternalContradiction(f"{g.format()} does not split into distinct linear "
+                                        "factors over the prime field")
+        lagrange = []
+        for c in roots:
+            h = g // UniPoly(K, [-c, one])
+            scale = K.invert(h(c))
+            lagrange.append((c, [a * scale for a in h.coeffs]))
+        products = []
+        for e, value in parts:
+            powers = [e]
+            for _ in range(1, g.degree):
+                powers.append(A.mul(powers[-1], x))
+            supports = [_support(power) for power in powers]
+            for c, coeffs in lagrange:
+                part = _combine(K, m, zip(coeffs, supports))
+                if any(part):
+                    products.append((part, c if value is None else value))
+        parts = products
+    return parts
+
+
 def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET):
     """Decompose an etale algebra as a product of monogenic separable ones.
 
@@ -308,8 +422,9 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
     (``_fixed_by_frobenius``).  Route 2 runs over GF(p) only, when that
     search is exhausted: it splits along Frobenius idempotents into field
     leaves, each generated by one element that a scan of at most
-    ``primitive_budget`` elements per leaf finds.  Over Q an exhausted
-    search propagates.
+    ``primitive_budget`` elements per leaf finds; when the rule holds, the
+    leaves are points, read off the primitive idempotents
+    (``_split_leaves``).  Over Q an exhausted search propagates.
 
     No generator can need a non-separable split (see the module docstring);
     the certificate checks at the end of ``_decompose`` still verify every
@@ -336,7 +451,8 @@ def _decompose(A: FiniteAlgebra, primitive_budget):
             raise
         notes.append(f"primitive-element search over {A.field!r}: {exc}; "
                      "splitting along the Frobenius fixed space instead")
-        factors = _frobenius_leaves(A, (), (), primitive_budget, _frobenius_images(A))
+        factors = (_split_leaves(A, polys) if fixed else
+                   _frobenius_leaves(A, (), (), primitive_budget, _frobenius_images(A)))
 
     # Each e_k idempotent with (e_1 + ... + e_{k-1}) * e_k = 0 makes the
     # family pairwise orthogonal by induction, in 2r products.

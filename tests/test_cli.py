@@ -146,8 +146,12 @@ def test_exit_code_internal_contradiction(monkeypatch, capsys):
     assert err.startswith("error: InternalContradiction: ") and err.count("\n") == 1
 
 
-def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys, tmp_path):
-    # GF(3)^9 has no primitive element, so classify splits along Frobenius idempotents
+GF4_SQUARED = os.path.join(os.path.dirname(__file__), "golden", "inputs", "gf4_squared.alg")
+
+
+def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys):
+    # GF(4)^2 over GF(2) has no primitive element and is not split, so classify builds
+    # split factors along Frobenius idempotents (a split algebra builds none)
     original = etalg.finalg._IdealFactor
 
     def one_short(A, unit, rows, labels_prefix):
@@ -157,9 +161,7 @@ def test_a_split_that_loses_a_dimension_exits_3(monkeypatch, capsys, tmp_path):
         return etalg.finalg.monogenic_from_poly(UniPoly.variable(A.field) ** (sub.dimension - 1))
 
     monkeypatch.setattr(etalg.finalg, "_IdealFactor", one_short)
-    grid = tmp_path / "grid.alg"
-    grid.write_text("field GF(3)\nvars X, Y\nrelations:\n  X^3 - X\n  Y^3 - Y\n")
-    code, out, err = run_main(capsys, "classify", str(grid))
+    code, out, err = run_main(capsys, "classify", GF4_SQUARED)
     assert code == 3 and out == ""
     assert err == "error: InternalContradiction: split dimensions do not add up\n"
 

@@ -229,17 +229,16 @@ def test_frobenius_leaves_are_placed_in_the_root(case):
 
 
 def tampered_leaves(monkeypatch, tamper):
-    """Make the Frobenius route return its genuine factors with tampered idempotents."""
-    genuine = etalg.pipeline._frobenius_leaves
+    """Make the split replay, the Frobenius route of GF(p)^m, return its genuine factors with
+    tampered idempotents."""
+    genuine = etalg.pipeline._split_leaves
 
-    def leaves(sub, path, chain, budget, images):
-        factors = genuine(sub, path, chain, budget, images)
-        if chain:  # a recursive call on a split node
-            return factors
-        units = tamper(sub, [f.idempotent for f in factors])
+    def leaves(A, polys):
+        factors = genuine(A, polys)
+        units = tamper(A, [f.idempotent for f in factors])
         return [replace(f, idempotent=e) for f, e in zip(factors, units)]
 
-    monkeypatch.setattr(etalg.pipeline, "_frobenius_leaves", leaves)
+    monkeypatch.setattr(etalg.pipeline, "_split_leaves", leaves)
 
 
 def test_decompose_rejects_non_orthogonal_idempotents(monkeypatch):
@@ -398,6 +397,58 @@ def test_the_frobenius_rule_changes_no_report(monkeypatch, capsys, tmp_path):
         assert reports["on", "classify"] == reports["off", "classify"], text
         assert reports["on", "decompose"] == reports["off", "decompose"], text
     assert sum(fires for _, fires in cases) == 1 + 4 + 15  # of the 4, 9 and 25 grids
+
+
+def test_the_frobenius_rule_does_not_trust_the_recorded_generators_of_a_table(monkeypatch):
+    # GF(5)[T]/<T^6 + T^5 + T^4 + 1> is a field of dimension 6 > 5.  As a table that records
+    # only its unit as a generator, that generator is fixed by x -> x^5 but does not generate
+    # the field, so the rule must not fire: the basis scan finds the primitive element x, as
+    # it does with the rule off, and no note is added
+    K = GF(5)
+    f = upoly(K, [1, 0, 0, 0, 1, 1, 1])
+    B = monogenic_from_poly(f)
+    A = FiniteAlgebra(K, B.basis_labels, table=B.table, unit=B.unit,
+                      generator_refs={"one": B.unit})
+    assert not etalg.pipeline._fixed_by_frobenius(A, [A.minimal_polynomial(A.unit)])
+    cert = decompose_etale(A)
+    assert cert.notes == ()
+    assert [(g.poly, g.generator) for g in cert.factors] == [(f, B.generator_refs["x"])]
+    monkeypatch.setattr(etalg.pipeline, "_fixed_by_frobenius", lambda A, polys: False)
+    assert decompose_etale(A) == cert
+
+
+def split_table(p, m, rng):
+    """GF(p)^m as a table that records no generators, on the basis of the rows of a random
+    invertible matrix over its m points."""
+    K = GF(p)
+    while True:
+        B = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+        if linalg.rank(B, K) == m:
+            break
+    inverse = [row[m:] for row in
+               linalg.rref([row + [int(i == j) for j in range(m)] for i, row in enumerate(B)], K)[0]]
+
+    def coordinates(values):  # y with y * B = values
+        return tuple(sum(v * inverse[k][i] for k, v in enumerate(values)) % p for i in range(m))
+
+    table = [[coordinates([B[i][k] * B[j][k] for k in range(m)]) for j in range(m)]
+             for i in range(m)]
+    return FiniteAlgebra(K, [f"b{i}" for i in range(m)], table, coordinates([1] * m))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_split_table_without_generators_replays_the_general_route(p):
+    # its basis generates it, so the rule fires and the splits are replayed; each leaf is
+    # generated by its echelon basis element, a multiple of its idempotent other than 1
+    rng = random.Random(p)
+    for _ in range(4):
+        A = split_table(p, rng.randint(p + 1, p + 5), rng)
+        with mock.patch.object(etalg.pipeline, "_split_leaves",
+                               wraps=etalg.pipeline._split_leaves) as replay:
+            cert = decompose_etale(A)
+        assert replay.call_count == 1
+        with mock.patch.object(etalg.pipeline, "_fixed_by_frobenius", lambda A, polys: False):
+            assert decompose_etale(A) == cert
 
 
 # ------------------------------------------------------------------ frobenius splitting
@@ -981,11 +1032,12 @@ def read_input(*parts):
 @pytest.mark.parametrize("text,calls", [
     (read_input("golden", "inputs", "gf4_squared.alg"), 15),
     (read_input("golden", "inputs", "gf64_leaf.alg"), 31),
-    (GF5_SQUARED_GRID, 51),
+    (GF5_SQUARED_GRID, 2),
 ], ids=["gf4_squared", "gf64_leaf", "gf5_grid"])
 def test_frobenius_split_reuses_the_minimal_polynomial_of_its_fixed_element(monkeypatch, text,
                                                                            calls):
-    # each Frobenius split takes one minimal polynomial and reads its idempotent off it
+    # each Frobenius split takes one minimal polynomial and reads its idempotent off it; the
+    # split GF(5)^25 takes only its generators' two, and reads its splits off its idempotents
     original = FiniteAlgebra.minimal_polynomial
     seen = []
 
@@ -999,15 +1051,19 @@ def test_frobenius_split_reuses_the_minimal_polynomial_of_its_fixed_element(monk
     assert len(seen) == calls
 
 
-@pytest.mark.parametrize("text,splits,powers", [
-    (read_input("golden", "inputs", "gf4_squared.alg"), 3, 2),
-    (read_input("golden", "inputs", "gf64_leaf.alg"), 4, 3),
-    (GF5_SQUARED_GRID, 24, 2),
+@pytest.mark.parametrize("text,work", [
+    (read_input("golden", "inputs", "gf4_squared.alg"),
+     {"splits": 3, "powers": 2, "images": 1, "factors": 2}),
+    (read_input("golden", "inputs", "gf64_leaf.alg"),
+     {"splits": 4, "powers": 3, "images": 1, "factors": 6}),
+    (GF5_SQUARED_GRID, {"splits": 0, "powers": 0, "images": 0, "factors": 0}),
 ], ids=["gf4_squared", "gf64_leaf", "gf5_grid"])
-def test_frobenius_route_powers_once_at_the_root(monkeypatch, text, splits, powers):
+def test_frobenius_route_powers_once_at_the_root(monkeypatch, text, work):
     # F is one map, powered along the border at the root (one power per variable) and
-    # restricted below it; factors of dimension 1 are leaves without a fixed-space split
-    counts = {"splits": 0, "powers": 0, "public": 0}
+    # restricted below it; factors of dimension 1 are leaves without a fixed-space split.
+    # A split algebra, GF(5)^25 here, replays the splits on its primitive idempotents: it
+    # builds neither F nor a split factor
+    counts = {"splits": 0, "powers": 0, "public": 0, "images": 0, "factors": 0}
 
     def counting(key, original):
         def wrapper(*args):
@@ -1017,11 +1073,13 @@ def test_frobenius_route_powers_once_at_the_root(monkeypatch, text, splits, powe
 
     for key, owner, name in (("splits", etalg.pipeline, "_fixed_space_idempotent"),
                              ("powers", FiniteAlgebra, "power"),
-                             ("public", etalg.pipeline, "frobenius_split")):
+                             ("public", etalg.pipeline, "frobenius_split"),
+                             ("images", etalg.pipeline, "_frobenius_images"),
+                             ("factors", etalg.finalg, "_IdealFactor")):
         monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
     report = classify(parse_input(text))
     assert report.etale and len(report.decomposition) > 1
-    assert counts == {"splits": splits, "powers": powers, "public": 0}
+    assert counts == {**work, "public": 0}
 
 
 @pytest.mark.parametrize("text", [
