@@ -6,8 +6,8 @@ e_i * e_j on a labelled basis.  Elements are plain coordinate tuples of
 field elements; the algebra object carries the operations.  Each distinct
 vector of a table gets its support, the (index, scalar) pairs of its nonzero
 coordinates, once, when it is built.  ``_combine``, the module's one
-accumulation loop behind sums, scalar multiples, products, Horner steps and
-Krylov rows, walks supports, so it skips zero coordinates.  It accumulates
+accumulation loop behind sums, scalar multiples, products and Horner
+steps, walks supports, so it skips zero coordinates.  It accumulates
 with native + and * and reduces each output coordinate once, at the end, by
 the field's ``reduce_all``, so its results are elements like any other.
 Traces are native sums over the Tr(e_k) that the table's rows give, each
@@ -26,17 +26,10 @@ construction check, whose failures raise InternalContradiction:
   up to m^5 field operations (m = 40: 0.3 s on a sparse GF(7) table, 1.2 s
   on a dense one, CPython 3.11), so ``product``, whose block-diagonal table
   of two checked algebras is associative, skips it as a ``_DerivedAlgebra``.
-* A split factor u*A (``split_by_idempotent``), an ``_IdealFactor`` that
-  keeps its echelon basis in its parent's coordinates and its pivots:
-  ``embed`` writes its elements in the parent, and ``coordinates`` the
-  parent's on its basis, None outside u*A.  Its table comes through that
-  checked map, so every product b_i * b_j of the basis embeds back and the
-  table is the parent's product restricted to a subspace closed under it;
-  with the unit law and the parent's own check this proves it commutative
-  and associative, and as a ``_DerivedAlgebra`` it skips the sweep.  The
-  split forms each e * e_i once, for the spans of both factors, and each
-  table entry is read at the pivots once, as a _Vector whose support the
-  embed-back check reuses; the table enters as it is built.
+* A split factor u*A (``split_by_idempotent``), an ``_IdealFactor``: its
+  table is the parent's product restricted to a subspace closed under it,
+  which with the unit law and the parent's own check proves it commutative
+  and associative, so as a ``_DerivedAlgebra`` it skips the sweep.
 * A ``border`` (``groebner.quotient_algebra``, and ``monogenic_from_poly``,
   which hands K[X]/<f> the one-variable border of <f>): columns[k][l] holds
   x_k * e_l as (index, scalar) pairs, the columns of the multiplication
@@ -51,15 +44,14 @@ construction check, whose failures raise InternalContradiction:
   that matrix algebra: commutative, associative and unital by construction,
   with nothing more to check.
 
-Minimal polynomials come from one echelon form over the powers 1, a, a^2,
-..., extended power by power (Krylov), whose row updates go through
-``_combine`` as well.  The Frobenius split reads the idempotent of <a - c>
-off the minimal polynomial of a by one formula (``_idempotent``).
+A minimal polynomial is the first relation that a tracking
+``linalg.Echelon`` finds among the powers 1, a, a^2, ... (Krylov).  The
+Frobenius split reads the idempotent of <a - c> off the minimal polynomial
+of a by one formula (``_idempotent``).
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
@@ -307,41 +299,20 @@ class FiniteAlgebra:
     def minimal_polynomial(self, a) -> UniPoly:
         """Monic generator of the annihilator of a.
 
-        Found as the first linear dependence among 1, a, a^2, ... by one
-        echelon form over the powers, extended power by power (Krylov;
-        Keller-Gehrig 1985).  Each power is reduced by the rows before it,
-        carrying its combination of 1, a, ..., a^k; a nonzero remainder
-        becomes a row pivoted at its first nonzero coordinate, and the first
-        power that reduces to zero (a^m at the latest) gives the polynomial,
-        monic in that power.
+        The first linear dependence among 1, a, a^2, ...: each power enters a
+        tracking ``linalg.Echelon`` (Krylov; Keller-Gehrig 1985), and the first
+        one whose residual is zero (a^m at the latest) gives the polynomial,
+        its combination of the powers, monic in that power.
         """
         self._check_element(a)
-        K, m, one = self.field, self.dimension, self.field.one()
-        rows, pivots = {}, []  # pivot -> (row, support of its combination, 1 / pivot coordinate)
-        a, power = _vector(a), _vector(self.unit)  # supports once, for the products and rows
-        for k in range(m + 1):
-            multiples = []  # (c, row, its combination): power - sum c * row is 0 at every pivot
-            for q in pivots:  # a row reaches only past its pivot, so earlier rows fix c
-                c = power[q]
-                for c_p, row, _ in multiples:
-                    c -= c_p * row[q]
-                row, row_comb, inv = rows[q]
-                c = K.reduce(c * inv)
-                if c:
-                    multiples.append((c, row, row_comb))
-            if multiples:
-                vec = _vector(_combine(K, m, [(one, power.support)]
-                                       + [(-c, row.support) for c, row, _ in multiples]))
-                comb = _combine(K, k + 1, [(one, ((k, one),))]
-                                + [(-c, row_comb) for c, _, row_comb in multiples])
-            else:
-                vec, comb = power, (K.zero(),) * k + (one,)
-            if not vec.support:
-                return UniPoly(K, comb)
-            p, lead = vec.support[0]
-            rows[p] = (vec, _support(comb), K.invert(lead))
-            insort(pivots, p)
-            power = _vector(self.mul(power, a))
+        K, m = self.field, self.dimension
+        echelon = linalg.Echelon(K, m, track=True)
+        a, power = _vector(a), self.unit  # a's support once, for the products
+        for _ in range(m + 1):
+            residual, combination = echelon.insert(power)
+            if not any(residual):
+                return UniPoly(K, combination)
+            power = self.mul(power, a)
         raise InternalContradiction(f"minimal_polynomial: 1, a, ..., a^{m} are independent")
 
     def _idempotent(self, a, g, c):
@@ -402,23 +373,21 @@ class _DerivedAlgebra(FiniteAlgebra):
 
 
 class _IdealFactor(_DerivedAlgebra):
-    """The split factor u*A of an algebra A, with unit u, on an echelon basis in A's coordinates.
+    """The split factor u*A of A, with unit u, on a reduced echelon basis in A's coordinates.
 
-    ``basis`` holds that basis as _Vectors and ``pivots`` the pivot of each;
-    the table, the generators u*g and the unit come through ``coordinates``.
-    Each table entry is read at the pivots once, as a _Vector whose support
-    the embed-back check reuses, and the table enters the base constructor as
-    it is built (``_shared_vectors``).
+    ``basis`` holds the reduced rows of a ``linalg.Echelon`` of ``rows``, the
+    products u * e_i, as _Vectors whose supports start at their pivots.
+    ``embed`` writes a factor element in the parent and ``coordinates`` a parent
+    element on the basis, None outside u*A; the table, the generators u*g and
+    the unit come through that checked map, so every b_i * b_j embeds back.
     """
 
-    __slots__ = ("basis", "pivots")
+    __slots__ = ("basis",)
 
     def __init__(self, A, unit, rows, labels_prefix):
-        """u*A from ``rows``, the products u * e_i for every basis element e_i of A."""
         K = self.field = A.field  # before the base constructor: ``coordinates`` reads it
-        reduced, pivots = linalg.rref(rows, K)
-        basis = self.basis = tuple(_vector(row) for row in reduced[: len(pivots)])
-        self.pivots = tuple(pivots)
+        echelon = linalg.Echelon(K, A.dimension, rows)
+        basis = self.basis = tuple(_vector(row) for row, _ in echelon.reduced_rows())
         pairs = {}  # one for the whole table, as ``FiniteAlgebra._shared_vectors`` keeps
 
         def inside(w, what):
@@ -449,7 +418,7 @@ class _IdealFactor(_DerivedAlgebra):
     def coordinates(self, w, pairs=None):
         """The reduced parent element w on the basis as a _Vector, read at the pivots once;
         None unless it embeds back.  ``pairs`` shares its support's pairs as in ``_vector``."""
-        coords = _vector(tuple(w[p] for p in self.pivots), pairs)
+        coords = _vector(tuple(w[b.support[0][0]] for b in self.basis), pairs)
         return coords if self.embed(coords) == w else None
 
 

@@ -17,44 +17,31 @@ code implements; either raises InternalContradiction and is never reported
 silently.
 
 Decomposition routes: etaleness is decided once, at the entry point, by
-the discriminant: ``classify`` computes it for the report and passes a
-nonzero one straight on to the decomposition, and ``decompose_etale``
-computes it as its guard.  ``primitive_element`` and ``frobenius_split``
-hold on any finite algebra.  A nonzero discriminant makes the algebra
-reduced, and over the perfect fields Q and GF(p) every minimal polynomial in
-a reduced algebra is separable, so no generator ever needs a non-separable
-split.
+the discriminant, which ``classify`` passes on to the decomposition and
+``decompose_etale`` computes as its guard.  A nonzero discriminant makes
+the algebra reduced, and over the perfect fields Q and GF(p) every minimal
+polynomial in a reduced algebra is separable, so no generator ever needs a
+non-separable split.  ``primitive_element`` and ``frobenius_split`` hold on
+any finite algebra.
 Route 1 returns a single factor: the first generator or basis element whose
-minimal polynomial has full degree, else a primitive element, which an
-infinite base field guarantees among deterministic scalar combinations of
-the generators.  Over GF(p) that bounded search can run out of candidates;
-it cannot succeed at all when every generator's minimal polynomial divides
-T^p - T and dim A > p: F(x) = x^p then fixes the generators, so F is the
-identity on A and every minimal polynomial has degree at most p.  That test
-(``_fixed_by_frobenius``) reads the generators' minimal polynomials, which
-the generator candidates have just taken, and trusts only generators that
-generate A by construction: a quotient's variables, or the basis of a table
-that records none.  When it holds the basis elements and the combinations
-are not scanned, and the note is the one the scan would end with.
-Route 2 then splits along idempotents read off the fixed space of the
-p-power (Frobenius) operator F until every leaf is a field, and each field
-leaf is generated by a single element by finite-field theory.  A split
-takes the minimal polynomial g of a fixed element v, which divides
-T^p - T, and its smallest root c (at large p by equal-degree splitting),
-and reads the idempotent of <v - c> off them by the algebra's one
-idempotent formula, ``FiniteAlgebra._idempotent``.  Factors of dimension 1
-are leaves without a split.  Two ways walk that recursion:
-  * A split algebra, where ``_fixed_by_frobenius`` holds: F is the identity,
-    A = GF(p)^m, and its m primitive idempotents, the nonzero products of
-    the generators' Lagrange idempotents, decide every split.
-    ``_split_leaves`` replays the recursion on sets of them; one elimination
-    per node gives its basis, its v and the values of v at its points, so
-    it builds no F, no split factor and no minimal polynomial.
-  * Any other GF(p)-algebra: F is one GF(p)-linear map, built once at the
-    root (along the border steps on a quotient) and restricted below it:
-    F(u*a) = u*F(a), so a split factor u*A restricts its parent's map, and
-    no factor powers its own basis.  A factor's element reaches the root by
-    one embedding per split level.
+minimal polynomial has full degree, else a primitive element among
+deterministic scalar combinations of the generators, which an infinite base
+field guarantees.  Over GF(p) that bounded search can run out; it cannot
+succeed when ``_fixed_by_frobenius`` holds (dim A > p, and F(x) = x^p fixes
+generators that generate A by construction), so then neither the basis nor
+the combinations are scanned, and the note is the one the scan would end with.
+Route 2 splits along idempotents read off the fixed space of F, each the
+idempotent of <v - c> for a fixed element v and the smallest root c of its
+minimal polynomial (``FiniteAlgebra._idempotent``), until every leaf is a
+field, which finite-field theory makes monogenic.  Two ways walk it:
+  * Where ``_fixed_by_frobenius`` holds, A = GF(p)^m, and ``_split_leaves``
+    replays the recursion on its m primitive idempotents: one tracking
+    ``linalg.Echelon`` per node gives its basis, its v and the values of v
+    at its points, with no F, split factor or further minimal polynomial.
+  * On any other GF(p)-algebra F is one linear map, built once at the root
+    (along the border steps on a quotient) and restricted to each split
+    factor, F(u*a) = u*F(a).  Its fixed vectors are the relations that a
+    tracking ``linalg.Echelon`` finds among the rows F(e_j) - e_j.
 Every generator search is a lazy stream read by one loop under its budget.
 
 Stages and sections: ``classify`` takes the names of the report sections
@@ -198,23 +185,26 @@ def frobenius_split(A: FiniteAlgebra):
 
 
 def _fixed_space_idempotent(A: FiniteAlgebra, images):
-    """``frobenius_split`` with F given by its images of A's basis, in A's coordinates."""
-    K, m, one = A.field, A.dimension, A.field.one()
-    matrix = [[K.reduce(images[j][i] - one) if i == j else images[j][i] for j in range(m)]
-              for i in range(m)]
-    fixed = linalg.kernel_basis(matrix, K)
-    if len(fixed) <= 1:
-        return None
-    for vec in fixed:
-        v = tuple(vec)
-        if linalg.rank([list(A.unit), list(v)], K) == 2:
-            break
-    else:
+    """``frobenius_split`` with F given by its images of A's basis, in A's coordinates.
+
+    A row F(e_j) - e_j that reduces to zero gives a fixed vector, its combination
+    of the rows; these form the fixed space's basis, and v is the first off the scalars.
+    """
+    K, m = A.field, A.dimension
+    echelon, scalars = linalg.Echelon(K, m, track=True), linalg.Echelon(K, m, [A.unit])
+    for j, image in enumerate(images):
+        row = list(image)
+        row[j] = K.reduce(row[j] - K.one())
+        residual, combination = echelon.insert(row)
+        v = combination + (K.zero(),) * (m - 1 - j)
+        if not any(residual) and any(scalars.reduce(v)[0]):
+            # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p):
+            # the idempotent of <v - c>, for its smallest root c, is neither 0 nor 1.
+            g = A.minimal_polynomial(v)
+            return A._idempotent(v, g, _smallest_root(g))[0]
+    if len(echelon.rows) < m - 1:  # two independent fixed vectors, each a multiple of the unit
         raise InternalContradiction("fixed space of dimension >= 2 inside the scalars")
-    # g divides T^p - T, so it is squarefree with deg g >= 2 roots in GF(p):
-    # the idempotent of <v - c>, for its smallest root c, is neither 0 nor 1.
-    g = A.minimal_polynomial(v)
-    return A._idempotent(v, g, _smallest_root(g))[0]
+    return None
 
 
 def _smallest_root(g: UniPoly):
@@ -328,20 +318,20 @@ def _split_leaves(A: FiniteAlgebra, polys):
 
     Then A = GF(p)^m, and its primitive idempotents eps_j fix the whole
     recursion, which the replay walks on index sets S in the same order.  The
-    node of S is span{eps_j : j in S}, on the reduced echelon basis of that
-    span in A's coordinates: it is unique, so it is the basis the chain of
-    split factors has.  F is the identity there, so v is the first basis
-    element not proportional to the node's unit.  One elimination of
-    [eps_j | I] gives that basis and, beside each row, its values lambda_j,
-    as v = sum lambda_j(v) eps_j.  The smallest root of v's minimal
-    polynomial is c = min lambda_j(v); the idempotent of <v - c>, the sum of
-    the eps_j with lambda_j(v) != c, joins the chain, and the replay goes on
-    with lambda_j(v) = c, then with the rest.  A leaf eps_j is generated by
-    its first generator candidate: lambda_j(x_1) * eps_j for A's first
-    recorded generator x_1, or the echelon basis element when A records none.
+    node of S is span{eps_j : j in S} on its reduced echelon basis, which is
+    unique, so it is the basis the chain of split factors has.  That basis
+    comes off a tracking echelon of the eps_j, each row with its values
+    lambda_j, as row = sum lambda_j(row) eps_j.  F is the identity, so v is
+    the first row not a multiple of the unit: its values are not all equal.
+    The smallest root of v's minimal polynomial is c = min lambda_j(v); the
+    idempotent of <v - c>, the sum of the eps_j with lambda_j(v) != c, joins
+    the chain, and the replay goes on with lambda_j(v) = c, then with the
+    rest.  A leaf eps_j is generated by its first generator candidate:
+    lambda_j(x_1) * eps_j for A's first recorded generator x_1, or the
+    echelon basis element when A records none.
     ``polys`` holds the minimal polynomials of ``_generators(A)``.
     """
-    K, m, one, zero = A.field, A.dimension, A.field.one(), A.field.zero()
+    K, m, one = A.field, A.dimension, A.field.one()
     pairs = _primitive_idempotents(A, polys)
     if len(pairs) != m:
         raise InternalContradiction(f"{len(pairs)} primitive idempotents in a split algebra "
@@ -356,13 +346,10 @@ def _split_leaves(A: FiniteAlgebra, polys):
             leaves.append(DecompositionFactor(UniPoly(K, [-a, one]), A.scalar_mul(a, eps[j]),
                                               eps[j], chain))
             return
-        d = len(S)
-        rows = [[*eps[j], *(one if i == k else zero for i in range(d))] for k, j in enumerate(S)]
-        reduced, pivots = linalg.rref(rows, K)
-        if len(pivots) < d or pivots[-1] >= m:
+        echelon = linalg.Echelon(K, m, [eps[j] for j in S], track=True)
+        if len(echelon.rows) < len(S):
             raise InternalContradiction("the primitive idempotents are linearly dependent")
-        unit = K.reduce_all([sum(eps[j][q] for j in S) for q in pivots])  # on the node's basis
-        values = reduced[0 if any(unit[1:]) else 1][m:]
+        values = next(values for _, values in echelon.reduced_rows() if len(set(values)) > 1)
         c = min(values)
         rest = [j for j, value in zip(S, values) if value != c]
         chain += (_combine(K, m, [(one, _support(eps[j])) for j in rest]),)
@@ -415,20 +402,11 @@ def decompose_etale(A: FiniteAlgebra, primitive_budget=DEFAULT_PRIMITIVE_BUDGET)
     """Decompose an etale algebra as a product of monogenic separable ones.
 
     Raises NotEtale on zero discriminant, the one etale check of the
-    decomposition.  Route 1 gives a single factor: the first generator or
-    basis element of full degree, else a primitive element from the bounded
-    search; over GF(p) both the basis elements and the search are skipped
-    when the generators' minimal polynomials rule a primitive element out
-    (``_fixed_by_frobenius``).  Route 2 runs over GF(p) only, when that
-    search is exhausted: it splits along Frobenius idempotents into field
-    leaves, each generated by one element that a scan of at most
-    ``primitive_budget`` elements per leaf finds; when the rule holds, the
-    leaves are points, read off the primitive idempotents
-    (``_split_leaves``).  Over Q an exhausted search propagates.
-
-    No generator can need a non-separable split (see the module docstring);
-    the certificate checks at the end of ``_decompose`` still verify every
-    factor and raise InternalContradiction if the theory were broken.
+    decomposition.  The routes are the module docstring's; route 2 runs over
+    GF(p) only, once the search is exhausted, and scans at most
+    ``primitive_budget`` elements per field leaf.  Over Q an exhausted search
+    propagates.  The certificate checks at the end of ``_decompose`` verify
+    every factor and raise InternalContradiction if the theory were broken.
     """
     if not A.discriminant():
         raise NotEtale("decompose_etale needs a nonzero discriminant")

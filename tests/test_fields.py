@@ -182,7 +182,9 @@ def test_every_result_is_an_element(K):
         check(linalg.det(rows, K), linalg.det(rows[:3] + [[scalar() for _ in range(4)]], K))
         reduced, _ = linalg.rref(rows, K)
         check(*(c for row in reduced for c in row))
-        check(*(c for vec in linalg.kernel_basis(rows, K) for c in vec))
+        echelon = linalg.Echelon(K, 4, map(K.reduce_all, rows), track=True)
+        check(*(c for vec in echelon.reduced_rows() for part in vec for c in part))
+        check(*linalg.solve(rows, [scalar() for _ in rows], K) or ())
 
         f, g = random_monic(rng, K, 4), UniPoly(K, [scalar(), scalar(), K.one()])
         for h in (f + g, f - g, -f, f * g, f.scale(scalar()), f ** 3, *divmod(f, g), gcd(f, g),

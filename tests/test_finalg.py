@@ -24,7 +24,8 @@ from etalg.finalg import (
 )
 from etalg.unipoly import UniPoly, discriminant, is_separable
 from util import (brute_det, count_table_sweeps, has_nonzero_nilpotent, is_element, random_monic,
-                  reference_operator, reference_product, reference_trace, upoly)
+                  reference_minimal_polynomial, reference_operator, reference_product,
+                  reference_trace, upoly)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -404,11 +405,27 @@ def test_minimal_polynomial_examples():
 
 
 def test_minimal_polynomial_stops_at_the_dimension(monkeypatch):
-    # with its pivots lost no power reduces to zero; a^m is the last power it takes
+    # with its rows lost no power reduces to zero; a^m is the last power it takes
     A = alg(F5, [1, 0, 1])
-    monkeypatch.setattr(etalg.finalg, "insort", lambda pivots, p: None)
+    monkeypatch.setattr(linalg.Echelon, "insert", linalg.Echelon.reduce)
     with pytest.raises(InternalContradiction, match=r"1, a, \.\.\., a\^2 are independent"):
         A.minimal_polynomial(A.generator_refs["x"])
+
+
+@pytest.mark.parametrize("K", [F5, GF(7), GF(32003), QQ], ids=str)
+def test_minimal_polynomial_matches_the_reference_krylov_loop(K):
+    # products of K[X]/<f>, with repeated and shared factors, so degrees fall short of m
+    rng = random.Random(151)
+    cases = 0
+    for _ in range(6):
+        f, g = (random_monic(rng, K, rng.randint(1, 4)) for _ in range(2))
+        A = product(product(monogenic_from_poly(f), monogenic_from_poly(g)), monogenic_from_poly(f))
+        elements = [A.unit, A.zero_element(), *(A.basis_element(i) for i in range(A.dimension))]
+        elements += [tuple(big_scalar(rng, K) for _ in range(A.dimension)) for _ in range(4)]
+        for a in elements:
+            assert A.minimal_polynomial(a) == reference_minimal_polynomial(A, a)
+            cases += 1
+    assert cases > 60
 
 
 def test_minimal_polynomial_of_sum_of_roots():
@@ -500,7 +517,7 @@ def test_split_rejects_a_basis_not_closed_under_multiplication(monkeypatch):
     A = product(product(point, point), point)
     e1 = A.basis_element(0)
     assert split_by_idempotent(e1, A).first.dimension == 2
-    monkeypatch.setattr(linalg, "rref", lambda rows, K: ([[0, 1, 2], [0, 0, 0], [0, 0, 0]], [1]))
+    monkeypatch.setattr(linalg.Echelon, "reduced_rows", lambda self: iter([((0, 1, 2), ())]))
     with pytest.raises(InternalContradiction, match="not closed"):
         split_by_idempotent(e1, A)
 

@@ -15,7 +15,7 @@ import pkgutil
 import sys
 
 import etalg
-from etalg import cli, errors
+from etalg import cli, errors, linalg
 from etalg.finalg import FiniteAlgebra
 from test_golden import render_all
 from util import input_files
@@ -55,6 +55,7 @@ UNREACHED = {
     "kaehler.standard_etale_decision": WRAPPER,
     "kaehler.standard_smooth_decision": WRAPPER,
     "kaehler.universal_derivation": LIBRARY,
+    "linalg.rref": LIBRARY,  # the CLI's reduced bases come off Echelon.reduced_rows
     "linalg.solve": BENCH,
     "multipoly.MonomialOrder.__eq__": PROTOCOL,
     "multipoly.MonomialOrder.__hash__": PROTOCOL,
@@ -131,3 +132,5 @@ def test_the_deleted_duplicates_stay_deleted():
     for name in ("mul_operator", "trace", "idempotent_of", "inverse_in_subalgebra"):
         assert not hasattr(FiniteAlgebra, name)
     assert not hasattr(errors, "RepeatedZeroRoot") and not hasattr(errors, "NotInvertible")
+    # every elimination goes through linalg.Echelon: the fixed space reads its relations
+    assert not hasattr(linalg, "kernel_basis")

@@ -2,15 +2,22 @@
 
 The determinant here is a permutation expansion, deliberately separate from
 the Gaussian elimination the package uses, so Sylvester/Gram assertions are
-genuine cross-checks.
+genuine cross-checks.  The reference eliminations below are the package's
+earlier routines, each its own loop: a forward elimination over dense rows
+with row swaps, Gauss-Jordan back-substitution, the null space read off the
+reduced form, and the Krylov minimal polynomial with its own pivot dict.
+``linalg.Echelon`` is checked against them.
 """
 
 import os
+from bisect import insort
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
+from etalg.errors import DimensionMismatch
 from etalg.fields import GF, QQ
-from etalg.finalg import FiniteAlgebra
+from etalg.finalg import FiniteAlgebra, _combine, _support, _vector
 from etalg.kaehler import AlgebraPresentation
 from etalg.multipoly import MultiPoly
 from etalg.unipoly import UniPoly
@@ -201,3 +208,128 @@ def random_presentations(rng, count):
                 rels.append(f)
         out.append(AlgebraPresentation(field, names, tuple(rels)))
     return out
+
+
+# ------------------------------------------------------------------ reference eliminations
+
+def reference_echelon(rows, K):
+    """Row echelon form by forward elimination over dense rows.  Returns (rows, pivot_columns, swaps).
+
+    Pivots on the first nonzero entry of each column, swapping rows; nothing
+    above a pivot is cleared and no row is scaled.
+    """
+    m = [list(K.reduce_all(r)) for r in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise DimensionMismatch("matrix rows differ in length")
+    pivots, swaps, r = [], 0, 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps += 1
+        top = m[r][col:]
+        inv = K.invert(top[0])
+        for row in m[r + 1:]:
+            if row[col]:
+                f = K.reduce(row[col] * inv)
+                row[col:] = K.reduce_all([x - f * y for x, y in zip(row[col:], top)])
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, swaps
+
+
+def reference_rref(rows, K):
+    """Reduced row echelon form by back-substitution on ``reference_echelon``.  Returns (rows, pivots)."""
+    m, pivots, _ = reference_echelon(rows, K)
+    for r in reversed(range(len(pivots))):
+        col = pivots[r]
+        inv = K.invert(m[r][col])
+        m[r][col:] = top = K.reduce_all([inv * x for x in m[r][col:]])
+        for row in m[:r]:
+            f = row[col]
+            if f:
+                row[col:] = K.reduce_all([x - f * y for x, y in zip(row[col:], top)])
+    return m, pivots
+
+
+def reference_det(rows, K):
+    """Determinant from ``reference_echelon``: the diagonal's product, signed by the row swaps."""
+    m, pivots, swaps = reference_echelon(rows, K)
+    if len(pivots) < len(m):
+        return K.zero()
+    d = prod((row[i] for i, row in enumerate(m)), start=K.one())
+    return K.reduce(-d if swaps % 2 else d)
+
+
+def reference_solve(rows, rhs, K):
+    """One solution of rows * x = rhs (free variables 0) read off ``reference_rref``, or None."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)], K)
+    if ncols in pivots:
+        return None
+    x = [K.zero()] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = red[i][ncols]
+    return x
+
+
+def reference_kernel_basis(rows, K):
+    """The null space basis read off ``reference_rref``: one vector per free column, 1 there."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = reference_rref(rows, K)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [K.zero()] * ncols
+        vec[free] = K.one()
+        for i, col in enumerate(pivots):
+            vec[col] = K.reduce(-red[i][free])
+        basis.append(vec)
+    return basis
+
+
+def reference_minimal_polynomial(A, a):
+    """The Krylov loop over 1, a, a^2, ...: all multipliers of a power first, then one combination.
+
+    Each power is reduced by the rows before it, carrying its combination of
+    the powers; a nonzero remainder becomes a row in a pivot dict, and the
+    first power that reduces to zero gives the polynomial.
+    """
+    K, m, one = A.field, A.dimension, A.field.one()
+    rows, pivots = {}, []  # pivot -> (row, support of its combination, 1 / pivot coordinate)
+    a, power = _vector(a), _vector(A.unit)
+    for k in range(m + 1):
+        multiples = []  # (c, row, its combination): power - sum c * row is 0 at every pivot
+        for q in pivots:
+            c = power[q]
+            for c_p, row, _ in multiples:
+                c -= c_p * row[q]
+            row, row_comb, inv = rows[q]
+            c = K.reduce(c * inv)
+            if c:
+                multiples.append((c, row, row_comb))
+        if multiples:
+            vec = _vector(_combine(K, m, [(one, power.support)]
+                                   + [(-c, row.support) for c, row, _ in multiples]))
+            comb = _combine(K, k + 1, [(one, ((k, one),))]
+                            + [(-c, row_comb) for c, _, row_comb in multiples])
+        else:
+            vec, comb = power, (K.zero(),) * k + (one,)
+        if not vec.support:
+            return UniPoly(K, comb)
+        p, lead = vec.support[0]
+        rows[p] = (vec, _support(comb), K.invert(lead))
+        insort(pivots, p)
+        power = _vector(A.mul(power, a))
+    raise AssertionError(f"1, a, ..., a^{m} are independent")
